@@ -2,10 +2,19 @@
 one-hot encoding used as the classifier's transformed feature space.
 
 Each boosting round fits a regression tree to the current residuals
-y - sigmoid(F) by exhaustive split search (thresholds at midpoints between
+y - sigmoid(F) by exact greedy split search (thresholds at midpoints between
 consecutive distinct feature values, squared-error criterion) and sets each
 leaf to one Newton step: sum(residual) / (sum(p*(1-p)) + lambda). Encoding a
 sample yields one active leaf per tree, concatenated across trees.
+
+The split search is presorted, as in SLIQ (Mehta et al. 1996) and the exact
+mode of XGBoost (Chen & Guestrin 2016). ``gbdt_fit`` sorts every feature
+once, stably, and all its trees share that sort because X does not change
+between rounds. Each node keeps its rows in every feature's sorted order; a
+split partitions those lists with one boolean mask, which keeps each list in
+order. A node's lists therefore equal a fresh stable sort of its rows taken
+in ascending order, so the cumulative sums, gains, tie-breaks, thresholds
+and leaf values are bit-for-bit those of sorting anew at every node.
 """
 
 from __future__ import annotations
@@ -101,39 +110,44 @@ def residuals(labels, scores) -> np.ndarray:
     return y - sigmoid(f)
 
 
-def _best_split(Xs: np.ndarray, r: np.ndarray, min_samples_leaf: int):
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` transposed to one contiguous row per feature, and the row
+    indices of each feature in ascending value order, ties in ascending row
+    order: an (n_feat, m) index matrix."""
+    XT = np.ascontiguousarray(X.T)
+    return XT, np.argsort(XT, axis=1, kind="stable")
+
+
+def _best_split(xs: np.ndarray, rs: np.ndarray, min_samples_leaf: int):
     """Exhaustive (feature, midpoint) search minimizing squared error.
 
-    Returns (feature, threshold) or None when no split strictly improves.
+    ``xs`` holds each feature's values of the node's rows in ascending order,
+    one feature per row, and ``rs`` the residuals in the same orders.
+    Returns (feature, threshold), or None when no candidate leaves
+    ``min_samples_leaf`` rows on each side of distinct values.
     Ties break to the lowest feature index, then the lowest threshold.
     """
-    m, n_feat = Xs.shape
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=0)
-    rs = r[order]
-    csum = np.cumsum(rs, axis=0)
-    total = csum[-1, 0]
-
-    left_n = np.arange(1, m, dtype=np.float64)[:, None]
-    left_sum = csum[:-1]
-    gain = left_sum**2 / left_n + (total - left_sum) ** 2 / (m - left_n)
-
-    valid = xs[1:] > xs[:-1]
-    if min_samples_leaf > 1:
-        valid[: min_samples_leaf - 1] = False
-        valid[m - min_samples_leaf:] = False
-    gain = np.where(valid, gain, -np.inf)
-
-    pos = np.argmax(gain, axis=0)  # first occurrence = lowest threshold
-    per_feat = gain[pos, np.arange(n_feat)]
-    best_f = int(np.argmax(per_feat))  # first occurrence = lowest feature
-    if not np.isfinite(per_feat[best_f]):
+    n_feat, m = xs.shape
+    # Candidate p splits between sorted positions p and p + 1; it must leave
+    # min_samples_leaf rows on each side and fall between distinct values.
+    lo, hi = min_samples_leaf - 1, m - min_samples_leaf
+    cand = np.flatnonzero(xs[:, lo + 1 : hi + 1] > xs[:, lo:hi])
+    if cand.size == 0:
         return None  # no valid candidate at all
-    # Zero-gain splits are allowed on impure nodes (callers screen constant
-    # residuals); they open up gains at the next depth, e.g. XOR patterns.
-    p = int(pos[best_f])
-    threshold = (xs[p, best_f] + xs[p + 1, best_f]) / 2.0
-    return best_f, float(threshold)
+    feat, p = np.divmod(cand, hi - lo)
+    p += lo
+    csum = np.cumsum(rs, axis=1)
+    total = csum[0, -1]
+    left_n = (p + 1).astype(np.float64)
+    left_sum = csum[feat, p]
+    gain = left_sum**2 / left_n + (total - left_sum) ** 2 / (m - left_n)
+    # Candidates run feature-major, so the first maximum has the lowest
+    # feature, then the lowest threshold. Zero-gain splits are allowed on
+    # impure nodes (callers screen constant residuals); they open up gains
+    # at the next depth, e.g. XOR patterns.
+    best = int(np.argmax(gain))
+    f, q = int(feat[best]), int(p[best])
+    return f, float((xs[f, q] + xs[f, q + 1]) / 2.0)
 
 
 def fit_regression_tree(
@@ -150,7 +164,28 @@ def fit_regression_tree(
     hessian = np.asarray(hessian, dtype=np.float64)
     if len(X) == 0 or len(X) != len(res):
         raise ValueError("X and residuals must be nonempty and equal length")
+    XT, order = _presort(X)
+    return _grow_tree(XT, order, res, hessian, max_depth, min_samples_leaf, lam)
 
+
+def _grow_tree(
+    XT: np.ndarray,
+    order: np.ndarray,
+    res: np.ndarray,
+    hessian: np.ndarray,
+    max_depth: int,
+    min_samples_leaf: int,
+    lam: float,
+) -> RegressionTree:
+    """Grow one tree on the transposed features ``XT`` given their presort.
+
+    Each node carries its rows twice: ascending (``idx``, for the leaf sums)
+    and in every feature's sorted order (``order``, for the split search).
+    A split partitions both with one boolean mask; boolean indexing keeps
+    each feature row's order, so a child's lists equal a fresh stable sort
+    of its rows.
+    """
+    n_feat = XT.shape[0]
     feature, threshold, left, right, value, ordinal = [], [], [], [], [], []
     leaf_count = 0
 
@@ -163,7 +198,7 @@ def fit_regression_tree(
         ordinal.append(-1)
         return len(feature) - 1
 
-    def build(idx: np.ndarray, depth: int) -> int:
+    def build(idx: np.ndarray, order: np.ndarray, depth: int) -> int:
         nonlocal leaf_count
         node = add_node()
         r = res[idx]
@@ -173,7 +208,9 @@ def fit_regression_tree(
             and idx.size >= 2 * min_samples_leaf
             and not np.all(r == r[0])
         ):
-            split = _best_split(X[idx], r, min_samples_leaf)
+            split = _best_split(
+                np.take_along_axis(XT, order, axis=1), res[order], min_samples_leaf
+            )
         if split is None:
             value[node] = float(r.sum() / (hessian[idx].sum() + lam))
             ordinal[node] = leaf_count
@@ -182,12 +219,21 @@ def fit_regression_tree(
             f, t = split
             feature[node] = f
             threshold[node] = t
-            mask = X[idx, f] <= t
-            left[node] = build(idx[mask], depth + 1)
-            right[node] = build(idx[~mask], depth + 1)
+            go_left = XT[f] <= t
+            mask = go_left[idx]
+            n_left = int(mask.sum())
+            sorted_mask = go_left[order]
+            left[node] = build(
+                idx[mask], order[sorted_mask].reshape(n_feat, n_left), depth + 1
+            )
+            right[node] = build(
+                idx[~mask],
+                order[~sorted_mask].reshape(n_feat, idx.size - n_left),
+                depth + 1,
+            )
         return node
 
-    build(np.arange(len(X)), 0)
+    build(np.arange(XT.shape[1]), order, 0)
     return RegressionTree(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
@@ -223,14 +269,17 @@ def gbdt_fit(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if len(X) != len(y):
+        raise ValueError("X and labels must have equal length")
     init = gbdt_init(y)
     scores = np.full(len(y), init)
     ens = GbdtEnsemble([], init, learning_rate, n_trees, seed=seed)
     ens.loss_history.append(logistic_loss(y, scores))
+    XT, order = _presort(X)  # X is fixed across rounds: one sort serves every tree
     for _ in range(n_trees):
         p = sigmoid(scores)
-        tree = fit_regression_tree(
-            X, y - p, p * (1.0 - p), max_depth, min_samples_leaf, lam
+        tree = _grow_tree(
+            XT, order, y - p, p * (1.0 - p), max_depth, min_samples_leaf, lam
         )
         ens.trees.append(tree)
         scores = scores + learning_rate * tree.predict(X)

@@ -123,11 +123,11 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _rank_and_write(prepared, cfg: PipelineConfig) -> tuple[int, list[str]]:
+def _rank_and_write(prepared, cfg: PipelineConfig, full=None) -> tuple[int, list[str]]:
     from sda.boost import save_gbdt
     from sda.svm import save_svm
 
-    models = pipeline.train_final(prepared, cfg)
+    models = pipeline.train_final(prepared, cfg, full)
     save_gbdt(models[0], os.path.join(cfg.output_dir, "gbdt_model.json"))
     save_svm(models[1], os.path.join(cfg.output_dir, "svm_model.json"))
     predictions, exhausted = pipeline.rank_candidates(prepared, cfg, models=models)
@@ -156,7 +156,9 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
         _print_descriptor(prepared)
 
         stage = "evaluate"
-        report = pipeline.evaluate(prepared, cfg)
+        # one full-set tree ensemble serves the grid search and the final model
+        full = pipeline.fit_full_gbdt(prepared, cfg)
+        report = pipeline.evaluate(prepared, cfg, full)
         pipeline.write_report(report, cfg.output_dir)
         print(
             f"mode={report.mode} mean roc_auc={report.mean['roc_auc']:.4f} "
@@ -164,7 +166,7 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
         )
 
         stage = "rank"
-        n_rows, exhausted = _rank_and_write(prepared, cfg)
+        n_rows, exhausted = _rank_and_write(prepared, cfg, full)
         for disease_id in exhausted:
             print(f"disease '{disease_id}' has no unknown pairs; zero rows ranked")
         print(f"ranked top {cfg.top_k} per disease: {n_rows} rows")

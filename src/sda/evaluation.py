@@ -210,16 +210,20 @@ class MetricsReport:
         }
 
 
-def run_cv(prepared, config) -> MetricsReport:
+def run_cv(features, labels, config, fold_features=None) -> MetricsReport:
     """Stratified k-fold evaluation of the boosted-trees + SVM pipeline.
 
     Each fold fits the tree ensemble on its training pairs, encodes train and
     test through the fitted leaves, trains the SVM on the training encodings,
     and scores the test pairs; pooled test scores feed the exported curves.
-    In strict-folds mode the interaction-profile similarities are recomputed
-    per fold from training-fold positives only.
+    Every fold slices ``features``, except in strict-folds mode, where
+    ``fold_features(test_idx)`` rebuilds the feature matrix for each fold
+    from training-fold positives only; it is required in that mode and
+    rejected in the other.
     """
-    labels = prepared.labels
+    if (fold_features is not None) != (config.mode == "strict-folds"):
+        raise ValueError("fold_features is required in strict-folds mode, and only there")
+    labels = np.asarray(labels)
     seed = config.seed
     plan = stratified_kfold(labels, config.n_folds, derive_seed(seed, "cv-folds"))
     n = len(labels)
@@ -237,12 +241,9 @@ def run_cv(prepared, config) -> MetricsReport:
         train_idx = plan.train_indices(f)
         assert not set(test_idx.tolist()) & set(train_idx.tolist())
 
-        if config.mode == "strict-folds":
-            features = prepared.strict_fold_features(test_idx)
-        else:
-            features = prepared.features
-        X_train, y_train = features[train_idx], labels[train_idx]
-        X_test, y_test = features[test_idx], labels[test_idx]
+        X = features if fold_features is None else fold_features(test_idx)
+        X_train, y_train = X[train_idx], labels[train_idx]
+        X_test, y_test = X[test_idx], labels[test_idx]
 
         ens = gbdt_fit(
             X_train,

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,21 +47,31 @@ class PreparedData:
     def strict_fold_features(self, test_idx: np.ndarray) -> np.ndarray:
         """Pair features with interaction profiles rebuilt from training-fold
         positives only, so no test association leaks into the kernel."""
-        ap = self.am.entries.astype(np.float64).copy()
-        for i in test_idx:
-            if self.labels[int(i)] == 1:
-                s, d = self.pairs[int(i)]
-                ap[s, d] = 0.0
-        gip_s = similarity.gip_similarity(
-            ap, similarity.gip_bandwidth(ap, self.gamma_prime_snorna), self.am.snorna_ids
+        return _strict_fold_features(
+            self.am, self.sfs, self.dss, self.gamma_prime_snorna,
+            self.gamma_prime_disease, self.pairs, self.labels, test_idx,
         )
-        gip_d = similarity.gip_similarity(
-            ap.T, similarity.gip_bandwidth(ap.T, self.gamma_prime_disease),
-            self.am.disease_ids,
-        )
-        msfs = similarity.mesh_similarity(self.sfs, gip_s)
-        mdss = similarity.mesh_similarity(self.dss, gip_d)
-        return sampling.assemble_feature_matrix(msfs, mdss, self.pairs)
+
+
+def _strict_fold_features(
+    am, sfs, dss, gamma_prime_snorna, gamma_prime_disease, pairs, labels, test_idx
+) -> np.ndarray:
+    """Features of ``pairs`` with the GIP kernels recomputed after zeroing
+    the known associations among the test pairs ``test_idx``."""
+    ap = am.entries.astype(np.float64).copy()
+    for i in test_idx:
+        if labels[int(i)] == 1:
+            s, d = pairs[int(i)]
+            ap[s, d] = 0.0
+    gip_s = similarity.gip_similarity(
+        ap, similarity.gip_bandwidth(ap, gamma_prime_snorna), am.snorna_ids
+    )
+    gip_d = similarity.gip_similarity(
+        ap.T, similarity.gip_bandwidth(ap.T, gamma_prime_disease), am.disease_ids
+    )
+    msfs = similarity.mesh_similarity(sfs, gip_s)
+    mdss = similarity.mesh_similarity(dss, gip_d)
+    return sampling.assemble_feature_matrix(msfs, mdss, pairs)
 
 
 @dataclass
@@ -200,7 +211,9 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
 
     k = cfg.k
     if cfg.k_range:
-        k = _choose_k(cfg, msfs, mdss, positives, negatives, neg_features, pos_features)
+        k = _choose_k(
+            cfg, am, sfs, dss, msfs, mdss, positives, negatives, neg_features, pos_features
+        )
         log.info("choose_k selected k=%d from %s", k, list(cfg.k_range))
     if k > len(negatives):
         raise DataError(f"k={k} exceeds the number of unknown pairs ({len(negatives)})")
@@ -227,23 +240,34 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
     )
 
 
-def _choose_k(cfg, msfs, mdss, positives, negatives, neg_features, pos_features):
+def _choose_k(
+    cfg, am, sfs, dss, msfs, mdss, positives, negatives, neg_features, pos_features
+):
     """Candidate-k evaluation via a cheap CV on each balanced set.
 
     Uses the middle grid entries for the SVM when the grid is unresolved;
-    the full grid search (if any) runs after k is fixed.
+    the full grid search (if any) runs after k is fixed. In strict-folds mode
+    the probe CV rebuilds its folds' features over its own pairs.
     """
     n_pos = len(positives)
+    labels = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_pos, dtype=int)])
+    probe_cfg = replace(
+        cfg,
+        chosen_c=float(cfg.svm_c[len(cfg.svm_c) // 2]),
+        chosen_gamma=cfg.svm_gamma[len(cfg.svm_gamma) // 2],
+    )
 
     def evaluator(k: int, picked: list[tuple[int, int]]):
         feats = np.vstack(
             [pos_features, sampling.assemble_feature_matrix(msfs, mdss, picked)]
         )
-        labels = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_pos, dtype=int)])
-        sub = _clone_config(cfg)
-        sub.svm_c = (float(cfg.svm_c[len(cfg.svm_c) // 2]),)
-        sub.svm_gamma = (cfg.svm_gamma[len(cfg.svm_gamma) // 2],)
-        report = run_cv(_ProbeData(feats, labels), sub)
+        fold_features = None
+        if cfg.mode == "strict-folds":
+            fold_features = partial(
+                _strict_fold_features, am, sfs, dss, cfg.gamma_prime_snorna,
+                cfg.gamma_prime_disease, list(positives) + list(picked), labels,
+            )
+        report = run_cv(feats, labels, probe_cfg, fold_features)
         return report.mean["roc_auc"], report.mean["mse"]
 
     return sampling.choose_k(
@@ -256,30 +280,11 @@ def _choose_k(cfg, msfs, mdss, positives, negatives, neg_features, pos_features)
     )
 
 
-class _ProbeData:
-    """Minimal stand-in exposing just what run_cv touches (paper-faithful)."""
-
-    def __init__(self, features, labels):
-        self.features = features
-        self.labels = labels
-
-
-def _clone_config(cfg: PipelineConfig) -> PipelineConfig:
-    payload = {
-        key: getattr(cfg, key)
-        for key in cfg.__dataclass_fields__
-        if key not in ("chosen_c", "chosen_gamma")
-    }
-    return PipelineConfig(**payload)
-
-
-def resolve_svm_params(prepared: PreparedData, cfg: PipelineConfig) -> None:
-    """Fill cfg.chosen_c / cfg.chosen_gamma, running the grid search once on
-    the full balanced set's leaf encodings when the grid has several cells."""
-    if not cfg.needs_grid_search:
-        cfg.chosen_c = cfg.resolved_c
-        cfg.chosen_gamma = cfg.gamma_setting
-        return
+def fit_full_gbdt(
+    prepared: PreparedData, cfg: PipelineConfig
+) -> tuple[GbdtEnsemble, np.ndarray]:
+    """The tree ensemble fitted on the whole balanced set, and the set's leaf
+    encoding. The grid search and the final model share this one fit."""
     ens = gbdt_fit(
         prepared.features,
         prepared.labels,
@@ -287,9 +292,24 @@ def resolve_svm_params(prepared: PreparedData, cfg: PipelineConfig) -> None:
         learning_rate=cfg.learning_rate,
         max_depth=cfg.max_depth,
         min_samples_leaf=cfg.min_samples_leaf,
-        seed=derive_seed(cfg.seed, "gbdt-grid"),
+        seed=derive_seed(cfg.seed, "gbdt-final"),
     )
-    enc = gbdt_leaf_encode(ens, prepared.features)
+    return ens, gbdt_leaf_encode(ens, prepared.features)
+
+
+def resolve_svm_params(
+    prepared: PreparedData,
+    cfg: PipelineConfig,
+    full: tuple[GbdtEnsemble, np.ndarray] | None = None,
+) -> None:
+    """Fill cfg.chosen_c / cfg.chosen_gamma, running the grid search once on
+    the full balanced set's leaf encodings when the grid has several cells.
+    ``full`` is the output of ``fit_full_gbdt``, fitted here when not given."""
+    if not cfg.needs_grid_search:
+        cfg.chosen_c = cfg.resolved_c
+        cfg.chosen_gamma = cfg.gamma_setting
+        return
+    _ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
     dim = enc.shape[1]
     gammas = sorted({1.0 / dim if g == "1/d" else float(g) for g in cfg.svm_gamma})
     grid = ParamGrid(c_values=sorted(set(map(float, cfg.svm_c))), gamma_values=gammas)
@@ -307,25 +327,26 @@ def resolve_svm_params(prepared: PreparedData, cfg: PipelineConfig) -> None:
     log.info("grid search chose C=%g gamma=%g", best_c, best_gamma)
 
 
-def evaluate(prepared: PreparedData, cfg: PipelineConfig) -> MetricsReport:
+def evaluate(
+    prepared: PreparedData,
+    cfg: PipelineConfig,
+    full: tuple[GbdtEnsemble, np.ndarray] | None = None,
+) -> MetricsReport:
     """Resolve SVM hyperparameters, then run the stratified CV."""
-    resolve_svm_params(prepared, cfg)
-    return run_cv(prepared, cfg)
+    resolve_svm_params(prepared, cfg, full)
+    fold_features = prepared.strict_fold_features if cfg.mode == "strict-folds" else None
+    return run_cv(prepared.features, prepared.labels, cfg, fold_features)
 
 
-def train_final(prepared: PreparedData, cfg: PipelineConfig) -> tuple[GbdtEnsemble, SvmModel]:
-    """Fit the ranking model on 100% of the balanced set."""
-    resolve_svm_params(prepared, cfg)
-    ens = gbdt_fit(
-        prepared.features,
-        prepared.labels,
-        n_trees=cfg.n_trees,
-        learning_rate=cfg.learning_rate,
-        max_depth=cfg.max_depth,
-        min_samples_leaf=cfg.min_samples_leaf,
-        seed=derive_seed(cfg.seed, "gbdt-final"),
-    )
-    enc = gbdt_leaf_encode(ens, prepared.features)
+def train_final(
+    prepared: PreparedData,
+    cfg: PipelineConfig,
+    full: tuple[GbdtEnsemble, np.ndarray] | None = None,
+) -> tuple[GbdtEnsemble, SvmModel]:
+    """Fit the ranking model on 100% of the balanced set, reusing ``full``
+    (from ``fit_full_gbdt``) when given."""
+    ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
+    resolve_svm_params(prepared, cfg, (ens, enc))
     model = smo_train(
         enc,
         prepared.labels,
@@ -420,7 +441,8 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
             "holdout emptied positives of disease '%s'; excluded from report", disease_id
         )
 
-    hold_cfg = _clone_config(cfg)
+    # a fresh copy: the grid search reruns on the reduced set
+    hold_cfg = replace(cfg, chosen_c=None, chosen_gamma=None)
     prepared = prepare_from_matrix(reduced, hold_cfg)
     ens, model = train_final(prepared, hold_cfg)
     candidates = prepared.negatives  # includes the held-out pairs

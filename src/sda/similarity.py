@@ -250,37 +250,47 @@ def save_similarity_matrix(sm: SimilarityMatrix, path: str) -> None:
     atomic_write_text(_mask_path(path), "\n".join(mask_lines) + "\n")
 
 
-def load_similarity_matrix(path: str) -> SimilarityMatrix:
-    """Load an id-labelled similarity CSV; the ``.mask.csv`` sibling is optional
-    (absent mask means fully available)."""
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
+def _read_square_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Column ids and cell rows of an id-labelled square CSV. Raises
+    DataError unless there is one row per column id, in the same order, and
+    every row has one cell per id."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise DataError(f"{path}: empty file")
     ids = [c.strip() for c in rows[0][1:]]
     n = len(ids)
-    values = np.zeros((n, n), dtype=np.float64)
-    row_ids = []
     for r, row in enumerate(rows[1:]):
         if len(row) != n + 1:
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {n + 1}")
-        row_ids.append(row[0].strip())
-        try:
-            values[r] = [float(c) for c in row[1:]]
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric cell in row '{row[0]}'") from exc
-    if row_ids != ids:
+    if [row[0].strip() for row in rows[1:]] != ids:
         raise DataError(f"{path}: row ids do not match column ids")
+    return ids, [row[1:] for row in rows[1:]]
+
+
+def load_similarity_matrix(path: str) -> SimilarityMatrix:
+    """Load an id-labelled similarity CSV; the ``.mask.csv`` sibling is optional
+    (absent mask means fully available) but must carry the same ids."""
+    if not os.path.exists(path):
+        raise DataError(f"file not found: {path}")
+    ids, cells = _read_square_csv(path)
+    n = len(ids)
+    values = np.zeros((n, n), dtype=np.float64)
+    for r, row in enumerate(cells):
+        try:
+            values[r] = [float(c) for c in row]
+        except ValueError as exc:
+            raise DataError(f"{path}: non-numeric cell in row '{ids[r]}'") from exc
 
     mask_path = _mask_path(path)
     if os.path.exists(mask_path):
-        with open(mask_path, newline="", encoding="utf-8") as fh:
-            mrows = [row for row in csv.reader(fh) if row]
-        available = np.zeros((n, n), dtype=bool)
-        for r, row in enumerate(mrows[1:]):
-            available[r] = [c.strip() == "1" for c in row[1:]]
+        mask_ids, mask_cells = _read_square_csv(mask_path)
+        if mask_ids != ids:
+            raise DataError(f"{mask_path}: ids do not match those of {path}")
+        flags = np.array([[c.strip() for c in row] for row in mask_cells], dtype=str)
+        if not np.isin(flags, ("0", "1")).all():
+            raise DataError(f"{mask_path}: cells must be 0 or 1")
+        available = (flags == "1").reshape(n, n)
     else:
         available = np.ones((n, n), dtype=bool)
     sm = SimilarityMatrix(ids, values, available)

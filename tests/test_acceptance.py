@@ -272,11 +272,7 @@ class TestCriterion7PlantedSignal:
         permuted = prepared.labels.copy()
         rng.shuffle(permuted)
 
-        class _Probe:
-            features = prepared.features
-            labels = permuted
-
-        null_auc = run_cv(_Probe(), cfg).mean["roc_auc"]
+        null_auc = run_cv(prepared.features, permuted, cfg).mean["roc_auc"]
         ok = auc >= 0.90 and abs(null_auc - 0.5) <= 0.05
         report(
             "7", ok,

@@ -127,6 +127,45 @@ class TestRegressionTree:
             achieved = sse_of_split(X, r, int(tree.feature[0]), float(tree.threshold[0]))
             assert achieved <= best[0] + 1e-9
 
+    def test_every_internal_split_matches_bruteforce(self):
+        # Heavily tied features: 0/1 flags and a few repeated similarity
+        # levels, so nodes deep in the tree see long runs of equal values.
+        # Residuals are multiples of 1/8, which keeps every sum exact.
+        rng = np.random.default_rng(31)
+        levels = np.array([0.0, 0.2, 0.2, 0.5, 0.9])
+        n_nodes = 0
+        for trial in range(60):
+            n = int(rng.integers(20, 60))
+            X = np.column_stack([
+                rng.integers(0, 2, n).astype(float),
+                rng.choice(levels, n),
+                rng.integers(0, 2, n).astype(float),
+                rng.choice(levels[:3], n),
+            ])
+            r = rng.integers(-8, 9, n) / 8.0
+            msl = (1, 3, 5)[trial % 3]
+            depth = 3 + trial % 2
+            tree = fit_regression_tree(X, r, np.full(n, 0.25), max_depth=depth,
+                                       min_samples_leaf=msl)
+            stack = [(0, np.arange(n), 0)]
+            while stack:
+                node, rows, d = stack.pop()
+                best = bruteforce_best_split(X[rows], r[rows], msl)
+                f = int(tree.feature[node])
+                if f < 0:
+                    # a leaf: depth cap, too few rows, pure, or no candidate
+                    assert (d == depth or rows.size < 2 * msl
+                            or np.all(r[rows] == r[rows][0]) or best is None)
+                    continue
+                n_nodes += 1
+                t = float(tree.threshold[node])
+                assert best is not None
+                assert (f, t) == (best[1], best[2]), (trial, node)
+                go_left = X[rows, f] <= t
+                stack.append((int(tree.left[node]), rows[go_left], d + 1))
+                stack.append((int(tree.right[node]), rows[~go_left], d + 1))
+        assert n_nodes > 200
+
     def test_tiebreak_lowest_feature_then_threshold(self):
         # features 1 and 2 both split perfectly; feature 0 is useless
         X = np.array(

@@ -132,6 +132,20 @@ class TestEvaluate:
         doc = json.loads(open(os.path.join(out, "report.json")).read())
         assert doc["mode"] == "strict-folds"
 
+    def test_strict_folds_with_k_range(self, small_dataset, tmp_path, capsys):
+        # the k probe's CV must rebuild strict per-fold features over its own
+        # pairs; it once reached for a method its stand-in data lacked
+        out = str(tmp_path / "out")
+        keys = base_keys(small_dataset, out)
+        del keys["k"]
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        argv = ["evaluate", "--config", cfg,
+                "--set", "mode=strict-folds", "--set", "k_range=5,10"]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        assert doc["mode"] == "strict-folds"
+
 
 class TestRank:
     def test_ranking_shape_and_exclusions(self, small_dataset, tmp_path):
@@ -207,6 +221,30 @@ class TestRunAll:
             a = open(os.path.join(out1, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
+
+    @pytest.mark.parametrize("command,expected", [("rank", 1), ("run-all", 6)])
+    def test_one_full_set_gbdt_fit_under_grid(
+        self, small_dataset, tmp_path, monkeypatch, command, expected
+    ):
+        # the grid search and the final model share one full-set ensemble:
+        # rank fits it once, run-all once plus one fit per CV fold
+        from sda import evaluation, pipeline
+
+        calls = []
+
+        def counting(real):
+            def fit(*args, **kwargs):
+                calls.append(len(args[0]))
+                return real(*args, **kwargs)
+            return fit
+
+        monkeypatch.setattr(pipeline, "gbdt_fit", counting(pipeline.gbdt_fit))
+        monkeypatch.setattr(evaluation, "gbdt_fit", counting(evaluation.gbdt_fit))
+        keys = base_keys(small_dataset, str(tmp_path / "out"),
+                         svm_c="1,10", svm_gamma="0.01,0.1")
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        assert main([command, "--config", cfg]) == 0
+        assert len(calls) == expected
 
 
 class TestHoldout:

@@ -183,12 +183,6 @@ class TestCurvePoints:
         assert pts[-1][0] == 1.0
 
 
-class _Probe:
-    def __init__(self, features, labels):
-        self.features = features
-        self.labels = labels
-
-
 class TestRunCv:
     def _config(self, **kw):
         from sda.config import PipelineConfig
@@ -208,7 +202,7 @@ class TestRunCv:
 
     def test_report_structure_and_fold_sizes(self):
         X, y = self._separable()
-        report = run_cv(_Probe(X, y), self._config())
+        report = run_cv(X, y, self._config())
         assert len(report.folds) == 5
         assert sum(f["n_test"] for f in report.folds) == len(y)
         for key in ("roc_auc", "auprc", "accuracy", "f1", "mse"):
@@ -219,13 +213,33 @@ class TestRunCv:
 
     def test_separable_data_scores_high(self):
         X, y = self._separable()
-        report = run_cv(_Probe(X, y), self._config())
+        report = run_cv(X, y, self._config())
         assert report.mean["roc_auc"] > 0.95
+
+    def test_fold_features_rebuilt_per_fold_in_strict_mode(self):
+        X, y = self._separable()
+        seen = []
+
+        def fold_features(test_idx):
+            seen.append(test_idx)
+            return X
+
+        report = run_cv(X, y, self._config(mode="strict-folds"), fold_features)
+        assert report.mode == "strict-folds"
+        assert len(seen) == 5
+        assert sorted(np.concatenate(seen).tolist()) == list(range(len(y)))
+
+    def test_fold_features_required_exactly_in_strict_mode(self):
+        X, y = self._separable()
+        with pytest.raises(ValueError, match="strict-folds"):
+            run_cv(X, y, self._config(mode="strict-folds"))
+        with pytest.raises(ValueError, match="strict-folds"):
+            run_cv(X, y, self._config(), lambda test_idx: X)
 
     def test_permuted_labels_near_half(self):
         X, y = self._separable(n=200, seed=4)
         rng = np.random.default_rng(99)
         y_perm = y.copy()
         rng.shuffle(y_perm)
-        report = run_cv(_Probe(X, y_perm), self._config())
+        report = run_cv(X, y_perm, self._config())
         assert abs(report.mean["roc_auc"] - 0.5) < 0.12

@@ -79,6 +79,27 @@ class TestPrecomputedDiseaseSimilarity:
         report = pipeline.evaluate(prepared, cfg)
         assert report.mean["roc_auc"] > 0.8
 
+    def test_malformed_mask_is_data_error(self, synth_dataset, tmp_path):
+        from sda.similarity import disease_semantic_similarity, save_similarity_matrix
+
+        am = synth_dataset["am"]
+        sim_path = str(tmp_path / "disease_sim.csv")
+        save_similarity_matrix(
+            disease_semantic_similarity(synth_dataset["dag"], 0.5, ids=am.disease_ids),
+            sim_path,
+        )
+        mask_path = str(tmp_path / "disease_sim.mask.csv")
+        with open(mask_path, "a", encoding="utf-8") as fh:
+            fh.write("extra" + ",1" * len(am.disease_ids) + "\n")
+        p = synth_dataset["paths"]
+        cfg = write_config_file(
+            tmp_path / "cfg.txt",
+            association_path=p["association"],
+            disease_similarity_path=sim_path,
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["prepare", "--config", cfg]) == 2
+
 
 class TestStrictFolds:
     def test_strict_mode_runs_and_is_deterministic(self, synth_dataset, tmp_path):

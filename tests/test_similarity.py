@@ -300,6 +300,38 @@ class TestSerialization:
         back = load_similarity_matrix(str(path))
         assert back.available.all()
 
+    def _with_mask(self, tmp_path, mask_text):
+        path = tmp_path / "sim.csv"
+        path.write_text(",a,b\na,1.0,0.5\nb,0.5,1.0\n", encoding="utf-8")
+        (tmp_path / "sim.mask.csv").write_text(mask_text, encoding="utf-8")
+        return str(path)
+
+    def test_mask_with_extra_row_rejected(self, tmp_path):
+        path = self._with_mask(tmp_path, ",a,b\na,1,1\nb,1,1\nc,1,1\n")
+        with pytest.raises(DataError, match="row ids"):
+            load_similarity_matrix(path)
+
+    def test_mask_with_short_row_rejected(self, tmp_path):
+        path = self._with_mask(tmp_path, ",a,b\na,1,1\nb,1\n")
+        with pytest.raises(DataError, match="row 3 has 2 cells"):
+            load_similarity_matrix(path)
+
+    def test_mask_with_mismatched_id_rejected(self, tmp_path):
+        path = self._with_mask(tmp_path, ",a,c\na,1,1\nc,1,1\n")
+        with pytest.raises(DataError, match="ids do not match"):
+            load_similarity_matrix(path)
+
+    def test_mask_with_non_flag_cell_rejected(self, tmp_path):
+        path = self._with_mask(tmp_path, ",a,b\na,1,yes\nb,yes,1\n")
+        with pytest.raises(DataError, match="0 or 1"):
+            load_similarity_matrix(path)
+
+    def test_values_with_extra_row_rejected(self, tmp_path):
+        path = tmp_path / "sim.csv"
+        path.write_text(",a,b\na,1.0,0.5\nb,0.5,1.0\nc,0.1,0.2\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row ids"):
+            load_similarity_matrix(str(path))
+
     def test_reindex_marks_missing_unavailable(self):
         sm = _sim(["a", "b"], [[1.0, 0.5], [0.5, 1.0]])
         out = reindex(sm, ["b", "q", "a"])
