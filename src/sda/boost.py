@@ -147,7 +147,11 @@ def _best_split(xs: np.ndarray, rs: np.ndarray, min_samples_leaf: int):
     # at the next depth, e.g. XOR patterns.
     best = int(np.argmax(gain))
     f, q = int(feat[best]), int(p[best])
-    return f, float((xs[f, q] + xs[f, q + 1]) / 2.0)
+    below, above = xs[f, q], xs[f, q + 1]
+    # Between adjacent floats the midpoint can round up to ``above``, which
+    # would send every row left; the lower value then splits the same rows.
+    mid = (below + above) / 2.0
+    return f, float(mid if mid < above else below)
 
 
 def fit_regression_tree(

@@ -166,6 +166,20 @@ class TestRegressionTree:
                 stack.append((int(tree.right[node]), rows[~go_left], d + 1))
         assert n_nodes > 200
 
+    def test_adjacent_float_split_keeps_both_sides(self):
+        # (a + b) / 2 rounds up to b here; the split must still separate them
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
+        X = np.array([[a], [a], [b], [b]])
+        r = np.array([-1.0, -1.0, 1.0, 1.0])
+        tree = fit_regression_tree(X, r, np.full(4, 0.25), max_depth=1,
+                                   min_samples_leaf=1)
+        assert tree.n_leaves == 2
+        assert tree.threshold[0] == a
+        leaves = tree.apply(X)
+        assert leaves[0] == leaves[1] != leaves[2] == leaves[3]
+
     def test_tiebreak_lowest_feature_then_threshold(self):
         # features 1 and 2 both split perfectly; feature 0 is useless
         X = np.array(
