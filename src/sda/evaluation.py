@@ -59,25 +59,37 @@ def _check_binary(labels) -> np.ndarray:
     return y
 
 
+def _tie_groups(s: np.ndarray, y: np.ndarray):
+    """Runs of equal scores in descending order.
+
+    Returns ``(order, ends, tp)``: the stable descending sort order of ``s``,
+    one past the last sorted position of each run, and the positives of
+    ``y`` among the sorted rows up to each run's end.
+    """
+    order = np.argsort(-s, kind="mergesort")
+    s_sorted = s[order]
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], len(s) > 0)) + 1
+    tp = np.cumsum(y[order])[ends - 1]
+    return order, ends, tp
+
+
 def roc_auc(scores, labels) -> float:
     """Tie-aware rank statistic: mean over positive-negative pairs of
     [score_pos > score_neg] + 0.5 * [tie]."""
     s = np.asarray(scores, dtype=np.float64)
     y = _check_binary(labels)
+    n = len(s)
     n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
+    n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise NumericError("roc_auc needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
+    order, ends, _ = _tie_groups(s, y)
+    starts = np.append(0, ends[:-1])
+    # A run at descending positions [start, end) holds ascending positions
+    # n - end .. n - start - 1; its rows share their average 1-based rank.
+    run_rank = (2 * n - ends - starts - 1) / 2.0 + 1.0
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(run_rank, ends - starts)
     pos_rank_sum = float(ranks[y == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -90,26 +102,12 @@ def pr_auc(scores, labels) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NumericError("pr_auc needs at least one positive")
-    order = np.argsort(-s, kind="mergesort")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    ap = 0.0
-    prev_recall = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i : j + 1].sum())
-        seen += j - i + 1
-        precision = tp / seen
-        recall = tp / n_pos
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return ap
+    _, ends, tp = _tie_groups(s, y)
+    recall = tp / n_pos
+    terms = np.diff(recall, prepend=0.0) * (tp / ends)
+    # Summed in threshold order (cumsum adds left to right; np.sum would
+    # pair terms up and round differently).
+    return float(np.cumsum(terms)[-1])
 
 
 @dataclass
@@ -142,20 +140,10 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
     y = _check_binary(labels)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
-    order = np.argsort(-s, kind="mergesort")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i : j + 1].sum())
-        fp += (j - i + 1) - int(y_sorted[i : j + 1].sum())
-        points.append((fp / n_neg if n_neg else 0.0, tp / n_pos if n_pos else 0.0))
-        i = j + 1
+    _, ends, tp = _tie_groups(s, y)
+    far = (ends - tp) / n_neg if n_neg else np.zeros(len(ends))
+    tar = tp / n_pos if n_pos else np.zeros(len(ends))
+    points = [(0.0, 0.0)] + list(zip(far.tolist(), tar.tolist()))
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
     return points
@@ -166,22 +154,9 @@ def pr_points(scores, labels) -> list[tuple[float, float]]:
     s = np.asarray(scores, dtype=np.float64)
     y = _check_binary(labels)
     n_pos = int(y.sum())
-    order = np.argsort(-s, kind="mergesort")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    points = []
-    tp = 0
-    seen = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i : j + 1].sum())
-        seen += j - i + 1
-        points.append((tp / n_pos if n_pos else 0.0, tp / seen))
-        i = j + 1
-    return points
+    _, ends, tp = _tie_groups(s, y)
+    recall = tp / n_pos if n_pos else np.zeros(len(ends))
+    return list(zip(recall.tolist(), (tp / ends).tolist()))
 
 
 @dataclass
