@@ -238,7 +238,6 @@ def run_cv(features, labels, config, fold_features=None) -> MetricsReport:
             gamma=config.resolve_gamma(enc_train.shape[1]),
             tol=config.svm_tol,
             max_passes=config.svm_max_passes,
-            seed=derive_seed(seed, f"svm-fold{f}"),
         )
         scores = svm_decision(model, enc_test)
         pooled[test_idx] = scores

@@ -354,7 +354,6 @@ def train_final(
         gamma=cfg.resolve_gamma(enc.shape[1]),
         tol=cfg.svm_tol,
         max_passes=cfg.svm_max_passes,
-        seed=derive_seed(cfg.seed, "svm-final"),
     )
     return ens, model
 

@@ -1,11 +1,19 @@
-"""Soft-margin SVM with an RBF kernel, trained by sequential minimal
-optimization on the boosted-tree leaf encodings.
+"""Soft-margin SVM with an RBF kernel, trained on the boosted-tree leaf
+encodings by sequential minimal optimization with LIBSVM's second-order
+working-set selection (WSS2; Fan, Chen & Lin, JMLR 6, 2005).
 
-The SMO variant is the simplified two-index scheme: scan for a KKT-violating
-first index, pick the second by the largest error gap |E_i - E_j|, and fall
-back to seeded-random sweeps over the remaining candidates when that step
-stalls. The kernel matrix is cached densely, and the error cache is rebuilt
-at the start of every full sweep so convergence checks never act on drift.
+The solver keeps ``v = y - g``, where ``g`` is the decision value without
+bias (``v`` is ``-y`` times the gradient of the dual), and the index sets
+I_up = {alpha < C, y = +1} | {alpha > 0, y = -1} and
+I_low = {alpha < C, y = -1} | {alpha > 0, y = +1}. Each step takes the
+maximal violator i = argmax of v over I_up, pairs it with the j in I_low
+that promises the largest second-order gain (m - v_j)^2 / a_ij, where
+m = v_i and a_ij = K_ii + K_jj - 2 K_ij, and solves the two-variable
+subproblem exactly, clipped to the box. It stops when m - M < tol, with
+M = min of v over I_low: under the bias that ``_optimal_bias`` picks, that
+is every KKT condition holding within ``tol``. Every step raises the dual
+and the selection is deterministic, so no seed is needed and the last
+iterate is the best one.
 """
 
 from __future__ import annotations
@@ -36,25 +44,35 @@ def rbf_kernel(x, y, gamma: float) -> float:
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
-def rbf_cross(X, Y, gamma: float) -> np.ndarray:
-    """Kernel block K[i, j] = exp(-gamma * ||X_i - Y_j||^2)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances ||X_i - Y_j||^2, clipped at 0 against rounding."""
     d2 = (
         np.sum(X**2, axis=1)[:, None]
         - 2.0 * X @ Y.T
         + np.sum(Y**2, axis=1)[None, :]
     )
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-gamma * d2)
+    return d2
+
+
+def rbf_cross(X, Y, gamma: float) -> np.ndarray:
+    """Kernel block K[i, j] = exp(-gamma * ||X_i - Y_j||^2)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    return np.exp(-gamma * _sq_dists(X, Y))
+
+
+def _gram_from_sq(d2: np.ndarray, gamma: float) -> np.ndarray:
+    K = np.exp(-gamma * d2)
+    K = np.triu(K) + np.triu(K, 1).T
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
 def rbf_gram(X, gamma: float) -> np.ndarray:
     """Symmetric kernel matrix with an exact unit diagonal."""
-    K = rbf_cross(X, X, gamma)
-    K = np.triu(K) + np.triu(K, 1).T
-    np.fill_diagonal(K, 1.0)
-    return K
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return _gram_from_sq(_sq_dists(X, X), gamma)
 
 
 @dataclass
@@ -103,37 +121,99 @@ def _as_pm1(y) -> np.ndarray:
     return y
 
 
-def dual_objective(alphas, y, K) -> float:
-    """W(a) = sum a_i - 1/2 sum_ij a_i a_j y_i y_j K_ij."""
-    ay = alphas * y
-    return float(alphas.sum() - 0.5 * ay @ K @ ay)
+TAU = 1e-12  # stands in for a curvature a_ij <= 0 (duplicate rows give 0)
 
 
-def _optimal_bias(alphas, y, g, C) -> float:
-    """Bias satisfying the KKT system for the current duals.
+def _optimal_bias(v: np.ndarray, up: np.ndarray, low: np.ndarray) -> float:
+    """Bias for the duals whose state is ``v``, ``up`` (I_up), ``low`` (I_low).
 
-    ``g`` is the decision value without bias. Free support vectors pin b
-    exactly (averaged); otherwise any b inside the interval implied by the
-    bound points works and the midpoint is taken. The last pair's local
-    update can land outside that interval when every alpha is at a bound,
-    which would fake KKT violations at an optimal dual point.
+    Free points (in both sets) pin b = v_t; their mean lies in [M, m]. With
+    every point at a bound, the midpoint of m = max v over I_up and
+    M = min v over I_low is taken. Either way, m - M < tol puts every point
+    within ``tol`` of its KKT condition.
     """
-    v = y - g
-    edge = 1e-9 * max(1.0, C)  # alphas within dust of a bound count as bound
-    at_zero = alphas <= edge
-    at_c = alphas >= C - edge
-    free = ~at_zero & ~at_c
+    free = up & low
     if free.any():
         return float(v[free].mean())
-    lower = (at_zero & (y > 0)) | (at_c & (y < 0))
-    upper = (at_zero & (y < 0)) | (at_c & (y > 0))
-    if lower.any() and upper.any():
-        return float((v[lower].max() + v[upper].min()) / 2.0)
-    if lower.any():
-        return float(v[lower].max())
-    if upper.any():
-        return float(v[upper].min())
-    return 0.0
+    return float((v[up].max() + v[low].min()) / 2.0)
+
+
+def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
+    """WSS2 SMO on the Gram matrix ``K`` for labels ``y`` in {-1, +1}.
+
+    Runs at most ``max_passes * n`` steps. Returns ``(alphas, up, low,
+    steps, converged)``, with ``up`` and ``low`` the masks of I_up and I_low.
+    """
+    n = len(y)
+    diag = K.diagonal()
+    alphas = np.zeros(n)
+    v = y.copy()  # g == 0 at alphas == 0
+    up = y > 0
+    low = ~up
+    steps = 0
+    while True:
+        v_up = np.where(up, v, -np.inf)
+        i = int(v_up.argmax())
+        m = v_up[i]
+        M = np.where(low, v, np.inf).min()
+        if m - M < tol or m <= M:
+            # Confirm on a fresh v: the updates below accumulate rounding.
+            fresh = y - (alphas * y) @ K
+            if np.array_equal(fresh, v):
+                return alphas, up, low, steps, True
+            v = fresh
+            continue
+        if steps == max_passes * n:
+            return alphas, up, low, steps, False
+        Ki = K[i]
+        a = diag[i] + diag - 2.0 * Ki
+        a[a <= 0.0] = TAU
+        b = m - v
+        j = int(np.where(low & (b > 0.0), b * b / a, -np.inf).argmax())
+        Kj = K[j]
+        # Move alpha_i by y_i * t and alpha_j by -y_j * t, which keeps
+        # sum(alpha * y); t is the unconstrained optimum, clipped to the box.
+        room_i = C - alphas[i] if y[i] > 0 else alphas[i]
+        room_j = alphas[j] if y[j] > 0 else C - alphas[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        ai = alphas[i] + y[i] * t
+        aj = alphas[j] - y[j] * t
+        if t == room_i:
+            ai = C if y[i] > 0 else 0.0
+        if t == room_j:
+            aj = 0.0 if y[j] > 0 else C
+        v -= (y[i] * (ai - alphas[i])) * Ki + (y[j] * (aj - alphas[j])) * Kj
+        alphas[i], alphas[j] = ai, aj
+        for k in (i, j):
+            below_c, above_zero = alphas[k] < C, alphas[k] > 0.0
+            up[k] = below_c if y[k] > 0 else above_zero
+            low[k] = above_zero if y[k] > 0 else below_c
+        steps += 1
+
+
+def _fit(
+    X: np.ndarray, y: np.ndarray, K: np.ndarray, C: float, gamma: float,
+    tol: float, max_passes: int,
+) -> SvmModel:
+    """Train on rows ``X`` with labels ``y`` in {-1, +1} and their Gram ``K``."""
+    n = len(y)
+    alphas, up, low, steps, converged = _solve(K, y, C, tol, max_passes)
+    if not converged:
+        log.warning("SMO did not converge within %d sweeps (n=%d)", max_passes, n)
+    ay = alphas * y
+    g = ay @ K
+    keep = alphas > 0
+    return SvmModel(
+        support_vectors=X[keep].copy(),
+        alphas=alphas[keep].copy(),
+        labels=y[keep].copy(),
+        bias=_optimal_bias(y - g, up, low),
+        gamma=gamma,
+        C=C,
+        converged=converged,
+        n_sweeps=-(-steps // n),
+        dual_objective=float(alphas.sum() - 0.5 * g @ ay),
+    )
 
 
 def smo_train(
@@ -143,150 +223,17 @@ def smo_train(
     gamma: float = 0.1,
     tol: float = 1e-3,
     max_passes: int = 100,
-    seed: int = 0,
 ) -> SvmModel:
-    """Fit the dual soft-margin problem by pairwise coordinate ascent.
+    """Fit the dual soft-margin problem by WSS2 pairwise steps.
 
-    Converged means one full sweep found no KKT violation beyond ``tol``.
-    If ``max_passes`` sweeps run out first, the best-objective iterate seen
-    is returned with ``converged=False``.
+    Converged means the maximal violating pair is closer than ``tol``.
+    ``max_passes`` caps the steps at ``max_passes * n``; ``n_sweeps`` counts
+    steps in units of n. When the cap is hit, the last (best) iterate is
+    returned with ``converged=False``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = _as_pm1(y)
-    n = len(y)
-    K = rbf_gram(X, gamma)
-    rng = np.random.default_rng(seed)
-
-    alphas = np.zeros(n)
-    b = 0.0
-    E = -y.copy()  # f(x) - y with f == 0 initially
-    eps = 1e-10
-
-    best = (-np.inf, alphas.copy(), b)
-
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal b, E
-        if i1 == i2:
-            return False
-        a1, a2 = alphas[i1], alphas[i2]
-        y1, y2, s = y[i1], y[i2], y[i1] * y[i2]
-        E1, E2 = E[i1], E[i2]
-        if s > 0:
-            L, H = max(0.0, a1 + a2 - C), min(C, a1 + a2)
-        else:
-            L, H = max(0.0, a2 - a1), min(C, C + a2 - a1)
-        if L >= H:
-            return False
-        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (E1 - E2) / eta
-            a2_new = min(max(a2_new, L), H)
-        else:
-            # Flat direction: evaluate the pair objective at both ends.
-            f1 = y1 * (E1 + b) - a1 * k11 - s * a2 * k12
-            f2 = y2 * (E2 + b) - s * a1 * k12 - a2 * k22
-            L1 = a1 + s * (a2 - L)
-            H1 = a1 + s * (a2 - H)
-            obj_L = L1 * f1 + L * f2 + 0.5 * L1**2 * k11 + 0.5 * L**2 * k22 + s * L * L1 * k12
-            obj_H = H1 * f1 + H * f2 + 0.5 * H1**2 * k11 + 0.5 * H**2 * k22 + s * H * H1 * k12
-            if obj_L < obj_H - eps:
-                a2_new = L
-            elif obj_L > obj_H + eps:
-                a2_new = H
-            else:
-                return False
-        if abs(a2_new - a2) < eps * (a2_new + a2 + eps):
-            return False
-        # Snap bound-rounding dust so bound/free classification stays exact;
-        # the partner update below keeps sum(alpha*y) invariant.
-        snap = 1e-12 * max(1.0, C)
-        if a2_new < snap:
-            a2_new = 0.0
-        elif a2_new > C - snap:
-            a2_new = C
-        a1_new = a1 + s * (a2 - a2_new)
-        if a1_new < snap:
-            a1_new = 0.0
-        elif a1_new > C - snap:
-            a1_new = C
-        d1, d2 = a1_new - a1, a2_new - a2
-
-        b1 = b - E1 - y1 * d1 * k11 - y2 * d2 * k12
-        b2 = b - E2 - y1 * d1 * k12 - y2 * d2 * k22
-        if 0.0 < a1_new < C:
-            b_new = b1
-        elif 0.0 < a2_new < C:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-        E += y1 * d1 * K[i1] + y2 * d2 * K[i2] + (b_new - b)
-        alphas[i1], alphas[i2] = a1_new, a2_new
-        b = b_new
-        return True
-
-    def examine(i2: int) -> bool:
-        r2 = E[i2] * y[i2]
-        if not ((r2 < -tol and alphas[i2] < C) or (r2 > tol and alphas[i2] > 0)):
-            return False
-        non_bound = np.flatnonzero((alphas > 0) & (alphas < C))
-        if non_bound.size > 1:
-            i1 = int(non_bound[np.argmax(np.abs(E[non_bound] - E[i2]))])
-            if take_step(i1, i2):
-                return True
-        for pool in (non_bound, np.arange(n)):
-            if pool.size == 0:
-                continue
-            start = int(rng.integers(pool.size))
-            for offset in range(pool.size):
-                if take_step(int(pool[(start + offset) % pool.size]), i2):
-                    return True
-        return False
-
-    converged = False
-    sweeps = 0
-    while sweeps < max_passes:
-        sweeps += 1
-        # Rebuild the error cache from scratch with the KKT-optimal bias for
-        # the current duals, so convergence is never judged on drift or on a
-        # stale pairwise bias.
-        g = (alphas * y) @ K
-        b = _optimal_bias(alphas, y, g, C)
-        E = g + b - y
-        changed = sum(examine(i) for i in range(n))
-        if changed == 0:
-            converged = True
-            break
-        obj = dual_objective(alphas, y, K)
-        if obj > best[0]:
-            best = (obj, alphas.copy(), b)
-        # Polish the non-bound set until quiescent before the next full sweep;
-        # each successful step strictly raises the dual, so this terminates.
-        for _ in range(10 * n):
-            non_bound = np.flatnonzero((alphas > 0) & (alphas < C))
-            if not sum(examine(int(i)) for i in non_bound):
-                break
-
-    final_obj = dual_objective(alphas, y, K)
-    if not converged:
-        if best[0] > final_obj:
-            _, alphas, _b = best
-            final_obj = best[0]
-        b = _optimal_bias(alphas, y, (alphas * y) @ K, C)
-        log.warning("SMO did not converge within %d sweeps (n=%d)", max_passes, n)
-
-    keep = alphas > 0
-    return SvmModel(
-        support_vectors=X[keep].copy(),
-        alphas=alphas[keep].copy(),
-        labels=y[keep].copy(),
-        bias=float(b),
-        gamma=gamma,
-        C=C,
-        converged=converged,
-        n_sweeps=sweeps,
-        dual_objective=final_obj,
-    )
+    return _fit(X, y, rbf_gram(X, gamma), C, gamma, tol, max_passes)
 
 
 def svm_decision(model: SvmModel, X) -> np.ndarray:
@@ -342,7 +289,7 @@ def grid_search(
                     continue
                 model = smo_train(
                     X[train], y01[train], C=C, gamma=gamma,
-                    tol=tol, max_passes=max_passes, seed=seed,
+                    tol=tol, max_passes=max_passes,
                 )
                 scores.append(roc_auc(svm_decision(model, X[test]), y01[test]))
             if not scores:

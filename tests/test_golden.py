@@ -22,27 +22,27 @@ from conftest import write_config_file
 GOLDEN = {
     "evaluate": (
         "evaluate", {}, "report.json",
-        "9d4995edf4926fc61560519025f0f7a40ca368b6a44a78573282d7c348fa1e8c",
+        "e6da756f39d4fda2e317b347a0e18f8061b26beca8af5c9f7b4834335aa2d303",
     ),
     "evaluate-strict-folds": (
         "evaluate", {"mode": "strict-folds"}, "report.json",
-        "e4b72ac02f562a4e5345f3778543a9be67bcb328ed6cbf3cbf94ded0366b556b",
+        "99275d06c21abf3b57284f46338f8ed7a86aa5b6f81c7a8231f96fb73271a0bb",
     ),
     "evaluate-k-range": (
         "evaluate", {"k_range": "5,10"}, "report.json",
-        "406064fe10cf1b0ee02b9abb50007ae927966a22abe01effa99795e61d4feb29",
+        "3059c08c5283d0afe03750235cb32863da9fd93be85206430278203edb9a16f3",
     ),
     "holdout": (
         "holdout", {}, "holdout_report.json",
-        "93e3b3d36cadf8e59e52eadc750a3038e6c27a35bad72a09f067120062a0c85d",
+        "277966baa44bdf6537f73a148c8c8694e68842eb2f3426023b6c5ad0289003f8",
     ),
     "rank": (
         "rank", {}, "rankings.csv",
-        "7b4bdf5c6265c87380394126a19aee1be56e5d42b337473c9fc857c1d5edbe5e",
+        "922da4b9a54ba1aa5f79905449ef7900cc0416b7e253bc0afd206448c9b6926b",
     ),
     "rank-grid": (
         "rank", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "21f0ce8becfe01f4c524535c01dff1655f76bb7f87e01efed459a3ea3178f8aa",
+        "b22f2a8aeaa0a3d49a00f47e8179b1be6588b768d7c2df4abc95e3cf56255c5c",
     ),
 }
 

@@ -77,7 +77,7 @@ class TestSmoTraining:
         # K12 = exp(-2); symmetric pair: alpha* = 1/(1 - e^-2), b = 0
         X = np.array([[0.0], [2.0]])
         y = np.array([-1.0, 1.0])
-        model = smo_train(X, y, C=1e6, gamma=0.5, tol=1e-6, seed=0)
+        model = smo_train(X, y, C=1e6, gamma=0.5, tol=1e-6)
         assert model.converged
         expect_alpha = 1.0 / (1.0 - math.exp(-2.0))
         assert len(model.alphas) == 2
@@ -90,7 +90,7 @@ class TestSmoTraining:
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
         y = np.array([1.0, -1.0])
         C = 2.0
-        model = smo_train(X, y, C=C, gamma=0.3, tol=1e-6, seed=1)
+        model = smo_train(X, y, C=C, gamma=0.3, tol=1e-6)
         # dual: W = a1 + a2 - 0.5 (a1 - a2)^2, constraint a1 = a2 -> max at C
         K = rbf_gram(X, 0.3)
         expect = grid_dual_max(K, y, C, steps=200)
@@ -101,7 +101,7 @@ class TestSmoTraining:
         rng = np.random.default_rng(3)
         X, y, _ = random_problem(rng, 10)
         C = 1e-8
-        model = smo_train(X, y, C=C, gamma=0.5, seed=0)
+        model = smo_train(X, y, C=C, gamma=0.5)
         assert np.all(model.alphas <= C + 1e-18)
         probe = rng.random((5, 2))
         np.testing.assert_allclose(
@@ -111,7 +111,7 @@ class TestSmoTraining:
     def test_decision_matches_manual_expansion(self):
         rng = np.random.default_rng(4)
         X, y, _ = random_problem(rng, 14)
-        model = smo_train(X, y, C=1.0, gamma=0.5, seed=2)
+        model = smo_train(X, y, C=1.0, gamma=0.5)
         probe = rng.random((6, 2))
         for x in probe:
             expect = model.bias + sum(
@@ -123,7 +123,7 @@ class TestSmoTraining:
     def test_zero_alpha_points_do_not_matter(self):
         rng = np.random.default_rng(5)
         X, y, _ = random_problem(rng, 16)
-        model = smo_train(X, y, C=1.0, gamma=0.5, seed=3)
+        model = smo_train(X, y, C=1.0, gamma=0.5)
         # stored support set already excludes zero alphas; padding them back
         # must leave the decision untouched
         pad_sv = np.vstack([model.support_vectors, X[:3]])
@@ -137,7 +137,7 @@ class TestSmoTraining:
     def test_free_support_vector_sits_on_margin(self):
         rng = np.random.default_rng(6)
         X, y, _ = random_problem(rng, 20)
-        model = smo_train(X, y, C=5.0, gamma=0.5, tol=1e-3, seed=4)
+        model = smo_train(X, y, C=5.0, gamma=0.5, tol=1e-3)
         assert model.converged
         free = (model.alphas > 1e-9) & (model.alphas < 5.0 - 1e-9)
         if free.any():
@@ -182,7 +182,7 @@ class TestKktAndDual:
             n = int(rng.integers(6, 26))
             X, y, _ = random_problem(rng, n)
             C = float(rng.choice([0.5, 1.0, 5.0]))
-            model = smo_train(X, y, C=C, gamma=0.5, tol=tol, seed=trial)
+            model = smo_train(X, y, C=C, gamma=0.5, tol=tol)
             assert model.converged, f"trial {trial} failed to converge"
             assert np.all(model.alphas >= 0.0)
             assert np.all(model.alphas <= C + 1e-12)
@@ -194,7 +194,7 @@ class TestKktAndDual:
         for trial, (n, steps) in enumerate([(3, 400), (3, 400), (4, 120), (4, 120)]):
             X, y, K = random_problem(rng, n)
             C = 1.0
-            model = smo_train(X, y, C=C, gamma=0.5, tol=1e-6, seed=trial)
+            model = smo_train(X, y, C=C, gamma=0.5, tol=1e-6)
             expect = grid_dual_max(K, y, C, steps)
             assert model.dual_objective == pytest.approx(expect, abs=1e-4)
 
@@ -203,9 +203,95 @@ class TestKktAndDual:
         for n in (5, 6):
             X, y, K = random_problem(rng, n)
             C = 1.0
-            model = smo_train(X, y, C=C, gamma=0.5, tol=1e-6, seed=n)
+            model = smo_train(X, y, C=C, gamma=0.5, tol=1e-6)
             coarse = grid_dual_max(K, y, C, steps=20)
             assert model.dual_objective >= coarse - 1e-4
+
+
+def solver_state(model, X, y):
+    """Full alpha vector over the rows of X (support rows matched by vector
+    and label) and v = y - g, recomputed from scratch."""
+    alphas = np.zeros(len(X))
+    used = np.zeros(len(model.alphas), dtype=bool)
+    for i, (x, label) in enumerate(zip(X, y)):
+        for j in np.flatnonzero(~used):
+            if model.labels[j] == label and np.array_equal(model.support_vectors[j], x):
+                alphas[i] = model.alphas[j]
+                used[j] = True
+                break
+    assert used.all()
+    v = y - (svm_decision(model, X) - model.bias)
+    return alphas, v
+
+
+def violating_pair_gap(alphas, v, y, C):
+    """max over I_up of v minus min over I_low of v."""
+    up = np.where(y > 0, alphas < C, alphas > 0)
+    low = np.where(y > 0, alphas > 0, alphas < C)
+    return float(v[up].max() - v[low].min())
+
+
+def kkt_excess(alphas, v, y, bias, C, tol):
+    """Worst KKT violation beyond ``tol`` under the model's bias."""
+    margin = 1.0 + y * (bias - v)  # y * f
+    lower = np.where(alphas > 0, -np.inf, 1.0 - tol)  # alpha == 0: margin >= 1 - tol
+    upper = np.where(alphas < C, np.inf, 1.0 + tol)  # alpha == C: margin <= 1 + tol
+    free = (alphas > 0) & (alphas < C)
+    lower[free], upper[free] = 1.0 - tol, 1.0 + tol
+    return float(max(np.max(lower - margin), np.max(margin - upper), 0.0))
+
+
+class TestWss2Solver:
+    def test_gap_below_tol_recomputed_from_scratch(self):
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            n = int(rng.integers(6, 40))
+            X, y, _ = random_problem(rng, n)
+            C = float(rng.choice([0.5, 5.0, 100.0]))
+            tol = float(rng.choice([1e-3, 1e-6]))
+            model = smo_train(X, y, C=C, gamma=0.5, tol=tol)
+            assert model.converged
+            alphas, v = solver_state(model, X, y)
+            assert violating_pair_gap(alphas, v, y, C) < tol, trial
+
+    def test_two_calls_bitwise_equal(self):
+        rng = np.random.default_rng(18)
+        X, y, _ = random_problem(rng, 30)
+        a = smo_train(X, y, C=5.0, gamma=0.5)
+        b = smo_train(X, y, C=5.0, gamma=0.5)
+        for field in ("support_vectors", "alphas", "labels"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert (a.bias, a.n_sweeps, a.dual_objective) == (b.bias, b.n_sweeps, b.dual_objective)
+
+    @pytest.mark.filterwarnings("error")  # no 0/0 or x/0 on the tau path
+    @pytest.mark.parametrize("conflicting", [False, True])
+    def test_duplicate_rows_converge(self, conflicting):
+        # Repeated rows give zero curvature between them (the tau path);
+        # with conflicting labels the repeated pair can only sit at C.
+        rng = np.random.default_rng(19)
+        X, y, _ = random_problem(rng, 16)
+        X = np.vstack([X, X[:6], X[:6]])
+        y = np.concatenate([y, -y[:6] if conflicting else y[:6], y[:6]])
+        C, tol = 2.0, 1e-3
+        model = smo_train(X, y, C=C, gamma=0.5, tol=tol)
+        assert model.converged
+        alphas, v = solver_state(model, X, y)
+        assert np.all((alphas >= 0.0) & (alphas <= C))
+        assert abs(np.dot(alphas, y)) <= 1e-9
+        assert violating_pair_gap(alphas, v, y, C) < tol
+        assert kkt_excess(alphas, v, y, model.bias, C, tol) <= 1e-9
+
+    def test_step_cap_reports_unconverged_feasible_duals(self, caplog):
+        rng = np.random.default_rng(21)
+        X, y, _ = random_problem(rng, 20)
+        assert smo_train(X, y, C=100.0, gamma=2.0).n_sweeps > 1
+        with caplog.at_level("WARNING"):
+            model = smo_train(X, y, C=100.0, gamma=2.0, max_passes=1)
+        assert not model.converged
+        assert model.n_sweeps == 1
+        assert any("did not converge" in r.message for r in caplog.records)
+        assert np.all((model.alphas >= 0.0) & (model.alphas <= 100.0))
+        assert abs(np.dot(model.alphas, model.labels)) <= 1e-9
 
 
 class TestGridSearch:
@@ -263,7 +349,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         X, y, _ = random_problem(rng, 12)
-        model = smo_train(X, y, C=1.0, gamma=0.4, seed=5)
+        model = smo_train(X, y, C=1.0, gamma=0.4)
         path = str(tmp_path / "svm.json")
         save_svm(model, path)
         back = load_svm(path)
@@ -278,7 +364,7 @@ class TestSerialization:
 
         rng = np.random.default_rng(16)
         X, y, _ = random_problem(rng, 8)
-        model = smo_train(X, y, C=1.0, gamma=0.4, seed=6)
+        model = smo_train(X, y, C=1.0, gamma=0.4)
         path = str(tmp_path / "svm.json")
         save_svm(model, path)
         assert json.loads(open(path).read())["version"] == "svm-v1"
