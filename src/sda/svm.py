@@ -259,7 +259,9 @@ def grid_search(
 
     Ties fall to the smaller C, then the smaller gamma. Folds whose training
     or test part ends up single-class are skipped with a warning; a cell with
-    every fold skipped is an error.
+    every fold skipped is an error. Each fold's squared distances are
+    computed once, each (fold, gamma) Gram matrix once, and every C is
+    solved on that Gram.
     """
     from .evaluation import roc_auc, stratified_kfold
 
@@ -273,34 +275,33 @@ def grid_search(
         rng = np.random.default_rng(seed)
         fold_index = rng.permutation(len(y01)) % n_folds
 
-    results: dict[tuple[float, float], list[float]] = {}
-    best = None
-    for C in grid.c_values:
+    results: dict[tuple[float, float], list[float]] = {
+        (C, gamma): [] for C in grid.c_values for gamma in grid.gamma_values
+    }
+    for f in range(n_folds):
+        test = fold_index == f
+        train = ~test
+        if len(np.unique(y01[train])) < 2 or len(np.unique(y01[test])) < 2:
+            log.warning("grid_search: fold %d skipped (single class)", f)
+            continue
+        X_train, y_train = X[train], _as_pm1(y01[train])
+        d2 = _sq_dists(X_train, X_train)
         for gamma in grid.gamma_values:
-            scores = []
-            for f in range(n_folds):
-                test = fold_index == f
-                train = ~test
-                if len(np.unique(y01[train])) < 2 or len(np.unique(y01[test])) < 2:
-                    log.warning(
-                        "grid_search: fold %d skipped (single class) at C=%g gamma=%g",
-                        f, C, gamma,
-                    )
-                    continue
-                model = smo_train(
-                    X[train], y01[train], C=C, gamma=gamma,
-                    tol=tol, max_passes=max_passes,
+            K = _gram_from_sq(d2, gamma)
+            for C in grid.c_values:
+                model = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
+                results[(C, gamma)].append(
+                    roc_auc(svm_decision(model, X[test]), y01[test])
                 )
-                scores.append(roc_auc(svm_decision(model, X[test]), y01[test]))
-            if not scores:
-                raise NumericError(
-                    f"grid_search: every fold skipped at C={C} gamma={gamma}"
-                )
-            results[(C, gamma)] = scores
-            mean = float(np.mean(scores))
-            key = (-mean, C, gamma)
-            if best is None or key < best[0]:
-                best = (key, C, gamma)
+    best = None
+    for (C, gamma), scores in results.items():
+        if not scores:
+            raise NumericError(
+                f"grid_search: every fold skipped at C={C} gamma={gamma}"
+            )
+        key = (-float(np.mean(scores)), C, gamma)
+        if best is None or key < best:
+            best = key
     return best[1], best[2], results
 
 

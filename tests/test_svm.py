@@ -329,6 +329,28 @@ class TestGridSearch:
         winners = sorted([cell for cell, m in means.items() if m == top])
         assert (c, g) == winners[0]
 
+    def test_scores_equal_per_cell_training_exactly(self):
+        # The shared (fold, gamma) Gram must give bit-for-bit the scores of
+        # training every cell on its own.
+        from sda.evaluation import roc_auc, stratified_kfold
+
+        rng = np.random.default_rng(20)
+        X, y = self._separable(rng, n=50)
+        grid = ParamGrid([0.1, 1.0, 10.0], [0.05, 0.8])
+        _, _, scores = grid_search(X, y, grid, seed=7)
+        fold_index = stratified_kfold(y, 5, 7).fold_index
+        expect = {}
+        for C in grid.c_values:
+            for gamma in grid.gamma_values:
+                expect[(C, gamma)] = []
+                for f in range(5):
+                    test = fold_index == f
+                    model = smo_train(X[~test], y[~test], C=C, gamma=gamma)
+                    expect[(C, gamma)].append(
+                        roc_auc(svm_decision(model, X[test]), y[test])
+                    )
+        assert scores == expect
+
     def test_single_class_folds_skipped_with_warning(self, caplog):
         rng = np.random.default_rng(13)
         X = rng.random((12, 2))
