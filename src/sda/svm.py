@@ -63,6 +63,7 @@ def rbf_cross(X, Y, gamma: float) -> np.ndarray:
 
 
 def _gram_from_sq(d2: np.ndarray, gamma: float) -> np.ndarray:
+    """``rbf_gram`` from precomputed squared distances."""
     K = np.exp(-gamma * d2)
     K = np.triu(K) + np.triu(K, 1).T
     np.fill_diagonal(K, 1.0)
@@ -156,7 +157,7 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
         i = int(v_up.argmax())
         m = v_up[i]
         M = np.where(low, v, np.inf).min()
-        if m - M < tol or m <= M:
+        if m - M < tol or m <= M:  # m <= M: exactly optimal, even at tol <= 0
             # Confirm on a fresh v: the updates below accumulate rounding.
             fresh = y - (alphas * y) @ K
             if np.array_equal(fresh, v):
