@@ -86,6 +86,9 @@ class ParamGrid:
             raise ValueError("parameter grid must be nonempty")
         if any(c <= 0 for c in self.c_values) or any(g <= 0 for g in self.gamma_values):
             raise ValueError("grid values must be positive")
+        # grid_search keeps one score list per (C, gamma) cell
+        if any(len(set(v)) < len(v) for v in (self.c_values, self.gamma_values)):
+            raise ValueError("grid values must be distinct")
 
     @classmethod
     def default(cls, encoding_dim: int) -> "ParamGrid":

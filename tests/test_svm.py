@@ -360,6 +360,12 @@ class TestGridSearch:
         assert any("skipped" in r.message for r in caplog.records)
         assert len(scores[(1.0, 0.5)]) < 5
 
+    def test_repeated_grid_value_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ParamGrid([1.0, 1.0], [0.5])
+        with pytest.raises(ValueError, match="distinct"):
+            ParamGrid([1.0], [0.5, 0.5])
+
     def test_all_folds_skipped_is_error(self):
         X = np.random.default_rng(14).random((8, 2))
         y = np.array([1] + [0] * 7)  # the lone positive breaks every fold
