@@ -76,7 +76,6 @@ class GbdtEnsemble:
     init_score: float
     learning_rate: float
     n_trees: int
-    seed: int = 0
     loss_history: list[float] = field(default_factory=list)
 
     @property
@@ -265,11 +264,10 @@ def gbdt_fit(
     max_depth: int = 4,
     min_samples_leaf: int = 5,
     lam: float = 1e-6,
-    seed: int = 0,
 ) -> GbdtEnsemble:
     """Boost ``n_trees`` regression trees on logistic residuals.
 
-    Fitting is deterministic; the seed is recorded for provenance only.
+    Fitting is deterministic, so it takes no seed.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -277,7 +275,7 @@ def gbdt_fit(
         raise ValueError("X and labels must have equal length")
     init = gbdt_init(y)
     scores = np.full(len(y), init)
-    ens = GbdtEnsemble([], init, learning_rate, n_trees, seed=seed)
+    ens = GbdtEnsemble([], init, learning_rate, n_trees)
     ens.loss_history.append(logistic_loss(y, scores))
     XT, order = _presort(X)  # X is fixed across rounds: one sort serves every tree
     for _ in range(n_trees):
@@ -352,7 +350,6 @@ def save_gbdt(ens: GbdtEnsemble, path: str) -> None:
         "init_score": ens.init_score,
         "learning_rate": ens.learning_rate,
         "n_trees": ens.n_trees,
-        "seed": ens.seed,
         "trees": [_tree_to_dict(t) for t in ens.trees],
     }
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -368,5 +365,4 @@ def load_gbdt(path: str) -> GbdtEnsemble:
         init_score=doc["init_score"],
         learning_rate=doc["learning_rate"],
         n_trees=doc["n_trees"],
-        seed=doc.get("seed", 0),
     )

@@ -110,7 +110,8 @@ def cmd_prepare(cfg: PipelineConfig) -> int:
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     _echo_config(cfg)
     prepared = pipeline.prepare(cfg)
-    report = pipeline.evaluate(prepared, cfg)
+    params = pipeline.resolve_svm_params(prepared, cfg)
+    report = pipeline.evaluate(prepared, cfg, params)
     paths = pipeline.write_report(report, cfg.output_dir)
     _print_descriptor(prepared)
     print(
@@ -123,11 +124,11 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _rank_and_write(prepared, cfg: PipelineConfig, full=None) -> tuple[int, list[str]]:
+def _rank_and_write(prepared, cfg: PipelineConfig, params, full) -> tuple[int, list[str]]:
     from sda.boost import save_gbdt
     from sda.svm import save_svm
 
-    models = pipeline.train_final(prepared, cfg, full)
+    models = pipeline.train_final(prepared, cfg, params, full)
     save_gbdt(models[0], os.path.join(cfg.output_dir, "gbdt_model.json"))
     save_svm(models[1], os.path.join(cfg.output_dir, "svm_model.json"))
     predictions, exhausted = pipeline.rank_candidates(prepared, cfg, models=models)
@@ -138,7 +139,9 @@ def _rank_and_write(prepared, cfg: PipelineConfig, full=None) -> tuple[int, list
 def cmd_rank(cfg: PipelineConfig) -> int:
     _echo_config(cfg)
     prepared = pipeline.prepare(cfg)
-    n_rows, exhausted = _rank_and_write(prepared, cfg)
+    full = pipeline.fit_full_gbdt(prepared, cfg)
+    params = pipeline.resolve_svm_params(prepared, cfg, full)
+    n_rows, exhausted = _rank_and_write(prepared, cfg, params, full)
     _print_descriptor(prepared)
     for disease_id in exhausted:
         print(f"disease '{disease_id}' has no unknown pairs; zero rows ranked")
@@ -156,9 +159,11 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
         _print_descriptor(prepared)
 
         stage = "evaluate"
-        # one full-set tree ensemble serves the grid search and the final model
+        # one full-set tree ensemble serves the grid search and the final
+        # model, and one (C, gamma) serves the CV and the ranking
         full = pipeline.fit_full_gbdt(prepared, cfg)
-        report = pipeline.evaluate(prepared, cfg, full)
+        params = pipeline.resolve_svm_params(prepared, cfg, full)
+        report = pipeline.evaluate(prepared, cfg, params)
         pipeline.write_report(report, cfg.output_dir)
         print(
             f"mode={report.mode} mean roc_auc={report.mean['roc_auc']:.4f} "
@@ -166,7 +171,7 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
         )
 
         stage = "rank"
-        n_rows, exhausted = _rank_and_write(prepared, cfg, full)
+        n_rows, exhausted = _rank_and_write(prepared, cfg, params, full)
         for disease_id in exhausted:
             print(f"disease '{disease_id}' has no unknown pairs; zero rows ranked")
         print(f"ranked top {cfg.top_k} per disease: {n_rows} rows")

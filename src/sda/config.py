@@ -8,7 +8,7 @@ echo alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -46,9 +46,6 @@ class PipelineConfig:
     top_k: int = 10
     holdout_fraction: float = 0.1
     strict: bool = False
-    # resolved at runtime (grid search / singleton grids); not config keys
-    chosen_c: float | None = field(default=None, repr=False)
-    chosen_gamma: object = field(default=None, repr=False)
 
     def validate(self, explicit: set[str] | None = None) -> None:
         explicit = explicit or set()
@@ -88,44 +85,8 @@ class PipelineConfig:
         if not 0.0 < self.holdout_fraction <= 0.5:
             raise ConfigError("holdout_fraction must be in (0, 0.5]")
 
-    # -- SVM hyperparameter resolution -------------------------------------
 
-    @property
-    def needs_grid_search(self) -> bool:
-        return (self.chosen_c is None or self.chosen_gamma is None) and (
-            len(self.svm_c) > 1 or len(self.svm_gamma) > 1
-        )
-
-    @property
-    def resolved_c(self) -> float:
-        if self.chosen_c is not None:
-            return self.chosen_c
-        if len(self.svm_c) == 1:
-            return float(self.svm_c[0])
-        raise ConfigError("svm_c grid not resolved; run grid search first")
-
-    @property
-    def gamma_setting(self):
-        if self.chosen_gamma is not None:
-            return self.chosen_gamma
-        if len(self.svm_gamma) == 1:
-            return self.svm_gamma[0]
-        raise ConfigError("svm_gamma grid not resolved; run grid search first")
-
-    @property
-    def resolved_gamma(self):
-        """Raw setting for reporting: a float, or the literal '1/d'."""
-        g = self.gamma_setting
-        return g if g == "1/d" else float(g)
-
-    def resolve_gamma(self, encoding_dim: int) -> float:
-        g = self.gamma_setting
-        return 1.0 / encoding_dim if g == "1/d" else float(g)
-
-
-CONFIG_KEYS = [
-    f.name for f in fields(PipelineConfig) if f.name not in ("chosen_c", "chosen_gamma")
-]
+CONFIG_KEYS = [f.name for f in fields(PipelineConfig)]
 
 
 def _parse_value(key: str, raw: str):

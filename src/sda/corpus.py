@@ -90,9 +90,6 @@ class FeatureTable:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def row(self, snorna_id: str) -> np.ndarray:
-        return self.features[self.snorna_ids.index(snorna_id)]
-
 
 @dataclass
 class DiseaseDag:

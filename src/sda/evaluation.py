@@ -15,7 +15,7 @@ import numpy as np
 
 from .boost import gbdt_fit, gbdt_leaf_encode
 from .errors import DataError, NumericError
-from .svm import smo_train, svm_decision
+from .svm import SvmParams, smo_train, svm_decision
 from .util import derive_seed, sigmoid
 
 log = logging.getLogger(__name__)
@@ -185,12 +185,15 @@ class MetricsReport:
         }
 
 
-def run_cv(features, labels, config, fold_features=None) -> MetricsReport:
+def run_cv(
+    features, labels, config, params: SvmParams, fold_features=None
+) -> MetricsReport:
     """Stratified k-fold evaluation of the boosted-trees + SVM pipeline.
 
     Each fold fits the tree ensemble on its training pairs, encodes train and
-    test through the fitted leaves, trains the SVM on the training encodings,
-    and scores the test pairs; pooled test scores feed the exported curves.
+    test through the fitted leaves, trains the SVM at ``params`` on the
+    training encodings, and scores the test pairs; pooled test scores feed
+    the exported curves.
     Every fold slices ``features``, except in strict-folds mode, where
     ``fold_features(test_idx)`` rebuilds the feature matrix for each fold
     from training-fold positives only; it is required in that mode and
@@ -207,8 +210,8 @@ def run_cv(features, labels, config, fold_features=None) -> MetricsReport:
         mode=config.mode,
         n_folds=config.n_folds,
         seed=seed,
-        svm_c=config.resolved_c,
-        svm_gamma=config.resolved_gamma,
+        svm_c=params.c,
+        svm_gamma=params.gamma,
     )
 
     for f in range(config.n_folds):
@@ -227,15 +230,14 @@ def run_cv(features, labels, config, fold_features=None) -> MetricsReport:
             learning_rate=config.learning_rate,
             max_depth=config.max_depth,
             min_samples_leaf=config.min_samples_leaf,
-            seed=derive_seed(seed, f"gbdt-fold{f}"),
         )
         enc_train = gbdt_leaf_encode(ens, X_train)
         enc_test = gbdt_leaf_encode(ens, X_test)
         model = smo_train(
             enc_train,
             y_train,
-            C=config.resolved_c,
-            gamma=config.resolve_gamma(enc_train.shape[1]),
+            C=params.c,
+            gamma=params.gamma_for(enc_train.shape[1]),
             tol=config.svm_tol,
             max_passes=config.svm_max_passes,
         )

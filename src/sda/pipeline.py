@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -19,10 +19,15 @@ from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
 from .evaluation import MetricsReport, run_cv
-from .svm import ParamGrid, SvmModel, grid_search, smo_train, svm_decision
+from .svm import (
+    ParamGrid, SvmModel, SvmParams, gamma_value, grid_search, smo_train, svm_decision,
+)
 from .util import atomic_write_text, derive_seed, fmt_float
 
 log = logging.getLogger(__name__)
+
+
+PAIRS_HEADER = "snorna_id,disease_id,label"  # balanced_pairs.csv
 
 
 @dataclass
@@ -151,16 +156,23 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
     pairs: list[tuple[int, int]] = []
     labels: list[int] = []
     with open(pairs_path, encoding="utf-8") as fh:
-        next(fh)  # header
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            snorna_id, disease_id, label = line.split(",")
-            if snorna_id not in s_index or disease_id not in d_index:
-                raise DataError(f"{pairs_path}:{lineno}: unknown id in pair")
-            pairs.append((s_index[snorna_id], d_index[disease_id]))
-            labels.append(int(label))
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != PAIRS_HEADER:
+        raise DataError(f"{pairs_path}:1: expected the header '{PAIRS_HEADER}'")
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 3:
+            raise DataError(f"{pairs_path}:{lineno}: expected 3 fields, got {len(cells)}")
+        snorna_id, disease_id, label = cells
+        if snorna_id not in s_index or disease_id not in d_index:
+            raise DataError(f"{pairs_path}:{lineno}: unknown id in pair")
+        if label not in ("0", "1"):
+            raise DataError(f"{pairs_path}:{lineno}: label must be 0 or 1, got '{label}'")
+        pairs.append((s_index[snorna_id], d_index[disease_id]))
+        labels.append(int(label))
 
     positives, negatives = corpus.split_known_unknown(am)
     return PreparedData(
@@ -245,16 +257,14 @@ def _choose_k(
 ):
     """Candidate-k evaluation via a cheap CV on each balanced set.
 
-    Uses the middle grid entries for the SVM when the grid is unresolved;
-    the full grid search (if any) runs after k is fixed. In strict-folds mode
-    the probe CV rebuilds its folds' features over its own pairs.
+    The probe SVM uses the middle grid entries; the full grid search (if any)
+    runs after k is fixed. In strict-folds mode the probe CV rebuilds its
+    folds' features over its own pairs.
     """
     n_pos = len(positives)
     labels = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_pos, dtype=int)])
-    probe_cfg = replace(
-        cfg,
-        chosen_c=float(cfg.svm_c[len(cfg.svm_c) // 2]),
-        chosen_gamma=cfg.svm_gamma[len(cfg.svm_gamma) // 2],
+    probe = SvmParams(
+        float(cfg.svm_c[len(cfg.svm_c) // 2]), cfg.svm_gamma[len(cfg.svm_gamma) // 2]
     )
 
     def evaluator(k: int, picked: list[tuple[int, int]]):
@@ -267,7 +277,7 @@ def _choose_k(
                 _strict_fold_features, am, sfs, dss, cfg.gamma_prime_snorna,
                 cfg.gamma_prime_disease, list(positives) + list(picked), labels,
             )
-        report = run_cv(feats, labels, probe_cfg, fold_features)
+        report = run_cv(feats, labels, cfg, probe, fold_features)
         return report.mean["roc_auc"], report.mean["mse"]
 
     return sampling.choose_k(
@@ -292,7 +302,6 @@ def fit_full_gbdt(
         learning_rate=cfg.learning_rate,
         max_depth=cfg.max_depth,
         min_samples_leaf=cfg.min_samples_leaf,
-        seed=derive_seed(cfg.seed, "gbdt-final"),
     )
     return ens, gbdt_leaf_encode(ens, prepared.features)
 
@@ -301,17 +310,16 @@ def resolve_svm_params(
     prepared: PreparedData,
     cfg: PipelineConfig,
     full: tuple[GbdtEnsemble, np.ndarray] | None = None,
-) -> None:
-    """Fill cfg.chosen_c / cfg.chosen_gamma, running the grid search once on
-    the full balanced set's leaf encodings when the grid has several cells.
-    ``full`` is the output of ``fit_full_gbdt``, fitted here when not given."""
-    if not cfg.needs_grid_search:
-        cfg.chosen_c = cfg.resolved_c
-        cfg.chosen_gamma = cfg.gamma_setting
-        return
+) -> SvmParams:
+    """The SVM's (C, gamma): the configured point when the grid has one cell,
+    else the pick of a grid search on the full balanced set's leaf encodings.
+    ``full`` is the output of ``fit_full_gbdt``, fitted here when needed and
+    not given."""
+    if len(cfg.svm_c) == 1 and len(cfg.svm_gamma) == 1:
+        return SvmParams(float(cfg.svm_c[0]), cfg.svm_gamma[0])
     _ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
     dim = enc.shape[1]
-    gammas = sorted({1.0 / dim if g == "1/d" else float(g) for g in cfg.svm_gamma})
+    gammas = sorted({gamma_value(g, dim) for g in cfg.svm_gamma})
     grid = ParamGrid(c_values=sorted(set(map(float, cfg.svm_c))), gamma_values=gammas)
     best_c, best_gamma, _scores = grid_search(
         enc,
@@ -322,36 +330,32 @@ def resolve_svm_params(
         tol=cfg.svm_tol,
         max_passes=cfg.svm_max_passes,
     )
-    cfg.chosen_c = best_c
-    cfg.chosen_gamma = best_gamma
     log.info("grid search chose C=%g gamma=%g", best_c, best_gamma)
+    return SvmParams(best_c, best_gamma)
 
 
 def evaluate(
-    prepared: PreparedData,
-    cfg: PipelineConfig,
-    full: tuple[GbdtEnsemble, np.ndarray] | None = None,
+    prepared: PreparedData, cfg: PipelineConfig, params: SvmParams
 ) -> MetricsReport:
-    """Resolve SVM hyperparameters, then run the stratified CV."""
-    resolve_svm_params(prepared, cfg, full)
+    """The stratified CV of the pipeline with the SVM at ``params``."""
     fold_features = prepared.strict_fold_features if cfg.mode == "strict-folds" else None
-    return run_cv(prepared.features, prepared.labels, cfg, fold_features)
+    return run_cv(prepared.features, prepared.labels, cfg, params, fold_features)
 
 
 def train_final(
     prepared: PreparedData,
     cfg: PipelineConfig,
+    params: SvmParams,
     full: tuple[GbdtEnsemble, np.ndarray] | None = None,
 ) -> tuple[GbdtEnsemble, SvmModel]:
-    """Fit the ranking model on 100% of the balanced set, reusing ``full``
-    (from ``fit_full_gbdt``) when given."""
+    """Fit the ranking model at ``params`` on 100% of the balanced set,
+    reusing ``full`` (from ``fit_full_gbdt``) when given."""
     ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
-    resolve_svm_params(prepared, cfg, (ens, enc))
     model = smo_train(
         enc,
         prepared.labels,
-        C=cfg.resolved_c,
-        gamma=cfg.resolve_gamma(enc.shape[1]),
+        C=params.c,
+        gamma=params.gamma_for(enc.shape[1]),
         tol=cfg.svm_tol,
         max_passes=cfg.svm_max_passes,
     )
@@ -379,7 +383,7 @@ def score_pairs(
 def rank_candidates(
     prepared: PreparedData,
     cfg: PipelineConfig,
-    models: tuple[GbdtEnsemble, SvmModel] | None = None,
+    models: tuple[GbdtEnsemble, SvmModel],
 ) -> tuple[list[RankedPrediction], list[str]]:
     """Top-k unknown pairs per disease by decision score.
 
@@ -387,7 +391,7 @@ def rank_candidates(
     candidates); only known positives are excluded. Returns the predictions
     sorted by (disease_id, rank) and the diseases with no unknown pairs left.
     """
-    ens, model = models if models is not None else train_final(prepared, cfg)
+    ens, model = models
     candidates = prepared.negatives
     scores = score_pairs(prepared, ens, model, candidates)
 
@@ -440,10 +444,10 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
             "holdout emptied positives of disease '%s'; excluded from report", disease_id
         )
 
-    # a fresh copy: the grid search reruns on the reduced set
-    hold_cfg = replace(cfg, chosen_c=None, chosen_gamma=None)
-    prepared = prepare_from_matrix(reduced, hold_cfg)
-    ens, model = train_final(prepared, hold_cfg)
+    prepared = prepare_from_matrix(reduced, cfg)
+    full = fit_full_gbdt(prepared, cfg)
+    params = resolve_svm_params(prepared, cfg, full)
+    ens, model = train_final(prepared, cfg, params, full)
     candidates = prepared.negatives  # includes the held-out pairs
     scores = score_pairs(prepared, ens, model, candidates)
 
@@ -500,7 +504,7 @@ def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
     pairs_path = os.path.join(out_dir, "balanced_pairs.csv")
     similarity.save_similarity_matrix(prepared.msfs, msfs_path)
     similarity.save_similarity_matrix(prepared.mdss, mdss_path)
-    lines = ["snorna_id,disease_id,label"]
+    lines = [PAIRS_HEADER]
     for (s, d), label in zip(prepared.pairs, prepared.labels):
         lines.append(
             f"{prepared.am.snorna_ids[s]},{prepared.am.disease_ids[d]},{int(label)}"

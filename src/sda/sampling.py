@@ -21,16 +21,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class PairSample:
-    """One (snoRNA, disease) instance with its assembled feature vector."""
-
-    snorna_index: int
-    disease_index: int
-    label: int
-    features: np.ndarray
-
-
-@dataclass
 class Clustering:
     k: int
     assignments: np.ndarray  # (n,) int
@@ -38,19 +28,6 @@ class Clustering:
     inertia: float
     seed: int
     history: list[float] = field(default_factory=list)  # inertia per iteration
-
-
-def assemble_pair_features(
-    msfs: SimilarityMatrix,
-    mdss: SimilarityMatrix,
-    pair: tuple[int, int],
-    label: int = 0,
-) -> PairSample:
-    s, d = pair
-    if not (0 <= s < msfs.n and 0 <= d < mdss.n):
-        raise IndexError(f"pair index out of range: {pair}")
-    features = np.concatenate([msfs.values[s, :], mdss.values[:, d]])
-    return PairSample(s, d, label, features)
 
 
 def assemble_feature_matrix(
@@ -209,6 +186,3 @@ def choose_k(
         results.append((k, auc, mse))
     results.sort(key=lambda t: (-t[1], t[2], t[0]))
     return results[0][0]
-
-
-DEFAULT_K_RANGE = (5, 10, 15, 20, 25, 30)

@@ -76,6 +76,25 @@ def rbf_gram(X, gamma: float) -> np.ndarray:
     return _gram_from_sq(_sq_dists(X, X), gamma)
 
 
+def gamma_value(setting, encoding_dim: int) -> float:
+    """The RBF gamma a ``svm_gamma`` setting means for leaf encodings
+    ``encoding_dim`` wide: the setting itself, or one over the width for
+    the literal "1/d"."""
+    return 1.0 / encoding_dim if setting == "1/d" else float(setting)
+
+
+@dataclass(frozen=True)
+class SvmParams:
+    """One (C, gamma) point. ``gamma`` is a number or the literal "1/d",
+    which resolves only once the tree ensemble fixes the encoding width."""
+
+    c: float
+    gamma: float | str
+
+    def gamma_for(self, encoding_dim: int) -> float:
+        return gamma_value(self.gamma, encoding_dim)
+
+
 @dataclass
 class ParamGrid:
     c_values: list[float]
@@ -89,13 +108,6 @@ class ParamGrid:
         # grid_search keeps one score list per (C, gamma) cell
         if any(len(set(v)) < len(v) for v in (self.c_values, self.gamma_values)):
             raise ValueError("grid values must be distinct")
-
-    @classmethod
-    def default(cls, encoding_dim: int) -> "ParamGrid":
-        return cls(
-            c_values=[0.1, 1.0, 10.0, 100.0],
-            gamma_values=[1.0 / encoding_dim, 0.01, 0.1, 1.0],
-        )
 
 
 @dataclass

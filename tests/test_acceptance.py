@@ -75,7 +75,9 @@ class TestCriterion1MdrfReproduction:
         cfg = dataset_config(directory, str(tmp_path / "out"), "MDRF")
         start = time.time()
         prepared = pipeline.prepare(cfg)
-        result = pipeline.evaluate(prepared, cfg)
+        result = pipeline.evaluate(
+            prepared, cfg, pipeline.resolve_svm_params(prepared, cfg)
+        )
         elapsed = time.time() - start
         print(f"[criterion 1 data] {prepared.descriptor}")
         ok = (
@@ -95,14 +97,20 @@ class TestCriterion2MultiDataset:
     def test_lsgt(self, tmp_path):
         directory = require_dataset("lsgt")
         cfg = dataset_config(directory, str(tmp_path / "out"), "LSGT")
-        result = pipeline.evaluate(pipeline.prepare(cfg), cfg)
+        prepared = pipeline.prepare(cfg)
+        result = pipeline.evaluate(
+            prepared, cfg, pipeline.resolve_svm_params(prepared, cfg)
+        )
         report("2-LSGT", result.mean["roc_auc"] >= 0.89,
                f"LSGT roc_auc={result.mean['roc_auc']:.4f} (>=0.89)")
 
     def test_psnod(self, tmp_path):
         directory = require_dataset("psnod")
         cfg = dataset_config(directory, str(tmp_path / "out"), "PsnoD")
-        result = pipeline.evaluate(pipeline.prepare(cfg), cfg)
+        prepared = pipeline.prepare(cfg)
+        result = pipeline.evaluate(
+            prepared, cfg, pipeline.resolve_svm_params(prepared, cfg)
+        )
         report("2-PsnoD", result.mean["roc_auc"] >= 0.91,
                f"PsnoD roc_auc={result.mean['roc_auc']:.4f} (>=0.91)")
 
@@ -265,14 +273,15 @@ class TestCriterion7PlantedSignal:
             k=10,
         )
         prepared = pipeline.prepare(cfg)
-        result = pipeline.evaluate(prepared, cfg)
+        params = pipeline.resolve_svm_params(prepared, cfg)  # one grid search
+        result = pipeline.evaluate(prepared, cfg, params)
         auc = result.mean["roc_auc"]
 
         rng = np.random.default_rng(derive_seed(cfg.seed, "permuted-control"))
         permuted = prepared.labels.copy()
         rng.shuffle(permuted)
 
-        null_auc = run_cv(prepared.features, permuted, cfg).mean["roc_auc"]
+        null_auc = run_cv(prepared.features, permuted, cfg, params).mean["roc_auc"]
         ok = auc >= 0.90 and abs(null_auc - 0.5) <= 0.05
         report(
             "7", ok,

@@ -242,8 +242,8 @@ class TestGbdtFit:
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         X, y = self._random_dataset(rng)
-        a = gbdt_fit(X, y, seed=3)
-        b = gbdt_fit(X, y, seed=3)
+        a = gbdt_fit(X, y)
+        b = gbdt_fit(X, y)
         for ta, tb in zip(a.trees, b.trees):
             assert np.array_equal(ta.feature, tb.feature)
             assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -289,3 +291,96 @@ class TestHoldout:
             holdout_fraction=0.1, seed=0,
         )
         assert main(["holdout", "--config", cfg]) == 1  # 0.1 * 1 positive -> empty
+
+
+@pytest.fixture(scope="module")
+def prepared_dir(small_dataset, tmp_path_factory):
+    """A prepare run's artifacts for the ``prepared_dir`` key."""
+    out = str(tmp_path_factory.mktemp("prepared"))
+    cfg = write_config_file(os.path.join(out, "cfg.txt"), **base_keys(small_dataset, out))
+    assert main(["prepare", "--config", cfg]) == 0
+    return out
+
+
+# case -> (balanced_pairs.csv's first row, written over its ids; line number
+# the error names). None empties the file.
+MALFORMED_PAIRS = {
+    "two-fields": ("{s},{d}", 2),
+    "non-integer-label": ("{s},{d},yes", 2),
+    "label-outside-0-1": ("{s},{d},2", 2),
+    "empty-file": (None, 1),
+}
+
+
+class TestMalformedPairsFile:
+    def _corrupt(self, prepared_dir, tmp_path, case):
+        row, lineno = MALFORMED_PAIRS[case]
+        broken = str(tmp_path / "prepared")
+        shutil.copytree(prepared_dir, broken)
+        path = os.path.join(broken, "balanced_pairs.csv")
+        with open(path, encoding="utf-8") as fh:
+            header, first = fh.read().splitlines()[:2]
+        s, d, _label = first.split(",")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("" if row is None else f"{header}\n{row.format(s=s, d=d)}\n")
+        return broken, f"{path}:{lineno}:"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
+    def test_load_prepared_raises_data_error(
+        self, case, small_dataset, prepared_dir, tmp_path
+    ):
+        from sda import pipeline
+        from sda.config import PipelineConfig
+        from sda.corpus import load_association_matrix
+        from sda.errors import DataError
+
+        broken, where = self._corrupt(prepared_dir, tmp_path, case)
+        cfg = PipelineConfig(
+            association_path=small_dataset["association"], prepared_dir=broken
+        )
+        am = load_association_matrix(cfg.association_path)
+        with pytest.raises(DataError, match=re.escape(where)):
+            pipeline.load_prepared(am, cfg)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
+    def test_cli_exits_2(self, case, small_dataset, prepared_dir, tmp_path, caplog):
+        broken, where = self._corrupt(prepared_dir, tmp_path, case)
+        keys = base_keys(small_dataset, str(tmp_path / "out"), prepared_dir=broken)
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert where in caplog.text
+
+
+MATRIX_COMMANDS = ("prepare", "evaluate", "rank", "run-all", "holdout")
+MATRIX_GRIDS = {
+    "single": {"svm_c": "10", "svm_gamma": "0.1"},
+    "grid": {"svm_c": "1,10", "svm_gamma": "1/d,0.1"},
+}
+
+
+@pytest.mark.parametrize("reuse", ("fresh", "prepared-dir"))
+@pytest.mark.parametrize("grid", sorted(MATRIX_GRIDS))
+@pytest.mark.parametrize("k_range", ("k", "k-range"))
+@pytest.mark.parametrize("mode", ("paper-faithful", "strict-folds"))
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_config_matrix_exit_codes(
+    command, mode, k_range, grid, reuse, small_dataset, prepared_dir, tmp_path, caplog
+):
+    """Every command under every combination of mode, k_range, SVM grid and
+    prepared_dir ends in an exit code, never a traceback. Strict-folds
+    cannot reuse a prepare run (exit 1); holdout always rebuilds its data,
+    so it ignores prepared_dir."""
+    extra = dict(MATRIX_GRIDS[grid], mode=mode, n_folds=3)
+    if reuse == "prepared-dir":
+        extra["prepared_dir"] = prepared_dir
+    keys = base_keys(small_dataset, str(tmp_path / "out"), **extra)
+    if k_range == "k-range":
+        del keys["k"]
+        keys["k_range"] = "2,3"
+    cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+    expected = (
+        1 if mode == "strict-folds" and reuse == "prepared-dir" and command != "holdout"
+        else 0
+    )
+    assert main([command, "--config", cfg]) == expected
+    assert "Traceback" not in caplog.text

@@ -11,6 +11,7 @@ from sda.evaluation import (
     stratified_kfold,
     threshold_metrics,
 )
+from sda.svm import SvmParams
 
 
 def roc_auc_oracle(scores, labels):
@@ -184,15 +185,12 @@ class TestCurvePoints:
 
 
 class TestRunCv:
+    PARAMS = SvmParams(10.0, 0.1)
+
     def _config(self, **kw):
         from sda.config import PipelineConfig
 
-        base = dict(svm_c=(10.0,), svm_gamma=(0.1,), seed=5)
-        base.update(kw)
-        cfg = PipelineConfig(**base)
-        cfg.chosen_c = cfg.svm_c[0]
-        cfg.chosen_gamma = cfg.svm_gamma[0]
-        return cfg
+        return PipelineConfig(seed=5, **kw)
 
     def _separable(self, n=60, seed=2):
         rng = np.random.default_rng(seed)
@@ -202,7 +200,7 @@ class TestRunCv:
 
     def test_report_structure_and_fold_sizes(self):
         X, y = self._separable()
-        report = run_cv(X, y, self._config())
+        report = run_cv(X, y, self._config(), self.PARAMS)
         assert len(report.folds) == 5
         assert sum(f["n_test"] for f in report.folds) == len(y)
         for key in ("roc_auc", "auprc", "accuracy", "f1", "mse"):
@@ -213,7 +211,7 @@ class TestRunCv:
 
     def test_separable_data_scores_high(self):
         X, y = self._separable()
-        report = run_cv(X, y, self._config())
+        report = run_cv(X, y, self._config(), self.PARAMS)
         assert report.mean["roc_auc"] > 0.95
 
     def test_fold_features_rebuilt_per_fold_in_strict_mode(self):
@@ -224,7 +222,9 @@ class TestRunCv:
             seen.append(test_idx)
             return X
 
-        report = run_cv(X, y, self._config(mode="strict-folds"), fold_features)
+        report = run_cv(
+            X, y, self._config(mode="strict-folds"), self.PARAMS, fold_features
+        )
         assert report.mode == "strict-folds"
         assert len(seen) == 5
         assert sorted(np.concatenate(seen).tolist()) == list(range(len(y)))
@@ -232,14 +232,14 @@ class TestRunCv:
     def test_fold_features_required_exactly_in_strict_mode(self):
         X, y = self._separable()
         with pytest.raises(ValueError, match="strict-folds"):
-            run_cv(X, y, self._config(mode="strict-folds"))
+            run_cv(X, y, self._config(mode="strict-folds"), self.PARAMS)
         with pytest.raises(ValueError, match="strict-folds"):
-            run_cv(X, y, self._config(), lambda test_idx: X)
+            run_cv(X, y, self._config(), self.PARAMS, lambda test_idx: X)
 
     def test_permuted_labels_near_half(self):
         X, y = self._separable(n=200, seed=4)
         rng = np.random.default_rng(99)
         y_perm = y.copy()
         rng.shuffle(y_perm)
-        report = run_cv(X, y_perm, self._config())
+        report = run_cv(X, y_perm, self._config(), self.PARAMS)
         assert abs(report.mean["roc_auc"] - 0.5) < 0.12

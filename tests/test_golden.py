@@ -44,6 +44,15 @@ GOLDEN = {
         "rank", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
         "b22f2a8aeaa0a3d49a00f47e8179b1be6588b768d7c2df4abc95e3cf56255c5c",
     ),
+    # run-all: evaluate and rank share one grid search's pick
+    "run-all-grid-report": (
+        "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "report.json",
+        "3d9f28f440b49ef0b64b94dd77227f55d558bad9fe826ef3d529c2d814e7fe54",
+    ),
+    "run-all-grid-rankings": (
+        "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
+        "b22f2a8aeaa0a3d49a00f47e8179b1be6588b768d7c2df4abc95e3cf56255c5c",
+    ),
 }
 
 

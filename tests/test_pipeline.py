@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from sda import pipeline
 from sda.cli import main
 from sda.config import PipelineConfig
 from sda.errors import ConfigError
-from sda.svm import ParamGrid
 
 from conftest import write_config_file
 
@@ -39,7 +39,8 @@ class TestPrepare:
 
     def test_score_pairs_chunking_is_equivalent(self, synth_config):
         prepared = pipeline.prepare(synth_config)
-        ens, model = pipeline.train_final(prepared, synth_config)
+        params = pipeline.resolve_svm_params(prepared, synth_config)
+        ens, model = pipeline.train_final(prepared, synth_config, params)
         pairs = prepared.negatives[:300]
         a = pipeline.score_pairs(prepared, ens, model, pairs, chunk=64)
         b = pipeline.score_pairs(prepared, ens, model, pairs, chunk=4096)
@@ -76,7 +77,8 @@ class TestPrecomputedDiseaseSimilarity:
         i = am.disease_ids.index(covered[0])
         j = am.disease_ids.index(covered[1])
         assert prepared.dss.available[i, j]
-        report = pipeline.evaluate(prepared, cfg)
+        params = pipeline.resolve_svm_params(prepared, cfg)
+        report = pipeline.evaluate(prepared, cfg, params)
         assert report.mean["roc_auc"] > 0.8
 
     def test_malformed_mask_is_data_error(self, synth_dataset, tmp_path):
@@ -118,7 +120,9 @@ class TestStrictFolds:
                 mode="strict-folds",
             )
             prepared = pipeline.prepare(cfg)
-            return pipeline.evaluate(prepared, cfg)
+            return pipeline.evaluate(
+                prepared, cfg, pipeline.resolve_svm_params(prepared, cfg)
+            )
 
         a, b = run(), run()
         assert a.mode == "strict-folds"
@@ -137,11 +141,17 @@ class TestStrictFolds:
         assert strict.shape == prepared.features.shape
 
 
-class TestParamGridDefault:
-    def test_default_grid_values(self):
-        grid = ParamGrid.default(80)
-        assert grid.c_values == [0.1, 1.0, 10.0, 100.0]
-        assert grid.gamma_values == [1.0 / 80, 0.01, 0.1, 1.0]
+class TestConfigIsInputOnly:
+    def test_grid_runs_leave_config_unchanged(self, synth_config):
+        cfg = replace(synth_config, svm_c=(1.0, 10.0), svm_gamma=("1/d", 0.1))
+        before = replace(cfg)
+        prepared = pipeline.prepare(cfg)
+        params = pipeline.resolve_svm_params(prepared, cfg)
+        assert params.c in cfg.svm_c
+        pipeline.evaluate(prepared, cfg, params)
+        pipeline.train_final(prepared, cfg, params)
+        pipeline.holdout_inference_check(cfg)
+        assert cfg == before
 
 
 class TestChooseKWiring:

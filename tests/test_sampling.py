@@ -7,7 +7,6 @@ from sda.errors import DataError
 from sda.sampling import (
     Clustering,
     assemble_feature_matrix,
-    assemble_pair_features,
     choose_k,
     kmeans,
     largest_remainder_counts,
@@ -27,11 +26,10 @@ def sim(n, seed=0):
 class TestAssemble:
     def test_toy_vector_length(self):
         msfs, mdss = sim(2, 1), sim(2, 2)
-        ps = assemble_pair_features(msfs, mdss, (0, 1), label=1)
-        assert ps.features.shape == (4,)
-        assert ps.label == 1
-        np.testing.assert_array_equal(ps.features[:2], msfs.values[0, :])
-        np.testing.assert_array_equal(ps.features[2:], mdss.values[:, 1])
+        feats = assemble_feature_matrix(msfs, mdss, [(0, 1)])
+        assert feats.shape == (1, 4)
+        np.testing.assert_array_equal(feats[0, :2], msfs.values[0, :])
+        np.testing.assert_array_equal(feats[0, 2:], mdss.values[:, 1])
 
     def test_length_is_ns_plus_nd(self):
         msfs, mdss = sim(7, 1), sim(5, 2)
@@ -40,14 +38,14 @@ class TestAssemble:
 
     def test_deterministic(self):
         msfs, mdss = sim(4, 3), sim(4, 4)
-        a = assemble_pair_features(msfs, mdss, (1, 2)).features
-        b = assemble_pair_features(msfs, mdss, (1, 2)).features
+        a = assemble_feature_matrix(msfs, mdss, [(1, 2)])
+        b = assemble_feature_matrix(msfs, mdss, [(1, 2)])
         np.testing.assert_array_equal(a, b)
 
     def test_index_out_of_range(self):
         msfs, mdss = sim(2, 1), sim(2, 2)
         with pytest.raises(IndexError):
-            assemble_pair_features(msfs, mdss, (2, 0))
+            assemble_feature_matrix(msfs, mdss, [(2, 0)])
         with pytest.raises(IndexError):
             assemble_feature_matrix(msfs, mdss, [(0, 5)])
 
@@ -189,11 +187,6 @@ class TestSelectNegatives:
 
 
 class TestChooseK:
-    def test_default_candidate_grid(self):
-        from sda.sampling import DEFAULT_K_RANGE
-
-        assert DEFAULT_K_RANGE == (5, 10, 15, 20, 25, 30)
-
     def test_single_candidate(self):
         rng = np.random.default_rng(0)
         pts = rng.random((30, 2))
