@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 
 
 PAIRS_HEADER = "snorna_id,disease_id,label"  # balanced_pairs.csv
+PREPARE_RECORD = "prepare.json"  # the k a prepare run clustered with
 
 
 @dataclass
@@ -173,6 +174,8 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
             raise DataError(f"{pairs_path}:{lineno}: label must be 0 or 1, got '{label}'")
         pairs.append((s_index[snorna_id], d_index[disease_id]))
         labels.append(int(label))
+    if set(labels) != {0, 1}:
+        raise DataError(f"{pairs_path}: needs rows of both labels, 0 and 1")
 
     positives, negatives = corpus.split_known_unknown(am)
     return PreparedData(
@@ -187,10 +190,26 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
         pairs=pairs,
         labels=np.asarray(labels, dtype=int),
         features=sampling.assemble_feature_matrix(msfs, mdss, pairs),
-        k_used=cfg.k,
+        k_used=_load_k_used(os.path.join(cfg.prepared_dir, PREPARE_RECORD)),
         gamma_prime_snorna=cfg.gamma_prime_snorna,
         gamma_prime_disease=cfg.gamma_prime_disease,
     )
+
+
+def _load_k_used(path: str) -> int:
+    """The cluster count a prepare run recorded in its ``prepare.json``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            k = json.load(fh)["k"]
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataError(
+            f"{path}: expected a JSON object with an integer 'k' ({exc})"
+        ) from None
+    if type(k) is not int or k < 1:
+        raise DataError(f"{path}: 'k' must be a positive integer, got {k!r}")
+    return k
 
 
 def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> PreparedData:
@@ -217,20 +236,19 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
     msfs = similarity.mesh_similarity(sfs, gip_s)
     mdss = similarity.mesh_similarity(dss, gip_d)
 
-    neg_features = sampling.assemble_feature_matrix(msfs, mdss, negatives)
     pos_features = sampling.assemble_feature_matrix(msfs, mdss, positives)
     n_pos = len(positives)
 
     k = cfg.k
     if cfg.k_range:
-        k = _choose_k(
-            cfg, am, sfs, dss, msfs, mdss, positives, negatives, neg_features, pos_features
-        )
+        k = _choose_k(cfg, am, sfs, dss, msfs, mdss, positives, negatives, pos_features)
         log.info("choose_k selected k=%d from %s", k, list(cfg.k_range))
     if k > len(negatives):
         raise DataError(f"k={k} exceeds the number of unknown pairs ({len(negatives)})")
 
-    clustering = sampling.kmeans(neg_features, k, seed=derive_seed(cfg.seed, "kmeans"))
+    clustering = sampling.kmeans(
+        msfs.values, mdss.values.T, negatives, k, seed=derive_seed(cfg.seed, "kmeans")
+    )
     selected = sampling.select_negatives(
         clustering, negatives, n_pos, seed=derive_seed(cfg.seed, "select-negatives")
     )
@@ -252,9 +270,7 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
     )
 
 
-def _choose_k(
-    cfg, am, sfs, dss, msfs, mdss, positives, negatives, neg_features, pos_features
-):
+def _choose_k(cfg, am, sfs, dss, msfs, mdss, positives, negatives, pos_features):
     """Candidate-k evaluation via a cheap CV on each balanced set.
 
     The probe SVM uses the middle grid entries; the full grid search (if any)
@@ -281,7 +297,8 @@ def _choose_k(
         return report.mean["roc_auc"], report.mean["mse"]
 
     return sampling.choose_k(
-        neg_features,
+        msfs.values,
+        mdss.values.T,
         negatives,
         cfg.k_range,
         evaluator,
@@ -510,7 +527,9 @@ def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
             f"{prepared.am.snorna_ids[s]},{prepared.am.disease_ids[d]},{int(label)}"
         )
     atomic_write_text(pairs_path, "\n".join(lines) + "\n")
-    return [msfs_path, mdss_path, pairs_path]
+    record_path = os.path.join(out_dir, PREPARE_RECORD)
+    atomic_write_text(record_path, json.dumps({"k": prepared.k_used}) + "\n")
+    return [msfs_path, mdss_path, pairs_path, record_path]
 
 
 def write_report(report: MetricsReport, out_dir: str) -> list[str]:

@@ -4,6 +4,8 @@ proportionally to cluster size, then assemble pair feature vectors.
 A pair feature vector is the meshed snoRNA-similarity row of the pair's
 snoRNA concatenated with the meshed disease-similarity column of its
 disease, so clustering and the downstream classifiers share one space.
+k-means works on that space in factored form: from the two per-entity
+tables and the pair list, without a row per unknown pair.
 """
 
 from __future__ import annotations
@@ -42,74 +44,103 @@ def assemble_feature_matrix(
     return np.hstack([msfs.values[pairs[:, 0], :], mdss.values[:, pairs[:, 1]].T])
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
-
-
 def kmeans(
-    points,
+    left,
+    right,
+    pairs,
     k: int,
     seed: int = 0,
     max_iter: int = 100,
     tol: float = 1e-6,
 ) -> Clustering:
-    """Lloyd's algorithm with farthest-first initialization.
+    """Lloyd's algorithm with farthest-first initialization over the pair
+    space whose point i is ``[left[a_i] | right[b_i]]`` for ``pairs[i] =
+    (a_i, b_i)``.
 
     The first centroid is a seeded random point; each further centroid is the
     point farthest from the ones chosen so far. An emptied cluster is
     re-seeded at the point farthest from its nearest centroid. Deterministic
     for a given seed.
+
+    The points are never materialised: a squared distance splits into a
+    ``left`` part and a ``right`` part, so norms, dot products with the
+    centroids and centroid sums all come from per-entity tables gathered by
+    ``pairs``.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    a, b = pairs[:, 0], pairs[:, 1]
+    n, split = len(pairs), left.shape[1]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n:
         raise DataError(f"k={k} exceeds the number of points ({n})")
+    left_norms, right_norms = np.sum(left**2, axis=1), np.sum(right**2, axis=1)
+
+    def point(i: int) -> np.ndarray:
+        return np.concatenate([left[a[i]], right[b[i]]])
+
+    def squared_distances(centroids: np.ndarray) -> np.ndarray:
+        # |x|^2 - 2 x.c + |c|^2, each term split into a left and a right table
+        left_part = left_norms[:, None] - 2.0 * (left @ centroids[:, :split].T)
+        left_part += np.sum(centroids**2, axis=1)[None, :]
+        right_part = right_norms[:, None] - 2.0 * (right @ centroids[:, split:].T)
+        d2 = np.take(left_part, a, axis=0)
+        d2 += np.take(right_part, b, axis=0)
+        return np.maximum(d2, 0.0, out=d2)
+
+    def distances_to(i: int) -> np.ndarray:
+        return (
+            np.sum((left - left[a[i]]) ** 2, axis=1)[a]
+            + np.sum((right - right[b[i]]) ** 2, axis=1)[b]
+        )
+
+    def centroid_sums(table: np.ndarray, entity: np.ndarray, assignments) -> np.ndarray:
+        m = len(table)
+        counts = np.bincount(assignments * m + entity, minlength=k * m)
+        return counts.reshape(k, m).astype(np.float64) @ table
 
     rng = np.random.default_rng(seed)
     first = int(rng.integers(n))
     chosen = [first]
-    nearest = _squared_distances(points, points[[first]])[:, 0]
+    nearest = distances_to(first)
     while len(chosen) < k:
         nxt = int(np.argmax(nearest))
         chosen.append(nxt)
-        nearest = np.minimum(nearest, _squared_distances(points, points[[nxt]])[:, 0])
-    centroids = points[chosen].copy()
+        nearest = np.minimum(nearest, distances_to(nxt))
+    centroids = np.array([point(i) for i in chosen])
 
     history: list[float] = []
     assignments = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = _squared_distances(points, centroids)
+        d2 = squared_distances(centroids)
         assignments = np.argmin(d2, axis=1)
         min_d2 = d2[np.arange(n), assignments]
 
         # Re-seed empty clusters at the currently worst-served points.
-        empty = [c for c in range(k) if not np.any(assignments == c)]
-        for c in empty:
+        sizes = np.bincount(assignments, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
             far = int(np.argmax(min_d2))
-            centroids[c] = points[far]
+            centroids[c] = point(far)
             assignments[far] = c
             min_d2[far] = 0.0
         history.append(float(min_d2.sum()))
 
+        sizes = np.bincount(assignments, minlength=k)
+        sums = np.hstack(
+            [centroid_sums(left, a, assignments), centroid_sums(right, b, assignments)]
+        )
+        filled = sizes > 0
         new_centroids = centroids.copy()
-        for c in range(k):
-            members = assignments == c
-            if members.any():
-                new_centroids[c] = points[members].mean(axis=0)
+        new_centroids[filled] = sums[filled] / sizes[filled, None]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol:
             break
 
     # Final assignment so every point sits with its nearest centroid.
-    d2 = _squared_distances(points, centroids)
+    d2 = squared_distances(centroids)
     assignments = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), assignments].sum())
     history.append(inertia)
@@ -159,7 +190,8 @@ def select_negatives(
 
 
 def choose_k(
-    negative_points: np.ndarray,
+    left,
+    right,
     negatives: list[tuple[int, int]],
     k_range,
     evaluator,
@@ -168,16 +200,19 @@ def choose_k(
 ) -> int:
     """Evaluate candidate cluster counts and return the best one.
 
-    ``evaluator(k, selected_negatives) -> (roc_auc, mse)`` runs a cheap CV on
-    the balanced set built from that selection. Highest mean ROC-AUC wins;
-    ties fall to lower MSE, then to the smaller k.
+    The negatives are clustered in the pair space of ``left`` and ``right``
+    (see ``kmeans``). ``evaluator(k, selected_negatives) -> (roc_auc, mse)``
+    runs a cheap CV on the balanced set built from that selection. Highest
+    mean ROC-AUC wins; ties fall to lower MSE, then to the smaller k.
     """
     k_range = list(k_range)
     if not k_range:
         raise ValueError("k_range must be nonempty")
     results = []
     for k in k_range:
-        clustering = kmeans(negative_points, k, seed=derive_seed(seed, f"kmeans-k{k}"))
+        clustering = kmeans(
+            left, right, negatives, k, seed=derive_seed(seed, f"kmeans-k{k}")
+        )
         picked = select_negatives(
             clustering, negatives, n_pos, seed=derive_seed(seed, f"select-k{k}")
         )

@@ -6,7 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
+from sda import pipeline
 from sda.cli import main
+from sda.config import PipelineConfig
+from sda.corpus import load_association_matrix
+from sda.errors import DataError
 from sda.synth import make_block_dataset, write_dataset_files
 
 from conftest import write_config_file
@@ -302,19 +306,28 @@ def prepared_dir(small_dataset, tmp_path_factory):
     return out
 
 
-# case -> (balanced_pairs.csv's first row, written over its ids; line number
-# the error names). None empties the file.
+def load_prepared(paths, prepared):
+    """``pipeline.load_prepared`` on the prepare run in ``prepared``."""
+    cfg = PipelineConfig(association_path=paths["association"], prepared_dir=prepared)
+    return pipeline.load_prepared(load_association_matrix(cfg.association_path), cfg)
+
+
+# case -> (the rows under balanced_pairs.csv's header, written over the ids of
+# its first row, a positive; what the error names after the path). None
+# empties the file.
 MALFORMED_PAIRS = {
-    "two-fields": ("{s},{d}", 2),
-    "non-integer-label": ("{s},{d},yes", 2),
-    "label-outside-0-1": ("{s},{d},2", 2),
-    "empty-file": (None, 1),
+    "two-fields": (["{s},{d}"], ":2:"),
+    "non-integer-label": (["{s},{d},yes"], ":2:"),
+    "label-outside-0-1": (["{s},{d},2"], ":2:"),
+    "empty-file": (None, ":1:"),
+    "header-only": ([], ": needs rows of both labels"),
+    "one-label": (["{s},{d},1"], ": needs rows of both labels"),
 }
 
 
 class TestMalformedPairsFile:
     def _corrupt(self, prepared_dir, tmp_path, case):
-        row, lineno = MALFORMED_PAIRS[case]
+        rows, where = MALFORMED_PAIRS[case]
         broken = str(tmp_path / "prepared")
         shutil.copytree(prepared_dir, broken)
         path = os.path.join(broken, "balanced_pairs.csv")
@@ -322,25 +335,17 @@ class TestMalformedPairsFile:
             header, first = fh.read().splitlines()[:2]
         s, d, _label = first.split(",")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("" if row is None else f"{header}\n{row.format(s=s, d=d)}\n")
-        return broken, f"{path}:{lineno}:"
+            if rows is not None:
+                fh.write("\n".join([header] + [r.format(s=s, d=d) for r in rows]) + "\n")
+        return broken, path + where
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
     def test_load_prepared_raises_data_error(
         self, case, small_dataset, prepared_dir, tmp_path
     ):
-        from sda import pipeline
-        from sda.config import PipelineConfig
-        from sda.corpus import load_association_matrix
-        from sda.errors import DataError
-
         broken, where = self._corrupt(prepared_dir, tmp_path, case)
-        cfg = PipelineConfig(
-            association_path=small_dataset["association"], prepared_dir=broken
-        )
-        am = load_association_matrix(cfg.association_path)
         with pytest.raises(DataError, match=re.escape(where)):
-            pipeline.load_prepared(am, cfg)
+            load_prepared(small_dataset, broken)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
     def test_cli_exits_2(self, case, small_dataset, prepared_dir, tmp_path, caplog):
@@ -349,6 +354,63 @@ class TestMalformedPairsFile:
         cfg = write_config_file(tmp_path / "cfg.txt", **keys)
         assert main(["evaluate", "--config", cfg]) == 2
         assert where in caplog.text
+
+
+# case -> prepare.json's content; None removes the file
+MALFORMED_RECORDS = {
+    "missing": None,
+    "not-json": "k = 3\n",
+    "not-an-object": "[3]\n",
+    "no-k": '{"n": 3}\n',
+    "k-a-string": '{"k": "3"}\n',
+    "k-zero": '{"k": 0}\n',
+}
+
+
+class TestPrepareRecord:
+    def test_reused_prepare_run_reports_its_k(self, small_dataset, tmp_path, capsys):
+        prep = str(tmp_path / "prep")
+        keys = base_keys(small_dataset, prep, k_range="2,3")
+        del keys["k"]
+        cfg = write_config_file(tmp_path / "c1.txt", **keys)
+        assert main(["prepare", "--config", cfg]) == 0
+        chosen = int(re.search(r"\(k=(\d+)\)", capsys.readouterr().out).group(1))
+        assert chosen in (2, 3)
+        with open(os.path.join(prep, "prepare.json"), encoding="utf-8") as fh:
+            assert json.load(fh) == {"k": chosen}
+
+        keys = dict(keys, output_dir=str(tmp_path / "out"), prepared_dir=prep)
+        cfg = write_config_file(tmp_path / "c2.txt", **keys)
+        assert main(["evaluate", "--config", cfg]) == 0
+        assert f"(k={chosen})" in capsys.readouterr().out
+
+    def _corrupt(self, prepared_dir, tmp_path, case):
+        broken = str(tmp_path / "prepared")
+        shutil.copytree(prepared_dir, broken)
+        path = os.path.join(broken, "prepare.json")
+        content = MALFORMED_RECORDS[case]
+        if content is None:
+            os.remove(path)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        return broken, path
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+    def test_load_prepared_raises_data_error(
+        self, case, small_dataset, prepared_dir, tmp_path
+    ):
+        broken, path = self._corrupt(prepared_dir, tmp_path, case)
+        with pytest.raises(DataError, match=re.escape(path)):
+            load_prepared(small_dataset, broken)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+    def test_cli_exits_2(self, case, small_dataset, prepared_dir, tmp_path, caplog):
+        broken, path = self._corrupt(prepared_dir, tmp_path, case)
+        keys = base_keys(small_dataset, str(tmp_path / "out"), prepared_dir=broken)
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert path in caplog.text
 
 
 MATRIX_COMMANDS = ("prepare", "evaluate", "rank", "run-all", "holdout")

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sda import pipeline
+from sda import pipeline, sampling
 from sda.cli import main
 from sda.config import PipelineConfig
 from sda.errors import ConfigError
+from sda.synth import make_block_dataset
 
 from conftest import write_config_file
 
@@ -45,6 +46,34 @@ class TestPrepare:
         a = pipeline.score_pairs(prepared, ens, model, pairs, chunk=64)
         b = pipeline.score_pairs(prepared, ens, model, pairs, chunk=4096)
         np.testing.assert_array_equal(a, b)
+
+
+class TestPrepareMemory:
+    @pytest.mark.parametrize("k_range", [(), (2, 3)], ids=["k", "k-range"])
+    @pytest.mark.parametrize("mode", ["paper-faithful", "strict-folds"])
+    def test_no_feature_matrix_over_the_negatives(self, mode, k_range, monkeypatch):
+        """k-means clusters the unknown pairs from per-entity tables: no
+        feature matrix is assembled for the whole negative pair list."""
+        am, _ft, _dag = make_block_dataset(
+            n_snornas=30, n_diseases=10, n_blocks=2, within=0.7, across=0.02, seed=3
+        )
+        cfg = PipelineConfig(
+            k=3, k_range=k_range, mode=mode, n_folds=3, seed=5,
+            svm_c=(10.0,), svm_gamma=(0.1,),
+        )
+        rows = []
+        assemble = sampling.assemble_feature_matrix
+
+        def spy(msfs, mdss, pairs):
+            rows.append(len(pairs))
+            return assemble(msfs, mdss, pairs)
+
+        monkeypatch.setattr(sampling, "assemble_feature_matrix", spy)
+        prepared = pipeline.prepare_from_matrix(am, cfg)
+        n_neg = len(prepared.negatives)
+        # the balanced set's sizes differ from n_neg, so the check can tell
+        assert n_neg not in (len(prepared.positives), len(prepared.pairs))
+        assert rows and n_neg not in rows
 
 
 class TestPrecomputedDiseaseSimilarity:

@@ -73,15 +73,21 @@ def bruteforce_best_two_partition(points):
     return best
 
 
+def pair_space(points):
+    """A plain point set as a pair space: point i is ``[points[i] | ]``."""
+    points = np.asarray(points, dtype=np.float64)
+    return points, np.zeros((1, 0)), [(i, 0) for i in range(len(points))]
+
+
 class TestKmeans:
     def test_k_equals_n_gives_zero_inertia(self):
         pts = np.arange(10.0).reshape(5, 2)
-        result = kmeans(pts, 5, seed=1)
+        result = kmeans(*pair_space(pts), 5, seed=1)
         assert result.inertia == pytest.approx(0.0, abs=1e-18)
 
     def test_two_blobs_match_bruteforce_partition(self):
         pts = two_blobs(seed=2)
-        result = kmeans(pts, 2, seed=0)
+        result = kmeans(*pair_space(pts), 2, seed=0)
         # blob membership must be homogeneous
         assert len(set(result.assignments[:4])) == 1
         assert len(set(result.assignments[4:])) == 1
@@ -90,21 +96,21 @@ class TestKmeans:
 
     def test_k1_centroid_is_mean(self):
         pts = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 1.0]])
-        result = kmeans(pts, 1, seed=0)
+        result = kmeans(*pair_space(pts), 1, seed=0)
         np.testing.assert_allclose(result.centroids[0], pts.mean(axis=0), atol=1e-12)
 
     def test_inertia_monotone_nonincreasing(self):
         rng = np.random.default_rng(5)
         for trial in range(10):
             pts = rng.random((40, 3))
-            result = kmeans(pts, 4, seed=trial)
+            result = kmeans(*pair_space(pts), 4, seed=trial)
             hist = np.array(result.history)
             assert np.all(np.diff(hist) <= 1e-9)
 
     def test_converged_assignment_is_fixed_point(self):
         rng = np.random.default_rng(6)
         pts = rng.random((30, 2))
-        result = kmeans(pts, 3, seed=9)
+        result = kmeans(*pair_space(pts), 3, seed=9)
         d2 = ((pts[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(np.argmin(d2, axis=1), result.assignments)
         assert result.inertia == pytest.approx(
@@ -113,13 +119,13 @@ class TestKmeans:
 
     def test_k_too_large_rejected(self):
         with pytest.raises(DataError):
-            kmeans(np.zeros((3, 2)), 4, seed=0)
+            kmeans(*pair_space(np.zeros((3, 2))), 4, seed=0)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(8)
         pts = rng.random((25, 3))
-        a = kmeans(pts, 4, seed=3)
-        b = kmeans(pts, 4, seed=3)
+        a = kmeans(*pair_space(pts), 4, seed=3)
+        b = kmeans(*pair_space(pts), 4, seed=3)
         assert np.array_equal(a.assignments, b.assignments)
         assert np.array_equal(a.centroids, b.centroids)
 
@@ -190,24 +196,152 @@ class TestChooseK:
     def test_single_candidate(self):
         rng = np.random.default_rng(0)
         pts = rng.random((30, 2))
-        negatives = [(i, 0) for i in range(30)]
-        got = choose_k(pts, negatives, [4], lambda k, picked: (0.9, 0.1), 10, seed=0)
+        got = choose_k(*pair_space(pts), [4], lambda k, picked: (0.9, 0.1), 10, seed=0)
         assert got == 4
 
     def test_tiebreak_lower_mse_then_smaller_k(self):
         rng = np.random.default_rng(1)
         pts = rng.random((30, 2))
-        negatives = [(i, 0) for i in range(30)]
         scores = {2: (0.8, 0.30), 3: (0.8, 0.10), 5: (0.8, 0.10)}
         got = choose_k(
-            pts, negatives, [2, 3, 5], lambda k, picked: scores[k], 10, seed=0
+            *pair_space(pts), [2, 3, 5], lambda k, picked: scores[k], 10, seed=0
         )
         assert got == 3  # same AUC everywhere; MSE prunes k=2, then smaller k wins
 
     def test_highest_auc_wins(self):
         rng = np.random.default_rng(2)
         pts = rng.random((30, 2))
-        negatives = [(i, 0) for i in range(30)]
         scores = {2: (0.7, 0.0), 4: (0.9, 0.5)}
-        got = choose_k(pts, negatives, [2, 4], lambda k, picked: scores[k], 10, seed=0)
+        got = choose_k(*pair_space(pts), [2, 4], lambda k, picked: scores[k], 10, seed=0)
         assert got == 4
+
+
+def dense_squared_distances(points, centroids):
+    d2 = (
+        np.sum(points**2, axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + np.sum(centroids**2, axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def dense_kmeans(points, k, seed=0, max_iter=100, tol=1e-6):
+    """Oracle: Lloyd's algorithm on materialised points, the implementation
+    ``kmeans`` replaced. Returns the clustering and the number of empty
+    clusters it re-seeded.
+
+    One change: the farthest-first distances are summed squared differences,
+    not ``dense_squared_distances``. A pair space makes exact ties there
+    (pairs (a2, b1) and (a2, b2) are equally far from chosen (a1, b1) and
+    (a1, b2)), and the expanded form breaks them by rounding noise."""
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(n))
+    chosen = [first]
+    nearest = np.sum((points - points[first]) ** 2, axis=1)
+    while len(chosen) < k:
+        nxt = int(np.argmax(nearest))
+        chosen.append(nxt)
+        nearest = np.minimum(nearest, np.sum((points - points[nxt]) ** 2, axis=1))
+    centroids = points[chosen].copy()
+
+    history = []
+    reseeds = 0
+    assignments = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = dense_squared_distances(points, centroids)
+        assignments = np.argmin(d2, axis=1)
+        min_d2 = d2[np.arange(n), assignments]
+        empty = [c for c in range(k) if not np.any(assignments == c)]
+        for c in empty:
+            far = int(np.argmax(min_d2))
+            centroids[c] = points[far]
+            assignments[far] = c
+            min_d2[far] = 0.0
+            reseeds += 1
+        history.append(float(min_d2.sum()))
+
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = assignments == c
+            if members.any():
+                new_centroids[c] = points[members].mean(axis=0)
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+
+    d2 = dense_squared_distances(points, centroids)
+    assignments = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(n), assignments].sum())
+    history.append(inertia)
+    return Clustering(k, assignments, centroids, inertia, seed, history), reseeds
+
+
+def random_pair_space(rng, n_left, n_right, n_pairs, dim_left=None, dim_right=None):
+    """Random entity tables and ``n_pairs`` distinct pairs over them."""
+    left = rng.random((n_left, dim_left or n_left))
+    right = rng.random((n_right, dim_right or n_right))
+    flat = rng.choice(n_left * n_right, size=n_pairs, replace=False)
+    pairs = [(int(i) // n_right, int(i) % n_right) for i in sorted(flat)]
+    return left, right, pairs
+
+
+class TestKmeansMatchesDenseOracle:
+    """The factored k-means gives the assignments of Lloyd's algorithm on the
+    materialised pair features, and its sums agree to rounding."""
+
+    def check(self, left, right, pairs, k, seed):
+        got = kmeans(left, right, pairs, k, seed=seed)
+        idx = np.asarray(pairs)
+        points = np.hstack([left[idx[:, 0]], right[idx[:, 1]]])
+        want, reseeds = dense_kmeans(points, k, seed=seed)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        # k = n puts every point on its centroid: the inertia is rounding
+        # noise of zero, hence the absolute floor at that noise's scale
+        atol = 1e-12 * float(np.sum(points**2, axis=1).max())
+        np.testing.assert_allclose(got.history, want.history, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(got.centroids, want.centroids, rtol=1e-12)
+        np.testing.assert_allclose(got.inertia, want.inertia, rtol=1e-12, atol=atol)
+        return reseeds
+
+    def test_random_pair_spaces(self):
+        rng = np.random.default_rng(20)
+        for trial in range(20):
+            n_left, n_right = int(rng.integers(3, 15)), int(rng.integers(2, 8))
+            n_pairs = int(rng.integers(n_left * n_right // 2, n_left * n_right + 1))
+            left, right, pairs = random_pair_space(rng, n_left, n_right, n_pairs)
+            k = int(rng.integers(2, min(12, n_pairs) + 1))
+            self.check(left, right, pairs, k, seed=trial)
+
+    def test_duplicate_entity_rows_tie_exactly(self):
+        rng = np.random.default_rng(21)
+        for trial in range(10):
+            left, right, pairs = random_pair_space(rng, 8, 5, 30, dim_left=6, dim_right=4)
+            left[1] = left[0]
+            left[5] = left[4]
+            right[3] = right[2]
+            self.check(left, right, pairs, 6, seed=trial)
+
+    def test_k1(self):
+        rng = np.random.default_rng(22)
+        left, right, pairs = random_pair_space(rng, 9, 6, 40)
+        self.check(left, right, pairs, 1, seed=0)
+
+    def test_k_equals_n(self):
+        rng = np.random.default_rng(23)
+        left, right, pairs = random_pair_space(rng, 5, 4, 14)
+        self.check(left, right, pairs, len(pairs), seed=1)
+
+    def test_empty_cluster_reseeded(self):
+        # Farthest-first starts left no cluster empty on distinct random
+        # points; here 12 pairs sit on 6 locations, so with k = 8 centroids
+        # coincide and the later copies are emptied and re-seeded. Small
+        # integers keep those distances exact on both sides.
+        rng = np.random.default_rng(24)
+        left = rng.integers(0, 10, size=(4, 2)).astype(float)
+        right = rng.integers(0, 10, size=(3, 1)).astype(float)
+        left[1] = left[0]
+        pairs = [(i, j) for i in range(4) for j in range(3)]
+        for seed in range(4):
+            assert self.check(left, right, pairs, 8, seed) > 0
