@@ -32,6 +32,10 @@ GOLDEN = {
         "evaluate", {"k_range": "5,10"}, "report.json",
         "3059c08c5283d0afe03750235cb32863da9fd93be85206430278203edb9a16f3",
     ),
+    "evaluate-strict-k-range": (
+        "evaluate", {"mode": "strict-folds", "k_range": "5,10"}, "report.json",
+        "ad18d39c75744cbd8ba9b77fa91686481e9d060a9653dc246df15ee0e3dcd457",
+    ),
     "holdout": (
         "holdout", {}, "holdout_report.json",
         "277966baa44bdf6537f73a148c8c8694e68842eb2f3426023b6c5ad0289003f8",
