@@ -4,13 +4,14 @@ Pipeline: similarity-based pair features (functional, semantic, and
 interaction-profile kernels, meshed), cluster-balanced negative sampling,
 gradient-boosted-tree leaf encodings, and an RBF-kernel SVM trained by
 sequential minimal optimization, evaluated with stratified cross-validation.
+The ``sda`` command (``sda.cli``) runs it; this package root re-exports the
+corpus loaders and similarity builders.
 """
 
 __version__ = "0.1.0"
 
 from .corpus import (
     AssociationMatrix,
-    DatasetDescriptor,
     DiseaseDag,
     FeatureTable,
     load_association_matrix,
@@ -22,7 +23,6 @@ from .errors import ConfigError, DataError, NumericError
 from .similarity import (
     GipBandwidth,
     SimilarityMatrix,
-    cosine_similarity,
     disease_semantic_similarity,
     gip_bandwidth,
     gip_similarity,
@@ -35,13 +35,11 @@ __all__ = [
     "AssociationMatrix",
     "ConfigError",
     "DataError",
-    "DatasetDescriptor",
     "DiseaseDag",
     "FeatureTable",
     "GipBandwidth",
     "NumericError",
     "SimilarityMatrix",
-    "cosine_similarity",
     "disease_semantic_similarity",
     "gip_bandwidth",
     "gip_similarity",

@@ -19,18 +19,12 @@ and leaf values are bit-for-bit those of sorting anew at every node.
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericError
-from .util import atomic_write_text, sigmoid
-
-log = logging.getLogger(__name__)
-
-SERIAL_VERSION = "gbdt-v1"
+from .util import sigmoid
 
 
 @dataclass
@@ -98,15 +92,6 @@ def gbdt_init(labels) -> float:
         raise NumericError("degenerate training set: need both classes present")
     p = float(y.mean())
     return float(np.log(p / (1.0 - p)))
-
-
-def residuals(labels, scores) -> np.ndarray:
-    """Negative logistic-loss gradient: y - sigmoid(F)."""
-    y = np.asarray(labels, dtype=np.float64)
-    f = np.asarray(scores, dtype=np.float64)
-    if y.shape != f.shape:
-        raise ValueError("labels and scores must have equal length")
-    return y - sigmoid(f)
 
 
 def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,18 +274,6 @@ def gbdt_fit(
     return ens
 
 
-def gbdt_raw_score(ens: GbdtEnsemble, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    scores = np.full(X.shape[0], ens.init_score)
-    for tree in ens.trees:
-        scores += ens.learning_rate * tree.predict(X)
-    return scores
-
-
-def gbdt_predict_proba(ens: GbdtEnsemble, X) -> np.ndarray:
-    return sigmoid(gbdt_raw_score(ens, X))
-
-
 def gbdt_leaf_encode(ens: GbdtEnsemble, X) -> np.ndarray:
     """Binary matrix (n_samples, total_leaves) with exactly one active leaf
     per tree for every sample."""
@@ -313,56 +286,3 @@ def gbdt_leaf_encode(ens: GbdtEnsemble, X) -> np.ndarray:
         out[rows, offset + tree.leaf_ordinals(X)] = 1
     return out
 
-
-def _tree_to_dict(t: RegressionTree) -> dict:
-    return {
-        "feature": t.feature.tolist(),
-        "threshold": [None if np.isnan(v) else v for v in t.threshold],
-        "left": t.left.tolist(),
-        "right": t.right.tolist(),
-        "value": t.value.tolist(),
-        "leaf_ordinal": t.leaf_ordinal.tolist(),
-        "n_leaves": t.n_leaves,
-        "max_depth": t.max_depth,
-        "min_samples_leaf": t.min_samples_leaf,
-    }
-
-
-def _tree_from_dict(d: dict) -> RegressionTree:
-    return RegressionTree(
-        feature=np.array(d["feature"], dtype=np.int32),
-        threshold=np.array(
-            [np.nan if v is None else v for v in d["threshold"]], dtype=np.float64
-        ),
-        left=np.array(d["left"], dtype=np.int32),
-        right=np.array(d["right"], dtype=np.int32),
-        value=np.array(d["value"], dtype=np.float64),
-        leaf_ordinal=np.array(d["leaf_ordinal"], dtype=np.int32),
-        n_leaves=d["n_leaves"],
-        max_depth=d["max_depth"],
-        min_samples_leaf=d["min_samples_leaf"],
-    )
-
-
-def save_gbdt(ens: GbdtEnsemble, path: str) -> None:
-    doc = {
-        "version": SERIAL_VERSION,
-        "init_score": ens.init_score,
-        "learning_rate": ens.learning_rate,
-        "n_trees": ens.n_trees,
-        "trees": [_tree_to_dict(t) for t in ens.trees],
-    }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_gbdt(path: str) -> GbdtEnsemble:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != SERIAL_VERSION:
-        raise ValueError(f"unsupported model version: {doc.get('version')}")
-    return GbdtEnsemble(
-        trees=[_tree_from_dict(d) for d in doc["trees"]],
-        init_score=doc["init_score"],
-        learning_rate=doc["learning_rate"],
-        n_trees=doc["n_trees"],
-    )

@@ -88,11 +88,11 @@ def _echo_config(cfg: PipelineConfig) -> str:
     return path
 
 
-def _print_descriptor(prepared: pipeline.PreparedData) -> None:
-    d = prepared.descriptor
+def _print_descriptor(prepared: pipeline.PreparedData, cfg: PipelineConfig) -> None:
+    am = prepared.am
     print(
-        f"dataset {d.name}: {d.n_snornas} snoRNAs x {d.n_diseases} diseases, "
-        f"{d.n_known} known associations, balanced set {len(prepared.pairs)} pairs "
+        f"dataset {cfg.dataset_name}: {am.n_snornas} snoRNAs x {am.n_diseases} diseases, "
+        f"{am.n_known} known associations, balanced set {len(prepared.pairs)} pairs "
         f"(k={prepared.k_used})"
     )
 
@@ -101,7 +101,7 @@ def cmd_prepare(cfg: PipelineConfig) -> int:
     _echo_config(cfg)
     prepared = pipeline.prepare(cfg)
     paths = pipeline.write_prepared(prepared, cfg.output_dir)
-    _print_descriptor(prepared)
+    _print_descriptor(prepared, cfg)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -113,7 +113,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     params = pipeline.resolve_svm_params(prepared, cfg)
     report = pipeline.evaluate(prepared, cfg, params)
     paths = pipeline.write_report(report, cfg.output_dir)
-    _print_descriptor(prepared)
+    _print_descriptor(prepared, cfg)
     print(
         f"mode={report.mode} mean roc_auc={report.mean['roc_auc']:.4f} "
         f"auprc={report.mean['auprc']:.4f} accuracy={report.mean['accuracy']:.4f} "
@@ -125,12 +125,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 
 def _rank_and_write(prepared, cfg: PipelineConfig, params, full) -> tuple[int, list[str]]:
-    from sda.boost import save_gbdt
-    from sda.svm import save_svm
-
     models = pipeline.train_final(prepared, cfg, params, full)
-    save_gbdt(models[0], os.path.join(cfg.output_dir, "gbdt_model.json"))
-    save_svm(models[1], os.path.join(cfg.output_dir, "svm_model.json"))
     predictions, exhausted = pipeline.rank_candidates(prepared, cfg, models=models)
     pipeline.write_rankings(predictions, cfg.output_dir)
     return len(predictions), exhausted
@@ -142,7 +137,7 @@ def cmd_rank(cfg: PipelineConfig) -> int:
     full = pipeline.fit_full_gbdt(prepared, cfg)
     params = pipeline.resolve_svm_params(prepared, cfg, full)
     n_rows, exhausted = _rank_and_write(prepared, cfg, params, full)
-    _print_descriptor(prepared)
+    _print_descriptor(prepared, cfg)
     for disease_id in exhausted:
         print(f"disease '{disease_id}' has no unknown pairs; zero rows ranked")
     print(f"ranked top {cfg.top_k} per disease: {n_rows} rows")
@@ -156,7 +151,7 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
     try:
         prepared = pipeline.prepare(cfg)
         pipeline.write_prepared(prepared, cfg.output_dir)
-        _print_descriptor(prepared)
+        _print_descriptor(prepared, cfg)
 
         stage = "evaluate"
         # one full-set tree ensemble serves the grid search and the final

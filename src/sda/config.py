@@ -76,6 +76,10 @@ class PipelineConfig:
                 continue
             if not isinstance(g, float) or g <= 0:
                 raise ConfigError(f"svm_gamma entry must be positive or '1/d', got {g!r}")
+        if self.svm_tol <= 0:
+            raise ConfigError("svm_tol must be positive")
+        if self.svm_max_passes < 1:
+            raise ConfigError("svm_max_passes must be >= 1")
         if self.n_folds < 2:
             raise ConfigError("n_folds must be >= 2")
         if self.mode not in MODES:
@@ -127,8 +131,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
         try:
             values[key] = _parse_value(key, raw)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for '{key}': {exc}") from None
     return values
@@ -146,7 +148,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
         for key, val in overrides.items():
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key '{key}'")
-            values[key] = _parse_value(key, val) if isinstance(val, str) else val
+            try:
+                values[key] = _parse_value(key, val) if isinstance(val, str) else val
+            except ValueError as exc:
+                raise ConfigError(f"bad value for '{key}': {exc}") from None
     cfg = PipelineConfig(**values)
     cfg.validate(explicit=set(values))
     return cfg

@@ -8,7 +8,9 @@ File formats (all UTF-8):
   * disease DAG: two-column CSV "child,parent", no header
 
 Loaders are pure functions of file contents; loaded structures are treated
-as immutable. With ``strict=True`` every warning becomes a DataError.
+as immutable. Checks that only warn (``load_association_matrix``,
+``check_feature_alignment`` and ``_warn`` itself) take ``strict``: with
+``strict=True`` the warning becomes a DataError.
 """
 
 from __future__ import annotations
@@ -156,18 +158,6 @@ class DiseaseDag:
         raise DataError("disease DAG contains a cycle: " + " -> ".join(cycle))
 
 
-@dataclass
-class DatasetDescriptor:
-    name: str
-    n_snornas: int
-    n_diseases: int
-    n_known: int
-
-    @classmethod
-    def from_matrix(cls, name: str, am: AssociationMatrix) -> "DatasetDescriptor":
-        return cls(name, am.n_snornas, am.n_diseases, am.n_known)
-
-
 def _read_rows(path: str, delimiter: str) -> list[list[str]]:
     if not os.path.exists(path):
         raise DataError(f"file not found: {path}")
@@ -218,7 +208,7 @@ def save_association_matrix(am: AssociationMatrix, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_feature_table(path: str, strict: bool = False) -> FeatureTable:
+def load_feature_table(path: str) -> FeatureTable:
     """Load a snoRNA feature table; feature count is inferred from the header."""
     delimiter = "\t" if path.endswith(".tsv") else ","
     rows = _read_rows(path, delimiter)
@@ -264,36 +254,17 @@ def check_feature_alignment(
     return missing
 
 
-def load_disease_dag(
-    path: str, nodes: list[str] | None = None, strict: bool = False
-) -> DiseaseDag:
-    """Load a child,parent edge list into a validated DAG.
-
-    When a node manifest is supplied, edges touching undeclared ids fail;
-    otherwise the node set is the union of all edge endpoints.
-    """
+def load_disease_dag(path: str) -> DiseaseDag:
+    """Load a child,parent edge list into a validated DAG whose node set is
+    the union of all edge endpoints, in order of first appearance."""
     rows = _read_rows(path, ",")
-    known = set(nodes) if nodes is not None else None
     edges: list[tuple[str, str]] = []
     for r, row in enumerate(rows, start=1):
         if len(row) != 2:
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected 2")
-        child, parent = row[0].strip(), row[1].strip()
-        if known is not None:
-            for endpoint in (child, parent):
-                if endpoint not in known:
-                    raise DataError(f"{path}: row {r} references unknown id '{endpoint}'")
-        edges.append((child, parent))
-    if nodes is None:
-        ordered: list[str] = []
-        seen: set[str] = set()
-        for child, parent in edges:
-            for endpoint in (child, parent):
-                if endpoint not in seen:
-                    seen.add(endpoint)
-                    ordered.append(endpoint)
-        nodes = ordered
-    dag = DiseaseDag(list(nodes), edges)
+        edges.append((row[0].strip(), row[1].strip()))
+    nodes = list(dict.fromkeys(endpoint for edge in edges for endpoint in edge))
+    dag = DiseaseDag(nodes, edges)
     dag.assert_acyclic()
     log.info("loaded disease DAG %s: %d nodes, %d edges", path, len(dag.nodes), len(edges))
     return dag

@@ -21,22 +21,10 @@ from .util import derive_seed, sigmoid
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class FoldPlan:
-    n_folds: int
-    seed: int
-    fold_index: np.ndarray  # (n,) int, fold of each sample
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_index == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_index != fold)
-
-
-def stratified_kfold(labels, n_folds: int = 5, seed: int = 0) -> FoldPlan:
-    """Shuffle each class and deal round-robin, so per-fold class counts
-    differ from perfect proportionality by at most one sample."""
+def stratified_kfold(labels, n_folds: int = 5, seed: int = 0) -> np.ndarray:
+    """The fold of each sample: shuffle each class and deal round-robin, so
+    per-fold class counts differ from perfect proportionality by at most one
+    sample."""
     y = np.asarray(labels)
     if n_folds < 2:
         raise ValueError("n_folds must be >= 2")
@@ -50,7 +38,7 @@ def stratified_kfold(labels, n_folds: int = 5, seed: int = 0) -> FoldPlan:
             )
         rng.shuffle(idx)
         fold_index[idx] = np.arange(idx.size) % n_folds
-    return FoldPlan(n_folds, seed, fold_index)
+    return fold_index
 
 
 def _check_binary(labels) -> np.ndarray:
@@ -203,7 +191,7 @@ def run_cv(
         raise ValueError("fold_features is required in strict-folds mode, and only there")
     labels = np.asarray(labels)
     seed = config.seed
-    plan = stratified_kfold(labels, config.n_folds, derive_seed(seed, "cv-folds"))
+    fold_index = stratified_kfold(labels, config.n_folds, derive_seed(seed, "cv-folds"))
     n = len(labels)
     pooled = np.zeros(n)
     report = MetricsReport(
@@ -215,8 +203,8 @@ def run_cv(
     )
 
     for f in range(config.n_folds):
-        test_idx = plan.test_indices(f)
-        train_idx = plan.train_indices(f)
+        test_idx = np.flatnonzero(fold_index == f)
+        train_idx = np.flatnonzero(fold_index != f)
         assert not set(test_idx.tolist()) & set(train_idx.tolist())
 
         X = features if fold_features is None else fold_features(test_idx)

@@ -9,8 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,10 +32,13 @@ PREPARE_RECORD = "prepare.json"  # the k a prepare run clustered with
 
 @dataclass
 class PreparedData:
-    """Everything the evaluation and ranking stages need, fully assembled."""
+    """Everything the evaluation and ranking stages need, fully assembled.
+
+    ``features`` holds one row per pair of ``pairs``: the pair's snoRNA row
+    of ``msfs`` next to its disease column of ``mdss``.
+    """
 
     am: corpus.AssociationMatrix
-    descriptor: corpus.DatasetDescriptor
     sfs: similarity.SimilarityMatrix  # base snoRNA similarity (may be partial)
     dss: similarity.SimilarityMatrix  # base disease similarity (may be partial)
     msfs: similarity.SimilarityMatrix
@@ -45,39 +47,52 @@ class PreparedData:
     negatives: list[tuple[int, int]]
     pairs: list[tuple[int, int]]  # balanced: positives then selected negatives
     labels: np.ndarray
-    features: np.ndarray
     k_used: int
     gamma_prime_snorna: float = 1.0
     gamma_prime_disease: float = 1.0
+    features: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.features = sampling.assemble_feature_matrix(self.msfs, self.mdss, self.pairs)
+
+    def balanced(self, selected: list[tuple[int, int]], k: int) -> PreparedData:
+        """This data with the balanced set of every positive and the
+        ``selected`` negatives, which were picked from ``k`` clusters."""
+        n_pos = len(self.positives)
+        labels = np.concatenate(
+            [np.ones(n_pos, dtype=int), np.zeros(len(selected), dtype=int)]
+        )
+        return replace(
+            self, pairs=list(self.positives) + list(selected), labels=labels, k_used=k
+        )
 
     def strict_fold_features(self, test_idx: np.ndarray) -> np.ndarray:
         """Pair features with interaction profiles rebuilt from training-fold
-        positives only, so no test association leaks into the kernel."""
-        return _strict_fold_features(
-            self.am, self.sfs, self.dss, self.gamma_prime_snorna,
-            self.gamma_prime_disease, self.pairs, self.labels, test_idx,
+        positives only: the GIP kernels are recomputed after zeroing the
+        known associations among the test pairs ``test_idx``, so no test
+        association leaks into the kernel."""
+        ap = self.am.entries.astype(np.float64)
+        for i in test_idx:
+            if self.labels[int(i)] == 1:
+                s, d = self.pairs[int(i)]
+                ap[s, d] = 0.0
+        msfs, mdss = _meshed(
+            ap, self.sfs, self.dss, self.gamma_prime_snorna, self.gamma_prime_disease
         )
+        return sampling.assemble_feature_matrix(msfs, mdss, self.pairs)
 
 
-def _strict_fold_features(
-    am, sfs, dss, gamma_prime_snorna, gamma_prime_disease, pairs, labels, test_idx
-) -> np.ndarray:
-    """Features of ``pairs`` with the GIP kernels recomputed after zeroing
-    the known associations among the test pairs ``test_idx``."""
-    ap = am.entries.astype(np.float64).copy()
-    for i in test_idx:
-        if labels[int(i)] == 1:
-            s, d = pairs[int(i)]
-            ap[s, d] = 0.0
+def _meshed(ap, sfs, dss, gamma_prime_s, gamma_prime_d):
+    """MSFS and MDSS: the base similarities ``sfs`` and ``dss`` meshed with
+    the GIP kernels of the interaction profiles ``ap`` (snoRNA rows) and
+    ``ap.T`` (disease rows)."""
     gip_s = similarity.gip_similarity(
-        ap, similarity.gip_bandwidth(ap, gamma_prime_snorna), am.snorna_ids
+        ap, similarity.gip_bandwidth(ap, gamma_prime_s), sfs.ids
     )
     gip_d = similarity.gip_similarity(
-        ap.T, similarity.gip_bandwidth(ap.T, gamma_prime_disease), am.disease_ids
+        ap.T, similarity.gip_bandwidth(ap.T, gamma_prime_d), dss.ids
     )
-    msfs = similarity.mesh_similarity(sfs, gip_s)
-    mdss = similarity.mesh_similarity(dss, gip_d)
-    return sampling.assemble_feature_matrix(msfs, mdss, pairs)
+    return similarity.mesh_similarity(sfs, gip_s), similarity.mesh_similarity(dss, gip_d)
 
 
 @dataclass
@@ -97,7 +112,7 @@ def _unavailable_matrix(ids: list[str]) -> similarity.SimilarityMatrix:
 
 def _base_similarities(cfg: PipelineConfig, am: corpus.AssociationMatrix):
     if cfg.feature_path:
-        ft = corpus.load_feature_table(cfg.feature_path, strict=cfg.strict)
+        ft = corpus.load_feature_table(cfg.feature_path)
         corpus.check_feature_alignment(ft, am, strict=cfg.strict)
         sfs = similarity.snorna_functional_similarity(ft, ids=am.snorna_ids)
     else:
@@ -108,13 +123,14 @@ def _base_similarities(cfg: PipelineConfig, am: corpus.AssociationMatrix):
         loaded = similarity.load_similarity_matrix(cfg.disease_similarity_path)
         missing = [d for d in am.disease_ids if d not in set(loaded.ids)]
         if missing:
-            log.warning(
-                "disease similarity file missing %d id(s); their pairs fall back "
-                "to the interaction-profile kernel", len(missing),
+            corpus._warn(
+                f"disease similarity file missing {len(missing)} id(s); their pairs "
+                "fall back to the interaction-profile kernel",
+                cfg.strict,
             )
         dss = similarity.reindex(loaded, am.disease_ids)
     elif cfg.dag_path:
-        dag = corpus.load_disease_dag(cfg.dag_path, strict=cfg.strict)
+        dag = corpus.load_disease_dag(cfg.dag_path)
         dss = similarity.disease_semantic_similarity(dag, cfg.delta, ids=am.disease_ids)
     else:
         log.info("no disease DAG or similarity given; disease base similarity unavailable")
@@ -180,7 +196,6 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
     positives, negatives = corpus.split_known_unknown(am)
     return PreparedData(
         am=am,
-        descriptor=corpus.DatasetDescriptor.from_matrix(cfg.dataset_name, am),
         sfs=_unavailable_matrix(am.snorna_ids),
         dss=_unavailable_matrix(am.disease_ids),
         msfs=msfs,
@@ -189,7 +204,6 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
         negatives=negatives,
         pairs=pairs,
         labels=np.asarray(labels, dtype=int),
-        features=sampling.assemble_feature_matrix(msfs, mdss, pairs),
         k_used=_load_k_used(os.path.join(cfg.prepared_dir, PREPARE_RECORD)),
         gamma_prime_snorna=cfg.gamma_prime_snorna,
         gamma_prime_disease=cfg.gamma_prime_disease,
@@ -214,7 +228,6 @@ def _load_k_used(path: str) -> int:
 
 def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> PreparedData:
     """Build meshed similarities and the cluster-balanced training set."""
-    descriptor = corpus.DatasetDescriptor.from_matrix(cfg.dataset_name, am)
     positives, negatives = corpus.split_known_unknown(am)
     if not positives:
         raise DataError("association matrix has no known associations to learn from")
@@ -226,22 +239,23 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
         )
 
     sfs, dss = _base_similarities(cfg, am)
-    ap = am.entries.astype(np.float64)
-    gip_s = similarity.gip_similarity(
-        ap, similarity.gip_bandwidth(ap, cfg.gamma_prime_snorna), am.snorna_ids
+    msfs, mdss = _meshed(
+        am.entries.astype(np.float64), sfs, dss,
+        cfg.gamma_prime_snorna, cfg.gamma_prime_disease,
     )
-    gip_d = similarity.gip_similarity(
-        ap.T, similarity.gip_bandwidth(ap.T, cfg.gamma_prime_disease), am.disease_ids
+    # no negatives chosen yet: ``balanced`` fills in the pair set
+    base = PreparedData(
+        am=am, sfs=sfs, dss=dss, msfs=msfs, mdss=mdss,
+        positives=positives, negatives=negatives, pairs=[],
+        labels=np.zeros(0, dtype=int), k_used=0,
+        gamma_prime_snorna=cfg.gamma_prime_snorna,
+        gamma_prime_disease=cfg.gamma_prime_disease,
     )
-    msfs = similarity.mesh_similarity(sfs, gip_s)
-    mdss = similarity.mesh_similarity(dss, gip_d)
-
-    pos_features = sampling.assemble_feature_matrix(msfs, mdss, positives)
     n_pos = len(positives)
 
     k = cfg.k
     if cfg.k_range:
-        k = _choose_k(cfg, am, sfs, dss, msfs, mdss, positives, negatives, pos_features)
+        k = _choose_k(base, cfg)
         log.info("choose_k selected k=%d from %s", k, list(cfg.k_range))
     if k > len(negatives):
         raise DataError(f"k={k} exceeds the number of unknown pairs ({len(negatives)})")
@@ -252,57 +266,36 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
     selected = sampling.select_negatives(
         clustering, negatives, n_pos, seed=derive_seed(cfg.seed, "select-negatives")
     )
-    pairs = list(positives) + list(selected)
-    labels = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_pos, dtype=int)])
-    features = np.vstack(
-        [pos_features, sampling.assemble_feature_matrix(msfs, mdss, selected)]
-    )
     log.info(
         "prepared %s: %d positives + %d sampled negatives (k=%d)",
-        descriptor.name, n_pos, n_pos, k,
+        cfg.dataset_name, n_pos, n_pos, k,
     )
-    return PreparedData(
-        am=am, descriptor=descriptor, sfs=sfs, dss=dss, msfs=msfs, mdss=mdss,
-        positives=positives, negatives=negatives, pairs=pairs, labels=labels,
-        features=features, k_used=k,
-        gamma_prime_snorna=cfg.gamma_prime_snorna,
-        gamma_prime_disease=cfg.gamma_prime_disease,
-    )
+    return base.balanced(selected, k)
 
 
-def _choose_k(cfg, am, sfs, dss, msfs, mdss, positives, negatives, pos_features):
-    """Candidate-k evaluation via a cheap CV on each balanced set.
+def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
+    """Candidate-k evaluation via a cheap CV on each balanced set built from
+    ``base``.
 
     The probe SVM uses the middle grid entries; the full grid search (if any)
     runs after k is fixed. In strict-folds mode the probe CV rebuilds its
     folds' features over its own pairs.
     """
-    n_pos = len(positives)
-    labels = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_pos, dtype=int)])
     probe = SvmParams(
         float(cfg.svm_c[len(cfg.svm_c) // 2]), cfg.svm_gamma[len(cfg.svm_gamma) // 2]
     )
 
     def evaluator(k: int, picked: list[tuple[int, int]]):
-        feats = np.vstack(
-            [pos_features, sampling.assemble_feature_matrix(msfs, mdss, picked)]
-        )
-        fold_features = None
-        if cfg.mode == "strict-folds":
-            fold_features = partial(
-                _strict_fold_features, am, sfs, dss, cfg.gamma_prime_snorna,
-                cfg.gamma_prime_disease, list(positives) + list(picked), labels,
-            )
-        report = run_cv(feats, labels, cfg, probe, fold_features)
+        report = evaluate(base.balanced(picked, k), cfg, probe)
         return report.mean["roc_auc"], report.mean["mse"]
 
     return sampling.choose_k(
-        msfs.values,
-        mdss.values.T,
-        negatives,
+        base.msfs.values,
+        base.mdss.values.T,
+        base.negatives,
         cfg.k_range,
         evaluator,
-        n_pos,
+        len(base.positives),
         seed=derive_seed(cfg.seed, "choose-k"),
     )
 

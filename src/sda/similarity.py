@@ -65,19 +65,6 @@ def _mirror_upper(values: np.ndarray) -> np.ndarray:
     return upper + np.triu(values, 1).T
 
 
-def cosine_similarity(u, v) -> float | None:
-    """Cosine of the angle between two vectors; None when either norm is zero."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return None
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
 def snorna_functional_similarity(
     ft: FeatureTable, ids: list[str] | None = None
 ) -> SimilarityMatrix:

@@ -18,30 +18,14 @@ iterate is the best one.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
-from .util import atomic_write_text
 
 log = logging.getLogger(__name__)
-
-SERIAL_VERSION = "svm-v1"
-
-
-def rbf_kernel(x, y, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -117,7 +101,6 @@ class SvmModel:
     labels: np.ndarray  # (n_sv,), values in {-1, +1}
     bias: float
     gamma: float
-    C: float
     converged: bool = True
     n_sweeps: int = 0
     dual_objective: float = 0.0
@@ -225,7 +208,6 @@ def _fit(
         labels=y[keep].copy(),
         bias=_optimal_bias(y - g, up, low),
         gamma=gamma,
-        C=C,
         converged=converged,
         n_sweeps=-(-steps // n),
         dual_objective=float(alphas.sum() - 0.5 * g @ ay),
@@ -286,7 +268,7 @@ def grid_search(
     y01 = np.where(y01 == 1, 1, 0)
     counts = np.bincount(y01, minlength=2)
     if counts.min() >= n_folds:
-        fold_index = stratified_kfold(y01, n_folds, seed).fold_index
+        fold_index = stratified_kfold(y01, n_folds, seed)
     else:
         rng = np.random.default_rng(seed)
         fold_index = rng.permutation(len(y01)) % n_folds
@@ -320,35 +302,3 @@ def grid_search(
             best = key
     return best[1], best[2], results
 
-
-def save_svm(model: SvmModel, path: str) -> None:
-    doc = {
-        "version": SERIAL_VERSION,
-        "C": model.C,
-        "gamma": model.gamma,
-        "bias": model.bias,
-        "converged": model.converged,
-        "supports": [
-            {"alpha": float(a), "label": int(l), "vector": v.tolist()}
-            for a, l, v in zip(model.alphas, model.labels, model.support_vectors)
-        ],
-    }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_svm(path: str) -> SvmModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != SERIAL_VERSION:
-        raise ValueError(f"unsupported model version: {doc.get('version')}")
-    supports = doc["supports"]
-    d = len(supports[0]["vector"]) if supports else 0
-    return SvmModel(
-        support_vectors=np.array([s["vector"] for s in supports], dtype=np.float64).reshape(len(supports), d),
-        alphas=np.array([s["alpha"] for s in supports], dtype=np.float64),
-        labels=np.array([s["label"] for s in supports], dtype=np.float64),
-        bias=doc["bias"],
-        gamma=doc["gamma"],
-        C=doc["C"],
-        converged=doc.get("converged", True),
-    )

@@ -79,7 +79,8 @@ class TestCriterion1MdrfReproduction:
             prepared, cfg, pipeline.resolve_svm_params(prepared, cfg)
         )
         elapsed = time.time() - start
-        print(f"[criterion 1 data] {prepared.descriptor}")
+        am = prepared.am
+        print(f"[criterion 1 data] {am.n_snornas} x {am.n_diseases}, {am.n_known} known")
         ok = (
             result.mean["roc_auc"] >= 0.93
             and result.mean["auprc"] >= 0.92

@@ -9,12 +9,7 @@ from sda.boost import (
     gbdt_fit,
     gbdt_init,
     gbdt_leaf_encode,
-    gbdt_predict_proba,
-    gbdt_raw_score,
-    load_gbdt,
     logistic_loss,
-    residuals,
-    save_gbdt,
 )
 from sda.errors import NumericError
 from sda.util import sigmoid
@@ -32,16 +27,16 @@ class TestInit:
             gbdt_init([1, 1, 1])
 
 
-class TestResiduals:
-    def test_half_at_zero_score(self):
-        np.testing.assert_allclose(residuals([1.0], [0.0]), [0.5], atol=1e-15)
+def raw_score(ens, X):
+    """The ensemble's additive score: init plus every tree's scaled value."""
+    scores = np.full(len(X), ens.init_score)
+    for tree in ens.trees:
+        scores += ens.learning_rate * tree.predict(X)
+    return scores
 
-    def test_stationary_point(self):
-        f = 0.37
-        np.testing.assert_allclose(residuals([sigmoid(f)], [f]), [0.0], atol=1e-15)
 
-    def test_limit_minus_one(self):
-        assert residuals([0.0], [50.0])[0] == pytest.approx(-1.0, abs=1e-9)
+def predict_proba(ens, X):
+    return sigmoid(raw_score(ens, X))
 
 
 def sse_of_split(X, r, feature, threshold):
@@ -210,13 +205,13 @@ class TestGbdtFit:
         X = np.random.default_rng(0).random((10, 2))
         y = np.array([0, 1] * 5, dtype=float)
         ens = gbdt_fit(X, y, learning_rate=0.0)
-        np.testing.assert_allclose(gbdt_predict_proba(ens, X), 0.5, atol=1e-15)
+        np.testing.assert_allclose(predict_proba(ens, X), 0.5, atol=1e-15)
 
     def test_xor_pattern_fit_exactly(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
         ens = gbdt_fit(X, y, max_depth=2, min_samples_leaf=1)
-        proba = gbdt_predict_proba(ens, X)
+        proba = predict_proba(ens, X)
         assert np.array_equal(proba > 0.5, y.astype(bool))
 
     def test_training_loss_nonincreasing_50_datasets(self):
@@ -232,7 +227,7 @@ class TestGbdtFit:
         X, y = self._random_dataset(rng)
         ens = gbdt_fit(X, y)
         assert ens.loss_history[-1] == pytest.approx(
-            logistic_loss(y, gbdt_raw_score(ens, X)), rel=1e-12
+            logistic_loss(y, raw_score(ens, X)), rel=1e-12
         )
 
     def test_degenerate_labels_rejected(self):
@@ -312,9 +307,9 @@ class TestPrediction:
             expect = ens.init_score + ens.learning_rate * sum(
                 manual_tree_value(t, x) for t in ens.trees
             )
-            got = gbdt_raw_score(ens, x[None, :])[0]
+            got = raw_score(ens, x[None, :])[0]
             assert got == pytest.approx(expect, abs=1e-12)
-            assert gbdt_predict_proba(ens, x[None, :])[0] == pytest.approx(
+            assert predict_proba(ens, x[None, :])[0] == pytest.approx(
                 sigmoid(expect), abs=1e-12
             )
 
@@ -323,35 +318,9 @@ class TestPrediction:
         X = rng.random((20, 2))
         y = np.array([0, 1] * 10, dtype=float)
         ens = gbdt_fit(X, y, n_trees=3, min_samples_leaf=2)
-        before = gbdt_predict_proba(ens, X)
+        before = predict_proba(ens, X)
         bonus = fit_regression_tree(X, np.full(20, 1.0), np.full(20, 0.25), max_depth=0)
         ens.trees.append(bonus)
-        after = gbdt_predict_proba(ens, X)
+        after = predict_proba(ens, X)
         assert np.all(after > before)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(30)
-        X = rng.random((20, 2))
-        y = np.array([0, 1] * 10, dtype=float)
-        ens = gbdt_fit(X, y, min_samples_leaf=2)
-        path = str(tmp_path / "model.json")
-        save_gbdt(ens, path)
-        back = load_gbdt(path)
-        np.testing.assert_allclose(
-            gbdt_raw_score(back, X), gbdt_raw_score(ens, X), atol=0
-        )
-        np.testing.assert_array_equal(
-            gbdt_leaf_encode(back, X), gbdt_leaf_encode(ens, X)
-        )
-
-    def test_version_field(self, tmp_path):
-        import json
-
-        X = np.random.default_rng(0).random((10, 2))
-        y = np.array([0, 1] * 5, dtype=float)
-        path = str(tmp_path / "model.json")
-        save_gbdt(gbdt_fit(X, y, n_trees=2, min_samples_leaf=2), path)
-        doc = json.loads(open(path).read())
-        assert doc["version"] == "gbdt-v1"

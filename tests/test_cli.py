@@ -10,7 +10,8 @@ from sda import pipeline
 from sda.cli import main
 from sda.config import PipelineConfig
 from sda.corpus import load_association_matrix
-from sda.errors import DataError
+from sda.errors import ConfigError, DataError
+from sda.similarity import SimilarityMatrix, save_similarity_matrix
 from sda.synth import make_block_dataset, write_dataset_files
 
 from conftest import write_config_file
@@ -111,6 +112,61 @@ class TestConfig:
             tmp_path / "cfg.txt", **base_keys(small_dataset, str(tmp_path / "out"))
         )
         assert main(["rank", "--config", cfg, "--top-k", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "item", ["k=abc", "svm_c=x", "k_range=1,a", "n_folds=2.5", "seed=1e3"]
+    )
+    def test_malformed_set_value_exits_one(self, item, small_dataset, tmp_path, caplog):
+        cfg = write_config_file(
+            tmp_path / "cfg.txt", **base_keys(small_dataset, str(tmp_path / "out"))
+        )
+        assert main(["evaluate", "--config", cfg, "--set", item]) == 1
+        key = item.split("=", 1)[0]
+        assert f"bad value for '{key}'" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("svm_tol", -1.0), ("svm_tol", 0.0), ("svm_max_passes", 0),
+         ("svm_max_passes", -1)],
+    )
+    def test_solver_limits_validated(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig(**{key: value}).validate()
+
+
+class TestDiseaseSimilarityFile:
+    """A similarity file that lacks some of the matrix's diseases warns, and
+    under --strict that warning is a data error, as for the feature table."""
+
+    @pytest.fixture()
+    def partial_dss(self, small_dataset, tmp_path):
+        ids = load_association_matrix(small_dataset["association"]).disease_ids[2:]
+        path = str(tmp_path / "dss.csv")
+        save_similarity_matrix(
+            SimilarityMatrix(ids, np.eye(len(ids)), np.ones((len(ids),) * 2, bool)),
+            path,
+        )
+        return path
+
+    def test_missing_ids_warn(self, small_dataset, partial_dss, tmp_path, caplog):
+        keys = base_keys(
+            small_dataset, str(tmp_path / "out"), disease_similarity_path=partial_dss
+        )
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        with caplog.at_level("WARNING"):
+            assert main(["prepare", "--config", cfg]) == 0
+        assert "disease similarity file missing 2 id(s)" in caplog.text
+
+    def test_missing_ids_strict_exits_two(
+        self, small_dataset, partial_dss, tmp_path, caplog
+    ):
+        keys = base_keys(
+            small_dataset, str(tmp_path / "out"), disease_similarity_path=partial_dss
+        )
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        assert main(["prepare", "--config", cfg, "--strict"]) == 2
+        assert "disease similarity file missing 2 id(s)" in caplog.text
 
 
 class TestEvaluate:

@@ -3,7 +3,6 @@ import pytest
 
 from sda.corpus import (
     AssociationMatrix,
-    DatasetDescriptor,
     check_feature_alignment,
     load_association_matrix,
     load_disease_dag,
@@ -130,11 +129,6 @@ class TestDiseaseDag:
         dag = load_disease_dag(p)
         assert dag.ancestors("D") == {"D", "B", "C", "A"}
 
-    def test_unknown_id_with_manifest(self, tmp_path):
-        p = write(tmp_path / "dag.csv", "A,R\nB,R\n")
-        with pytest.raises(DataError, match="unknown id 'B'"):
-            load_disease_dag(p, nodes=["A", "R"])
-
     def test_unknown_id_ancestors_raises(self, tmp_path):
         dag = load_disease_dag(write(tmp_path / "dag.csv", "A,R\n"))
         with pytest.raises(DataError, match="unknown disease id"):
@@ -169,5 +163,4 @@ class TestSplit:
         am = AssociationMatrix(
             ["s1", "s2"], ["d1"], np.array([[1], [0]], dtype=np.int8)
         )
-        d = DatasetDescriptor.from_matrix("toy", am)
-        assert (d.n_snornas, d.n_diseases, d.n_known) == (2, 1, 1)
+        assert (am.n_snornas, am.n_diseases, am.n_known) == (2, 1, 1)
