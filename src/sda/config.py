@@ -76,7 +76,7 @@ class PipelineConfig:
                 continue
             if not isinstance(g, float) or g <= 0:
                 raise ConfigError(f"svm_gamma entry must be positive or '1/d', got {g!r}")
-        if self.svm_tol <= 0:
+        if not self.svm_tol > 0:  # also rejects nan
             raise ConfigError("svm_tol must be positive")
         if self.svm_max_passes < 1:
             raise ConfigError("svm_max_passes must be >= 1")

@@ -127,7 +127,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("svm_tol", -1.0), ("svm_tol", 0.0), ("svm_max_passes", 0),
+        [("svm_tol", -1.0), ("svm_tol", 0.0), ("svm_tol", float("nan")),
+         ("svm_max_passes", 0),
          ("svm_max_passes", -1)],
     )
     def test_solver_limits_validated(self, key, value):
