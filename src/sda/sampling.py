@@ -59,8 +59,10 @@ def kmeans(
 
     The first centroid is a seeded random point; each further centroid is the
     point farthest from the ones chosen so far. An emptied cluster is
-    re-seeded at the point farthest from its nearest centroid. Deterministic
-    for a given seed.
+    re-seeded at the point farthest from its nearest centroid. Both picks take
+    the lowest index among the points within a relative 1e-12 of the
+    farthest, so ties that are exact in real arithmetic do not fall to
+    rounding. Deterministic for a given seed.
 
     The points are never materialised: a squared distance splits into a
     ``left`` part and a ``right`` part, so norms, dot products with the
@@ -77,6 +79,7 @@ def kmeans(
     if k > n:
         raise DataError(f"k={k} exceeds the number of points ({n})")
     left_norms, right_norms = np.sum(left**2, axis=1), np.sum(right**2, axis=1)
+    norm_scale = left_norms.max(initial=0.0) + right_norms.max(initial=0.0)
 
     def point(i: int) -> np.ndarray:
         return np.concatenate([left[a[i]], right[b[i]]])
@@ -106,7 +109,7 @@ def kmeans(
     chosen = [first]
     nearest = distances_to(first)
     while len(chosen) < k:
-        nxt = int(np.argmax(nearest))
+        nxt = _first_max(nearest, nearest.max())
         chosen.append(nxt)
         nearest = np.minimum(nearest, distances_to(nxt))
     centroids = np.array([point(i) for i in chosen])
@@ -121,7 +124,8 @@ def kmeans(
         # Re-seed empty clusters at the currently worst-served points.
         sizes = np.bincount(assignments, minlength=k)
         for c in np.flatnonzero(sizes == 0):
-            far = int(np.argmax(min_d2))
+            # the expanded form leaves noise at the scale of the squared norms
+            far = _first_max(min_d2, max(min_d2.max(), norm_scale))
             centroids[c] = point(far)
             assignments[far] = c
             min_d2[far] = 0.0
@@ -145,6 +149,11 @@ def kmeans(
     inertia = float(d2[np.arange(n), assignments].sum())
     history.append(inertia)
     return Clustering(k, assignments, centroids, inertia, seed, history)
+
+
+def _first_max(values: np.ndarray, scale: float) -> int:
+    """The lowest index whose value is within ``1e-12 * scale`` of the maximum."""
+    return int(np.argmax(values >= values.max() - 1e-12 * scale))
 
 
 def largest_remainder_counts(sizes: np.ndarray, total: int) -> np.ndarray:

@@ -121,6 +121,21 @@ class TestKmeans:
         with pytest.raises(DataError):
             kmeans(*pair_space(np.zeros((3, 2))), 4, seed=0)
 
+    def test_farthest_first_tie_takes_lowest_index(self):
+        # Diseases whose similarity rows hold the same values in another
+        # order are equally far from a constant row in exact arithmetic; the
+        # rounding of each sum depends on the column order, the pick must not.
+        rng = np.random.default_rng(0)
+        vals = rng.random(6)
+        right = np.vstack([np.full(6, 0.5), vals, vals[[3, 0, 5, 1, 4, 2]]])
+        pairs = [(0, 0), (0, 1), (0, 2)]
+        seed = 11  # the first centroid is pair 0
+        assert int(np.random.default_rng(seed).integers(3)) == 0
+        for perm in itertools.permutations(range(6)):
+            table = right[:, perm]
+            result = kmeans(np.zeros((1, 0)), table, pairs, 2, seed=seed, max_iter=0)
+            np.testing.assert_array_equal(result.centroids, table[:2])
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(8)
         pts = rng.random((25, 3))
@@ -225,10 +240,18 @@ def dense_squared_distances(points, centroids):
     return np.maximum(d2, 0.0)
 
 
+def first_max(values, scale):
+    """The lowest index within ``1e-12 * scale`` of the maximum."""
+    return int(np.flatnonzero(values >= values.max() - 1e-12 * scale)[0])
+
+
 def dense_kmeans(points, k, seed=0, max_iter=100, tol=1e-6):
     """Oracle: Lloyd's algorithm on materialised points, the implementation
     ``kmeans`` replaced. Returns the clustering and the number of empty
-    clusters it re-seeded.
+    clusters it re-seeded. Its picks follow the tie rule of ``kmeans``: the
+    lowest index within a relative 1e-12 of the farthest point, where the
+    re-seed's scale includes the squared norms, the noise scale of the
+    expanded distances.
 
     One change: the farthest-first distances are summed squared differences,
     not ``dense_squared_distances``. A pair space makes exact ties there
@@ -240,7 +263,7 @@ def dense_kmeans(points, k, seed=0, max_iter=100, tol=1e-6):
     chosen = [first]
     nearest = np.sum((points - points[first]) ** 2, axis=1)
     while len(chosen) < k:
-        nxt = int(np.argmax(nearest))
+        nxt = first_max(nearest, nearest.max())
         chosen.append(nxt)
         nearest = np.minimum(nearest, np.sum((points - points[nxt]) ** 2, axis=1))
     centroids = points[chosen].copy()
@@ -253,8 +276,9 @@ def dense_kmeans(points, k, seed=0, max_iter=100, tol=1e-6):
         assignments = np.argmin(d2, axis=1)
         min_d2 = d2[np.arange(n), assignments]
         empty = [c for c in range(k) if not np.any(assignments == c)]
+        norm_scale = np.sum(points**2, axis=1).max()
         for c in empty:
-            far = int(np.argmax(min_d2))
+            far = first_max(min_d2, max(min_d2.max(), norm_scale))
             centroids[c] = points[far]
             assignments[far] = c
             min_d2[far] = 0.0
@@ -322,6 +346,18 @@ class TestKmeansMatchesDenseOracle:
             left[5] = left[4]
             right[3] = right[2]
             self.check(left, right, pairs, 6, seed=trial)
+
+    def test_reseed_ties_at_rounding_noise(self):
+        # k above the 6 distinct points: the emptied clusters are re-seeded
+        # while every distance to the nearest centroid is rounding noise of
+        # zero, which the two codes round differently
+        rng = np.random.default_rng(25)
+        pairs = [(i, j) for i in range(4) for j in range(3)]
+        for seed in range(400):
+            left, right = rng.random((4, 3)), rng.random((3, 2))
+            left[1] = left[0]
+            right[2] = right[1]
+            self.check(left, right, pairs, 7, seed)
 
     def test_k1(self):
         rng = np.random.default_rng(22)
