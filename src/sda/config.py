@@ -7,6 +7,7 @@ echo alone.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -51,8 +52,8 @@ class PipelineConfig:
         explicit = explicit or set()
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError(f"delta must be in (0, 1], got {self.delta}")
-        if self.gamma_prime_snorna <= 0 or self.gamma_prime_disease <= 0:
-            raise ConfigError("gamma_prime values must be positive")
+        if not all(map(_finite_positive, (self.gamma_prime_snorna, self.gamma_prime_disease))):
+            raise ConfigError("gamma_prime values must be positive and finite")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if "k" in explicit and "k_range" in explicit and self.k_range:
@@ -61,21 +62,23 @@ class PipelineConfig:
             raise ConfigError("k_range entries must be >= 1")
         if self.n_trees < 1:
             raise ConfigError("n_trees must be >= 1")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:  # also rejects nan
+            raise ConfigError("learning_rate must be >= 0 and finite")
         if self.max_depth < 0:
             raise ConfigError("max_depth must be >= 0")
         if self.min_samples_leaf < 1:
             raise ConfigError("min_samples_leaf must be >= 1")
-        if not self.svm_c or any(c <= 0 for c in self.svm_c):
-            raise ConfigError("svm_c entries must be positive")
+        if not self.svm_c or not all(map(_finite_positive, self.svm_c)):
+            raise ConfigError("svm_c entries must be positive and finite")
         if not self.svm_gamma:
             raise ConfigError("svm_gamma must be nonempty")
         for g in self.svm_gamma:
             if g == "1/d":
                 continue
-            if not isinstance(g, float) or g <= 0:
-                raise ConfigError(f"svm_gamma entry must be positive or '1/d', got {g!r}")
+            if not isinstance(g, float) or not _finite_positive(g):
+                raise ConfigError(
+                    f"svm_gamma entry must be positive and finite or '1/d', got {g!r}"
+                )
         if not self.svm_tol > 0:  # also rejects nan
             raise ConfigError("svm_tol must be positive")
         if self.svm_max_passes < 1:
@@ -88,6 +91,10 @@ class PipelineConfig:
             raise ConfigError("top_k must be >= 1")
         if not 0.0 < self.holdout_fraction <= 0.5:
             raise ConfigError("holdout_fraction must be in (0, 0.5]")
+
+
+def _finite_positive(x) -> bool:
+    return 0 < x < math.inf  # false for nan
 
 
 CONFIG_KEYS = [f.name for f in fields(PipelineConfig)]

@@ -126,6 +126,22 @@ class TestConfig:
         assert "Traceback" not in caplog.text
 
     @pytest.mark.parametrize(
+        "item, named",
+        [("svm_gamma=nan", "svm_gamma"), ("svm_gamma=inf", "svm_gamma"),
+         ("svm_c=nan", "svm_c"), ("learning_rate=nan", "learning_rate"),
+         ("learning_rate=inf", "learning_rate"),
+         ("gamma_prime_snorna=nan", "gamma_prime"),
+         ("gamma_prime_disease=inf", "gamma_prime")],
+    )
+    def test_non_finite_value_exits_one(self, item, named, small_dataset, tmp_path, caplog):
+        out = tmp_path / "out"
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, str(out)))
+        assert main(["evaluate", "--config", cfg, "--set", item]) == 1
+        assert named in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "key, value",
         [("svm_tol", -1.0), ("svm_tol", 0.0), ("svm_tol", float("nan")),
          ("svm_max_passes", 0),
