@@ -193,8 +193,9 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
 def _fit(
     X: np.ndarray, y: np.ndarray, K: np.ndarray, C: float, gamma: float,
     tol: float, max_passes: int,
-) -> SvmModel:
-    """Train on rows ``X`` with labels ``y`` in {-1, +1} and their Gram ``K``."""
+) -> tuple[SvmModel, np.ndarray]:
+    """Train on rows ``X`` with labels ``y`` in {-1, +1} and their Gram ``K``.
+    Returns the model and the mask of its support vectors among the rows."""
     n = len(y)
     alphas, up, low, steps, converged = _solve(K, y, C, tol, max_passes)
     if not converged:
@@ -211,7 +212,7 @@ def _fit(
         converged=converged,
         n_sweeps=-(-steps // n),
         dual_objective=float(alphas.sum() - 0.5 * g @ ay),
-    )
+    ), keep
 
 
 def smo_train(
@@ -231,7 +232,7 @@ def smo_train(
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = _as_pm1(y)
-    return _fit(X, y, rbf_gram(X, gamma), C, gamma, tol, max_passes)
+    return _fit(X, y, rbf_gram(X, gamma), C, gamma, tol, max_passes)[0]
 
 
 def svm_decision(model: SvmModel, X) -> np.ndarray:
@@ -240,7 +241,12 @@ def svm_decision(model: SvmModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if len(model.alphas) == 0:
         return np.full(X.shape[0], model.bias)
-    K = rbf_cross(model.support_vectors, X, model.gamma)
+    return _decision(model, rbf_cross(model.support_vectors, X, model.gamma))
+
+
+def _decision(model: SvmModel, K: np.ndarray) -> np.ndarray:
+    """Decision values from the kernel block ``K`` of the support vectors
+    against the rows scored."""
     return (model.alphas * model.labels) @ K + model.bias
 
 
@@ -258,8 +264,9 @@ def grid_search(
     Ties fall to the smaller C, then the smaller gamma. Folds whose training
     or test part ends up single-class are skipped with a warning; a cell with
     every fold skipped is an error. Each fold's squared distances are
-    computed once, each (fold, gamma) Gram matrix once, and every C is
-    solved on that Gram.
+    computed once, training x training and training x test; each (fold,
+    gamma) Gram matrix once, and every C is solved on that Gram. A cell's
+    decision values slice the support vectors' rows of the test block.
     """
     from .evaluation import roc_auc, stratified_kfold
 
@@ -284,13 +291,13 @@ def grid_search(
             continue
         X_train, y_train = X[train], _as_pm1(y01[train])
         d2 = _sq_dists(X_train, X_train)
+        d2_test = _sq_dists(X_train, X[test])
         for gamma in grid.gamma_values:
             K = _gram_from_sq(d2, gamma)
             for C in grid.c_values:
-                model = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
-                results[(C, gamma)].append(
-                    roc_auc(svm_decision(model, X[test]), y01[test])
-                )
+                model, keep = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
+                scores = _decision(model, np.exp(-gamma * d2_test[keep]))
+                results[(C, gamma)].append(roc_auc(scores, y01[test]))
     best = None
     for (C, gamma), scores in results.items():
         if not scores:
