@@ -1,20 +1,28 @@
-"""Gradient-boosted regression trees with logistic loss, plus the leaf
-one-hot encoding used as the classifier's transformed feature space.
+"""Gradient-boosted regression trees with logistic loss over a pair space,
+plus the leaf one-hot encoding used as the classifier's transformed feature
+space.
 
-Each boosting round fits a regression tree to the current residuals
-y - sigmoid(F) by exact greedy split search (thresholds at midpoints between
-consecutive distinct feature values, squared-error criterion) and sets each
-leaf to one Newton step: sum(residual) / (sum(p*(1-p)) + lambda). Encoding a
-sample yields one active leaf per tree, concatenated across trees.
+Pair (a, b) has the features ``[left[a] | right[b]]``: in the pipeline the
+snoRNA's MSFS row and the disease's MDSS column. No pair feature row is ever
+built; trees are fitted and pairs routed from the two entity tables and the
+pair list, as ``sampling.kmeans`` clusters them. Each boosting round fits a
+regression tree to the residuals y - sigmoid(F) by exact greedy split search
+(squared-error criterion, thresholds at midpoints between consecutive
+distinct values) and sets each leaf to one Newton step:
+sum(residual) / (sum(p*(1-p)) + lambda). Encoding a pair yields one active
+leaf per tree, concatenated across trees.
 
-The split search is presorted, as in SLIQ (Mehta et al. 1996) and the exact
-mode of XGBoost (Chen & Guestrin 2016). ``gbdt_fit`` sorts every feature
-once, stably, and all its trees share that sort because X does not change
-between rounds. Each node keeps its rows in every feature's sorted order; a
-split partitions those lists with one boolean mask, which keeps each list in
-order. A node's lists therefore equal a fresh stable sort of its rows taken
-in ascending order, so the cumulative sums, gains, tie-breaks, thresholds
-and leaf values are bit-for-bit those of sorting anew at every node.
+The split search is LightGBM's histogram search (Ke et al., NeurIPS 2017)
+with entities as bins, which makes it exact: one feature takes one value per
+entity of its side, so a ``bincount`` of the node's residuals and row counts
+by entity, cumulated along the feature's entity order, gives the left sum
+and count of every threshold. A node keeps, per feature, only the entities
+present among its rows, in value order; a split partitions those orders
+with a presence mask, which keeps each in order. Among gains within a
+relative 1e-12 of the best, the lowest feature (left side first), then the
+lowest threshold wins, so summation order cannot decide a tie. Every
+internal node tests one column of one side, so pairs are routed by entity
+index, one depth at a time.
 """
 
 from __future__ import annotations
@@ -26,10 +34,21 @@ import numpy as np
 from .errors import NumericError
 from .util import sigmoid
 
+TIE = 1e-12  # relative gain tolerance of the split search's tie rule
+
+
+def _pair_space(left, right, pairs):
+    """The tables as float arrays and the pairs' left and right entities."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    left = np.asarray(left, dtype=np.float64)
+    return left, np.asarray(right, dtype=np.float64), pairs[:, 0], pairs[:, 1]
+
 
 @dataclass
 class RegressionTree:
-    """Flat-array binary tree; nodes in preorder, leaf ordinals contiguous."""
+    """Flat-array binary tree; nodes in preorder, leaf ordinals contiguous.
+    Feature j tests ``left[:, j]`` below the left table's width w, else
+    ``right[:, j - w]``."""
 
     feature: np.ndarray  # int32, -1 at leaves
     threshold: np.ndarray  # float64, nan at leaves
@@ -38,30 +57,26 @@ class RegressionTree:
     value: np.ndarray  # float64, leaf value (0 at internal nodes)
     leaf_ordinal: np.ndarray  # int32, -1 at internal nodes
     n_leaves: int
-    max_depth: int
-    min_samples_leaf: int
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Node index of the leaf each row routes to."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        node = np.zeros(X.shape[0], dtype=np.int32)
+    def apply(self, left, right, pairs) -> np.ndarray:
+        """Node index of the leaf each pair routes to."""
+        left, right, a, b = _pair_space(left, right, pairs)
+        width = left.shape[1]
+        node = np.zeros(len(a), dtype=np.int32)
         while True:
-            feat = self.feature[node]
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
+            rows = np.flatnonzero(self.feature[node] >= 0)
+            if rows.size == 0:
                 return node
-            rows = active
-            f = feat[rows]
-            go_left = X[rows, f] <= self.threshold[node[rows]]
-            node[rows] = np.where(
-                go_left, self.left[node[rows]], self.right[node[rows]]
-            )
+            at = node[rows]
+            f = self.feature[at]
+            on_left = f < width
+            x = np.empty(rows.size)
+            x[on_left] = left[a[rows[on_left]], f[on_left]]
+            x[~on_left] = right[b[rows[~on_left]], f[~on_left] - width]
+            node[rows] = np.where(x <= self.threshold[at], self.left[at], self.right[at])
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.value[self.apply(X)]
-
-    def leaf_ordinals(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_ordinal[self.apply(X)]
+    def predict(self, left, right, pairs) -> np.ndarray:
+        return self.value[self.apply(left, right, pairs)]
 
 
 @dataclass
@@ -78,11 +93,7 @@ class GbdtEnsemble:
 
     @property
     def leaf_offsets(self) -> list[int]:
-        offsets, acc = [], 0
-        for t in self.trees:
-            offsets.append(acc)
-            acc += t.n_leaves
-        return offsets
+        return [sum(t.n_leaves for t in self.trees[:i]) for i in range(len(self.trees))]
 
 
 def gbdt_init(labels) -> float:
@@ -94,144 +105,125 @@ def gbdt_init(labels) -> float:
     return float(np.log(p / (1.0 - p)))
 
 
-def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` transposed to one contiguous row per feature, and the row
-    indices of each feature in ascending value order, ties in ascending row
-    order: an (n_feat, m) index matrix."""
-    XT = np.ascontiguousarray(X.T)
-    return XT, np.argsort(XT, axis=1, kind="stable")
+def _prepare(left, right, pairs):
+    """The two tables, each row's entity on either side, and each side's
+    entity orders: per feature, the entities by ascending value (ties by
+    entity index) and their values. Sorted once for every tree."""
+    left, right, a, b = _pair_space(left, right, pairs)
+    sides = []
+    for table in (left, right):
+        order = np.argsort(table.T, axis=1, kind="stable")
+        sides.append((order, np.take_along_axis(table.T, order, axis=1)))
+    return (left, right), (a, b), sides
 
 
-def _best_split(xs: np.ndarray, rs: np.ndarray, min_samples_leaf: int):
-    """Exhaustive (feature, midpoint) search minimizing squared error.
+def _keep_present(order, vals, ent: np.ndarray, n_entities: int):
+    """One side's entity orders restricted to the entities in ``ent``.
+    Boolean indexing keeps each row's order."""
+    present = np.bincount(ent, minlength=n_entities) > 0
+    keep = present[order]
+    shape = (len(order), int(present.sum()))
+    return order[keep].reshape(shape), vals[keep].reshape(shape)
 
-    ``xs`` holds each feature's values of the node's rows in ascending order,
-    one feature per row, and ``rs`` the residuals in the same orders.
-    Returns (feature, threshold), or None when no candidate leaves
-    ``min_samples_leaf`` rows on each side of distinct values.
-    Ties break to the lowest feature index, then the lowest threshold.
-    """
-    n_feat, m = xs.shape
-    # Candidate p splits between sorted positions p and p + 1; it must leave
-    # min_samples_leaf rows on each side and fall between distinct values.
-    lo, hi = min_samples_leaf - 1, m - min_samples_leaf
-    cand = np.flatnonzero(xs[:, lo + 1 : hi + 1] > xs[:, lo:hi])
-    if cand.size == 0:
-        return None  # no valid candidate at all
-    feat, p = np.divmod(cand, hi - lo)
-    p += lo
-    csum = np.cumsum(rs, axis=1)
-    total = csum[0, -1]
-    left_n = (p + 1).astype(np.float64)
-    left_sum = csum[feat, p]
-    gain = left_sum**2 / left_n + (total - left_sum) ** 2 / (m - left_n)
-    # Candidates run feature-major, so the first maximum has the lowest
-    # feature, then the lowest threshold. Zero-gain splits are allowed on
-    # impure nodes (callers screen constant residuals); they open up gains
-    # at the next depth, e.g. XOR patterns.
-    best = int(np.argmax(gain))
-    f, q = int(feat[best]), int(p[best])
-    below, above = xs[f, q], xs[f, q + 1]
+
+def _side_gains(order, vals, ent, r, total, min_samples_leaf):
+    """Every candidate split on one side of a node: (feature, position in
+    the entity order, gain). A candidate falls between distinct consecutive
+    values and leaves ``min_samples_leaf`` rows on each side."""
+    m = len(r)
+    count = np.cumsum(np.bincount(ent)[order], axis=1)[:, :-1]
+    rsum = np.cumsum(np.bincount(ent, weights=r)[order], axis=1)
+    feat, q = np.nonzero(
+        (vals[:, 1:] > vals[:, :-1])
+        & (count >= min_samples_leaf) & (count <= m - min_samples_leaf)
+    )
+    n_left, s_left = count[feat, q], rsum[feat, q]
+    return feat, q, s_left**2 / n_left + (total - s_left) ** 2 / (m - n_left)
+
+
+def _best_split(sides, ents, r, min_samples_leaf):
+    """The split maximizing the drop in squared error, as (side, feature of
+    that side, threshold), or None when there is no candidate. Zero-gain
+    splits are allowed on impure nodes (callers screen constant residuals);
+    they open up gains at the next depth, e.g. XOR patterns."""
+    total = float(r.sum())
+    found = [
+        _side_gains(*side, ent, r, total, min_samples_leaf)
+        for side, ent in zip(sides, ents)
+    ]
+    gains = np.concatenate([g for _, _, g in found])
+    if gains.size == 0:
+        return None
+    # Candidates run side by side, feature-major, in threshold order: the
+    # first within the tolerance has the lowest feature, then threshold.
+    best = int(np.argmax(gains >= gains.max() * (1.0 - TIE)))
+    side = int(best >= len(found[0][2]))
+    feat, q, _ = found[side]
+    i = best - side * len(found[0][2])
+    below, above = sides[side][1][feat[i], q[i] : q[i] + 2]
     # Between adjacent floats the midpoint can round up to ``above``, which
     # would send every row left; the lower value then splits the same rows.
     mid = (below + above) / 2.0
-    return f, float(mid if mid < above else below)
+    return side, int(feat[i]), float(mid if mid < above else below)
 
 
 def fit_regression_tree(
-    X,
-    res,
-    hessian,
-    max_depth: int = 4,
-    min_samples_leaf: int = 5,
-    lam: float = 1e-6,
+    left, right, pairs, res, hessian,
+    max_depth: int = 4, min_samples_leaf: int = 5, lam: float = 1e-6,
 ) -> RegressionTree:
-    """Greedy depth-limited regression tree on residuals with Newton leaf values."""
-    X = np.asarray(X, dtype=np.float64)
+    """Greedy depth-limited regression tree on residuals with Newton leaf
+    values, over the pair space of ``left`` and ``right``."""
+    tables, ents, sides = _prepare(left, right, pairs)
     res = np.asarray(res, dtype=np.float64)
+    if len(res) == 0 or len(ents[0]) != len(res):
+        raise ValueError("pairs and residuals must be nonempty and equal length")
     hessian = np.asarray(hessian, dtype=np.float64)
-    if len(X) == 0 or len(X) != len(res):
-        raise ValueError("X and residuals must be nonempty and equal length")
-    XT, order = _presort(X)
-    return _grow_tree(XT, order, res, hessian, max_depth, min_samples_leaf, lam)
+    return _grow_tree(tables, ents, sides, res, hessian, max_depth, min_samples_leaf, lam)
 
 
 def _grow_tree(
-    XT: np.ndarray,
-    order: np.ndarray,
-    res: np.ndarray,
-    hessian: np.ndarray,
-    max_depth: int,
-    min_samples_leaf: int,
-    lam: float,
+    tables, ents, sides, res, hessian, max_depth, min_samples_leaf, lam
 ) -> RegressionTree:
-    """Grow one tree on the transposed features ``XT`` given their presort.
+    """Grow one tree from ``_prepare``'s output. Each node carries its rows
+    in ascending order (for the leaf sums); a node that searches for a split
+    restricts its parent's entity orders to the entities present among its
+    rows, since only their values bound candidate thresholds."""
+    width = tables[0].shape[1]
+    nodes = []  # [feature, threshold, left, right, value], in preorder
 
-    Each node carries its rows twice: ascending (``idx``, for the leaf sums)
-    and in every feature's sorted order (``order``, for the split search).
-    A split partitions both with one boolean mask; boolean indexing keeps
-    each feature row's order, so a child's lists equal a fresh stable sort
-    of its rows.
-    """
-    n_feat = XT.shape[0]
-    feature, threshold, left, right, value, ordinal = [], [], [], [], [], []
-    leaf_count = 0
-
-    def add_node() -> int:
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        ordinal.append(-1)
-        return len(feature) - 1
-
-    def build(idx: np.ndarray, order: np.ndarray, depth: int) -> int:
-        nonlocal leaf_count
-        node = add_node()
+    def build(idx: np.ndarray, sides, depth: int) -> int:
+        node = len(nodes)
+        nodes.append([-1, np.nan, -1, -1, 0.0])
         r = res[idx]
+        node_ents = [e[idx] for e in ents]
         split = None
-        if (
-            depth < max_depth
-            and idx.size >= 2 * min_samples_leaf
-            and not np.all(r == r[0])
-        ):
-            split = _best_split(
-                np.take_along_axis(XT, order, axis=1), res[order], min_samples_leaf
-            )
+        if depth < max_depth and idx.size >= 2 * min_samples_leaf and not np.all(r == r[0]):
+            sides = [
+                _keep_present(*s, e, len(table))
+                for s, e, table in zip(sides, node_ents, tables)
+            ]
+            split = _best_split(sides, node_ents, r, min_samples_leaf)
         if split is None:
-            value[node] = float(r.sum() / (hessian[idx].sum() + lam))
-            ordinal[node] = leaf_count
-            leaf_count += 1
-        else:
-            f, t = split
-            feature[node] = f
-            threshold[node] = t
-            go_left = XT[f] <= t
-            mask = go_left[idx]
-            n_left = int(mask.sum())
-            sorted_mask = go_left[order]
-            left[node] = build(
-                idx[mask], order[sorted_mask].reshape(n_feat, n_left), depth + 1
-            )
-            right[node] = build(
-                idx[~mask],
-                order[~sorted_mask].reshape(n_feat, idx.size - n_left),
-                depth + 1,
-            )
+            nodes[node][4] = float(r.sum() / (hessian[idx].sum() + lam))
+            return node
+        side, f, t = split
+        nodes[node][:2] = f + side * width, t
+        go_left = tables[side][node_ents[side], f] <= t
+        nodes[node][2] = build(idx[go_left], sides, depth + 1)
+        nodes[node][3] = build(idx[~go_left], sides, depth + 1)
         return node
 
-    build(np.arange(XT.shape[1]), order, 0)
+    build(np.arange(len(res)), sides, 0)
+    feature, threshold, left, right, value = zip(*nodes)
+    leaf = np.array(feature) < 0
     return RegressionTree(
         feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
+        threshold=np.array(threshold),
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-        leaf_ordinal=np.array(ordinal, dtype=np.int32),
-        n_leaves=leaf_count,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
+        value=np.array(value),
+        leaf_ordinal=np.where(leaf, np.cumsum(leaf) - 1, -1).astype(np.int32),
+        n_leaves=int(leaf.sum()),
     )
 
 
@@ -242,47 +234,52 @@ def logistic_loss(labels, scores) -> float:
 
 
 def gbdt_fit(
-    X,
-    y,
-    n_trees: int = 10,
-    learning_rate: float = 0.1,
-    max_depth: int = 4,
-    min_samples_leaf: int = 5,
-    lam: float = 1e-6,
+    left, right, pairs, y, n_trees: int = 10, learning_rate: float = 0.1,
+    max_depth: int = 4, min_samples_leaf: int = 5, lam: float = 1e-6,
 ) -> GbdtEnsemble:
-    """Boost ``n_trees`` regression trees on logistic residuals.
+    """Boost ``n_trees`` regression trees on logistic residuals over the pair
+    space of ``left`` and ``right``.
 
     Fitting is deterministic, so it takes no seed.
     """
-    X = np.asarray(X, dtype=np.float64)
+    tables, ents, sides = _prepare(left, right, pairs)  # one sort for every tree
     y = np.asarray(y, dtype=np.float64)
-    if len(X) != len(y):
-        raise ValueError("X and labels must have equal length")
+    if len(ents[0]) != len(y):
+        raise ValueError("pairs and labels must have equal length")
     init = gbdt_init(y)
     scores = np.full(len(y), init)
     ens = GbdtEnsemble([], init, learning_rate, n_trees)
     ens.loss_history.append(logistic_loss(y, scores))
-    XT, order = _presort(X)  # X is fixed across rounds: one sort serves every tree
     for _ in range(n_trees):
         p = sigmoid(scores)
         tree = _grow_tree(
-            XT, order, y - p, p * (1.0 - p), max_depth, min_samples_leaf, lam
+            tables, ents, sides, y - p, p * (1.0 - p), max_depth, min_samples_leaf, lam
         )
         ens.trees.append(tree)
-        scores = scores + learning_rate * tree.predict(X)
+        scores = scores + learning_rate * tree.predict(*tables, pairs)
         ens.loss_history.append(logistic_loss(y, scores))
     return ens
 
 
-def gbdt_leaf_encode(ens: GbdtEnsemble, X) -> np.ndarray:
-    """Binary matrix (n_samples, total_leaves) with exactly one active leaf
-    per tree for every sample."""
+def gbdt_leaves(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:
+    """The (n_pairs, n_trees) encoding column of each pair's leaf in every
+    tree: its leaf ordinal offset by the leaves of the trees before."""
     if not ens.trees:
         raise ValueError("ensemble has no fitted trees")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.zeros((X.shape[0], ens.total_leaves), dtype=np.int8)
-    rows = np.arange(X.shape[0])
-    for offset, tree in zip(ens.leaf_offsets, ens.trees):
-        out[rows, offset + tree.leaf_ordinals(X)] = 1
+    return np.column_stack([
+        offset + tree.leaf_ordinal[tree.apply(left, right, pairs)]
+        for offset, tree in zip(ens.leaf_offsets, ens.trees)
+    ])
+
+
+def leaf_one_hot(leaves: np.ndarray, width: int) -> np.ndarray:
+    """Binary matrix (n, width) with a one at each of a row's ``leaves``."""
+    out = np.zeros((len(leaves), width), dtype=np.int8)
+    np.put_along_axis(out, leaves, 1, axis=1)
     return out
 
+
+def gbdt_leaf_encode(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:
+    """Binary matrix (n_pairs, total_leaves) with exactly one active leaf
+    per tree for every pair."""
+    return leaf_one_hot(gbdt_leaves(ens, left, right, pairs), ens.total_leaves)

@@ -174,21 +174,23 @@ class MetricsReport:
 
 
 def run_cv(
-    features, labels, config, params: SvmParams, fold_features=None
+    left, right, pairs, labels, config, params: SvmParams, fold_tables=None
 ) -> MetricsReport:
-    """Stratified k-fold evaluation of the boosted-trees + SVM pipeline.
+    """Stratified k-fold evaluation of the boosted-trees + SVM pipeline over
+    the pair space of ``left`` and ``right`` (see ``boost``).
 
     Each fold fits the tree ensemble on its training pairs, encodes train and
     test through the fitted leaves, trains the SVM at ``params`` on the
     training encodings, and scores the test pairs; pooled test scores feed
     the exported curves.
-    Every fold slices ``features``, except in strict-folds mode, where
-    ``fold_features(test_idx)`` rebuilds the feature matrix for each fold
-    from training-fold positives only; it is required in that mode and
-    rejected in the other.
+    Every fold uses ``left`` and ``right``, except in strict-folds mode, where
+    ``fold_tables(test_idx)`` rebuilds the two tables for each fold from
+    training-fold positives only; it is required in that mode and rejected
+    in the other.
     """
-    if (fold_features is not None) != (config.mode == "strict-folds"):
-        raise ValueError("fold_features is required in strict-folds mode, and only there")
+    if (fold_tables is not None) != (config.mode == "strict-folds"):
+        raise ValueError("fold_tables is required in strict-folds mode, and only there")
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     labels = np.asarray(labels)
     seed = config.seed
     fold_index = stratified_kfold(labels, config.n_folds, derive_seed(seed, "cv-folds"))
@@ -207,27 +209,19 @@ def run_cv(
         train_idx = np.flatnonzero(fold_index != f)
         assert not set(test_idx.tolist()) & set(train_idx.tolist())
 
-        X = features if fold_features is None else fold_features(test_idx)
-        X_train, y_train = X[train_idx], labels[train_idx]
-        X_test, y_test = X[test_idx], labels[test_idx]
+        tables = (left, right) if fold_tables is None else fold_tables(test_idx)
+        y_train, y_test = labels[train_idx], labels[test_idx]
 
         ens = gbdt_fit(
-            X_train,
-            y_train,
-            n_trees=config.n_trees,
-            learning_rate=config.learning_rate,
-            max_depth=config.max_depth,
+            *tables, pairs[train_idx], y_train, n_trees=config.n_trees,
+            learning_rate=config.learning_rate, max_depth=config.max_depth,
             min_samples_leaf=config.min_samples_leaf,
         )
-        enc_train = gbdt_leaf_encode(ens, X_train)
-        enc_test = gbdt_leaf_encode(ens, X_test)
+        enc_train = gbdt_leaf_encode(ens, *tables, pairs[train_idx])
+        enc_test = gbdt_leaf_encode(ens, *tables, pairs[test_idx])
         model = smo_train(
-            enc_train,
-            y_train,
-            C=params.c,
-            gamma=params.gamma_for(enc_train.shape[1]),
-            tol=config.svm_tol,
-            max_passes=config.svm_max_passes,
+            enc_train, y_train, C=params.c, gamma=params.gamma_for(enc_train.shape[1]),
+            tol=config.svm_tol, max_passes=config.svm_max_passes,
         )
         scores = svm_decision(model, enc_test)
         pooled[test_idx] = scores

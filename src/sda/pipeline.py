@@ -9,12 +9,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import corpus, sampling, similarity
-from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode
+from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode, gbdt_leaves, leaf_one_hot
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
 from .evaluation import MetricsReport, run_cv
@@ -32,10 +32,11 @@ PREPARE_RECORD = "prepare.json"  # the k a prepare run clustered with
 
 @dataclass
 class PreparedData:
-    """Everything the evaluation and ranking stages need, fully assembled.
+    """Everything the evaluation and ranking stages need.
 
-    ``features`` holds one row per pair of ``pairs``: the pair's snoRNA row
-    of ``msfs`` next to its disease column of ``mdss``.
+    The pair features are never assembled: pair (a, b) stands for the
+    snoRNA's row of ``msfs`` next to the disease's column of ``mdss``, the
+    pair space of ``tables``.
     """
 
     am: corpus.AssociationMatrix
@@ -50,10 +51,11 @@ class PreparedData:
     k_used: int
     gamma_prime_snorna: float = 1.0
     gamma_prime_disease: float = 1.0
-    features: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.features = sampling.assemble_feature_matrix(self.msfs, self.mdss, self.pairs)
+    @property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair space's left (snoRNA) and right (disease) entity tables."""
+        return self.msfs.values, self.mdss.values.T
 
     def balanced(self, selected: list[tuple[int, int]], k: int) -> PreparedData:
         """This data with the balanced set of every positive and the
@@ -66,8 +68,8 @@ class PreparedData:
             self, pairs=list(self.positives) + list(selected), labels=labels, k_used=k
         )
 
-    def strict_fold_features(self, test_idx: np.ndarray) -> np.ndarray:
-        """Pair features with interaction profiles rebuilt from training-fold
+    def strict_fold_tables(self, test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``tables`` with interaction profiles rebuilt from training-fold
         positives only: the GIP kernels are recomputed after zeroing the
         known associations among the test pairs ``test_idx``, so no test
         association leaks into the kernel."""
@@ -79,7 +81,7 @@ class PreparedData:
         msfs, mdss = _meshed(
             ap, self.sfs, self.dss, self.gamma_prime_snorna, self.gamma_prime_disease
         )
-        return sampling.assemble_feature_matrix(msfs, mdss, self.pairs)
+        return msfs.values, mdss.values.T
 
 
 def _meshed(ap, sfs, dss, gamma_prime_s, gamma_prime_d):
@@ -143,7 +145,7 @@ def prepare(cfg: PipelineConfig) -> PreparedData:
 
     With ``prepared_dir`` set, the meshed similarity matrices and balanced
     pair list written by a previous prepare run are loaded instead of being
-    recomputed (pair features are re-derived from the matrices, never stored).
+    recomputed (pairs are scored from the matrices; no pair features are stored).
     """
     if not cfg.association_path:
         raise DataError("association_path is required")
@@ -279,7 +281,7 @@ def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
 
     The probe SVM uses the middle grid entries; the full grid search (if any)
     runs after k is fixed. In strict-folds mode the probe CV rebuilds its
-    folds' features over its own pairs.
+    folds' tables over its own pairs.
     """
     probe = SvmParams(
         float(cfg.svm_c[len(cfg.svm_c) // 2]), cfg.svm_gamma[len(cfg.svm_gamma) // 2]
@@ -306,14 +308,11 @@ def fit_full_gbdt(
     """The tree ensemble fitted on the whole balanced set, and the set's leaf
     encoding. The grid search and the final model share this one fit."""
     ens = gbdt_fit(
-        prepared.features,
-        prepared.labels,
-        n_trees=cfg.n_trees,
-        learning_rate=cfg.learning_rate,
-        max_depth=cfg.max_depth,
+        *prepared.tables, prepared.pairs, prepared.labels, n_trees=cfg.n_trees,
+        learning_rate=cfg.learning_rate, max_depth=cfg.max_depth,
         min_samples_leaf=cfg.min_samples_leaf,
     )
-    return ens, gbdt_leaf_encode(ens, prepared.features)
+    return ens, gbdt_leaf_encode(ens, *prepared.tables, prepared.pairs)
 
 
 def resolve_svm_params(
@@ -348,8 +347,8 @@ def evaluate(
     prepared: PreparedData, cfg: PipelineConfig, params: SvmParams
 ) -> MetricsReport:
     """The stratified CV of the pipeline with the SVM at ``params``."""
-    fold_features = prepared.strict_fold_features if cfg.mode == "strict-folds" else None
-    return run_cv(prepared.features, prepared.labels, cfg, params, fold_features)
+    fold_tables = prepared.strict_fold_tables if cfg.mode == "strict-folds" else None
+    return run_cv(*prepared.tables, prepared.pairs, prepared.labels, cfg, params, fold_tables)
 
 
 def train_final(
@@ -362,12 +361,8 @@ def train_final(
     reusing ``full`` (from ``fit_full_gbdt``) when given."""
     ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
     model = smo_train(
-        enc,
-        prepared.labels,
-        C=params.c,
-        gamma=params.gamma_for(enc.shape[1]),
-        tol=cfg.svm_tol,
-        max_passes=cfg.svm_max_passes,
+        enc, prepared.labels, C=params.c, gamma=params.gamma_for(enc.shape[1]),
+        tol=cfg.svm_tol, max_passes=cfg.svm_max_passes,
     )
     return ens, model
 
@@ -377,17 +372,18 @@ def score_pairs(
     ens: GbdtEnsemble,
     model: SvmModel,
     pairs: list[tuple[int, int]],
-    chunk: int = 4096,
 ) -> np.ndarray:
-    """Decision values for arbitrary pairs, assembled and scored in chunks."""
-    scores = np.empty(len(pairs))
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start : start + chunk]
-        feats = sampling.assemble_feature_matrix(prepared.msfs, prepared.mdss, block)
-        scores[start : start + len(block)] = svm_decision(
-            model, gbdt_leaf_encode(ens, feats)
+    """Decision values for arbitrary pairs. The SVM sees only leaf
+    encodings, so it scores each distinct leaf pattern once: every pattern
+    gets one integer key, folded tree by tree, and its score is scattered
+    back to the pairs that share it."""
+    leaves = gbdt_leaves(ens, *prepared.tables, pairs)
+    key = np.zeros(len(leaves), dtype=np.int64)
+    for column in leaves.T:  # key < len(pairs), so key * width + column fits
+        _, first, key = np.unique(
+            key * ens.total_leaves + column, return_index=True, return_inverse=True
         )
-    return scores
+    return svm_decision(model, leaf_one_hot(leaves[first], ens.total_leaves))[key]
 
 
 def rank_candidates(

@@ -1,11 +1,12 @@
 """Class balancing: cluster the unknown pairs and sample negatives
-proportionally to cluster size, then assemble pair feature vectors.
+proportionally to cluster size.
 
-A pair feature vector is the meshed snoRNA-similarity row of the pair's
-snoRNA concatenated with the meshed disease-similarity column of its
-disease, so clustering and the downstream classifiers share one space.
-k-means works on that space in factored form: from the two per-entity
-tables and the pair list, without a row per unknown pair.
+A pair's feature vector is the meshed snoRNA-similarity row of its snoRNA
+next to the meshed disease-similarity column of its disease, so clustering
+and the downstream classifiers share one space. No part of the program
+builds those vectors: k-means here, like the tree ensemble of ``boost``,
+works on the pair space in factored form, from the two per-entity tables
+and the pair list.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .similarity import SimilarityMatrix
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -30,18 +30,6 @@ class Clustering:
     inertia: float
     seed: int
     history: list[float] = field(default_factory=list)  # inertia per iteration
-
-
-def assemble_feature_matrix(
-    msfs: SimilarityMatrix, mdss: SimilarityMatrix, pairs
-) -> np.ndarray:
-    """Feature rows for many pairs at once, shape (len(pairs), n_s + n_d)."""
-    pairs = np.asarray(pairs, dtype=int)
-    if len(pairs) == 0:
-        return np.zeros((0, msfs.n + mdss.n))
-    if pairs[:, 0].max() >= msfs.n or pairs[:, 1].max() >= mdss.n:
-        raise IndexError("pair index out of range")
-    return np.hstack([msfs.values[pairs[:, 0], :], mdss.values[:, pairs[:, 1]].T])
 
 
 def kmeans(

@@ -241,12 +241,7 @@ def svm_decision(model: SvmModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if len(model.alphas) == 0:
         return np.full(X.shape[0], model.bias)
-    return _decision(model, rbf_cross(model.support_vectors, X, model.gamma))
-
-
-def _decision(model: SvmModel, K: np.ndarray) -> np.ndarray:
-    """Decision values from the kernel block ``K`` of the support vectors
-    against the rows scored."""
+    K = rbf_cross(model.support_vectors, X, model.gamma)
     return (model.alphas * model.labels) @ K + model.bias
 
 
@@ -296,7 +291,8 @@ def grid_search(
             K = _gram_from_sq(d2, gamma)
             for C in grid.c_values:
                 model, keep = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
-                scores = _decision(model, np.exp(-gamma * d2_test[keep]))
+                K_test = np.exp(-gamma * d2_test[keep])
+                scores = (model.alphas * model.labels) @ K_test + model.bias
                 results[(C, gamma)].append(roc_auc(scores, y01[test]))
     best = None
     for (C, gamma), scores in results.items():

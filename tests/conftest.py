@@ -37,6 +37,18 @@ def synth_config(synth_dataset, tmp_path):
     )
 
 
+def pair_space(points):
+    """A plain point set as a pair space: point i is ``[points[i] | ]``."""
+    points = np.asarray(points, dtype=np.float64)
+    return points, np.zeros((1, 0)), [(i, 0) for i in range(len(points))]
+
+
+def assemble(left, right, pairs):
+    """Dense oracle: one feature row ``[left[a] | right[b]]`` per pair."""
+    idx = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.hstack([left[idx[:, 0]], right[idx[:, 1]]])
+
+
 def write_config_file(path, **keys):
     lines = [f"{k} = {v}" for k, v in keys.items()]
     with open(path, "w", encoding="utf-8") as fh:

@@ -29,7 +29,7 @@ from sda.similarity import (
 from sda.svm import smo_train
 from sda.util import derive_seed
 
-from conftest import dataset_dir, write_config_file
+from conftest import dataset_dir, pair_space, write_config_file
 from test_boost import bruteforce_best_split, sse_of_split
 from test_evaluation import pr_auc_oracle, random_instance, roc_auc_oracle
 from test_similarity import dss_oracle, random_dag
@@ -197,10 +197,10 @@ class TestCriterion5GbdtInvariants:
             X = rng.random((n, int(rng.integers(2, 5))))
             y = (rng.random(n) < 0.5).astype(float)
             y[0], y[1] = 0.0, 1.0
-            ens = gbdt_fit(X, y, min_samples_leaf=2)
+            ens = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
             rises = np.diff(ens.loss_history)
             worst_rise = max(worst_rise, float(rises.max()))
-            enc = gbdt_leaf_encode(ens, X)
+            enc = gbdt_leaf_encode(ens, *pair_space(X))
             assert np.all(enc.sum(axis=1) == ens.n_trees)
         report(
             "5-loss", worst_rise <= 1e-9,
@@ -217,7 +217,7 @@ class TestCriterion5GbdtInvariants:
             from sda.boost import fit_regression_tree
 
             tree = fit_regression_tree(
-                X, r, np.full(n, 0.25), max_depth=1, min_samples_leaf=1
+                *pair_space(X), r, np.full(n, 0.25), max_depth=1, min_samples_leaf=1
             )
             best = bruteforce_best_split(X, r)
             if tree.n_leaves == 1 or best is None:
@@ -282,7 +282,7 @@ class TestCriterion7PlantedSignal:
         permuted = prepared.labels.copy()
         rng.shuffle(permuted)
 
-        null_auc = run_cv(prepared.features, permuted, cfg, params).mean["roc_auc"]
+        null_auc = run_cv(*prepared.tables, prepared.pairs, permuted, cfg, params).mean["roc_auc"]
         ok = auc >= 0.90 and abs(null_auc - 0.5) <= 0.05
         report(
             "7", ok,

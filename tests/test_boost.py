@@ -5,6 +5,7 @@ import pytest
 
 from sda.boost import (
     GbdtEnsemble,
+    RegressionTree,
     fit_regression_tree,
     gbdt_fit,
     gbdt_init,
@@ -13,6 +14,8 @@ from sda.boost import (
 )
 from sda.errors import NumericError
 from sda.util import sigmoid
+
+from conftest import assemble, pair_space
 
 
 class TestInit:
@@ -31,7 +34,7 @@ def raw_score(ens, X):
     """The ensemble's additive score: init plus every tree's scaled value."""
     scores = np.full(len(X), ens.init_score)
     for tree in ens.trees:
-        scores += ens.learning_rate * tree.predict(X)
+        scores += ens.learning_rate * tree.predict(*pair_space(X))
     return scores
 
 
@@ -72,7 +75,7 @@ class TestRegressionTree:
         X = np.arange(12.0).reshape(6, 2)
         r = np.full(6, 0.5)
         h = np.full(6, 0.25)
-        tree = fit_regression_tree(X, r, h, max_depth=3, min_samples_leaf=1)
+        tree = fit_regression_tree(*pair_space(X), r, h, max_depth=3, min_samples_leaf=1)
         assert tree.n_leaves == 1
         expect = r.sum() / (h.sum() + 1e-6)
         assert tree.value[0] == pytest.approx(expect, rel=1e-12)
@@ -81,26 +84,26 @@ class TestRegressionTree:
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         r = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
         h = np.full(6, 0.25)
-        tree = fit_regression_tree(X, r, h, max_depth=1, min_samples_leaf=1)
+        tree = fit_regression_tree(*pair_space(X), r, h, max_depth=1, min_samples_leaf=1)
         assert tree.n_leaves == 2
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(6.0, abs=1e-12)
-        left_val = tree.predict(np.array([[0.0]]))[0]
-        right_val = tree.predict(np.array([[11.0]]))[0]
+        left_val = tree.predict(*pair_space([[0.0]]))[0]
+        right_val = tree.predict(*pair_space([[11.0]]))[0]
         assert left_val == pytest.approx(-3.0 / (0.75 + 1e-6), rel=1e-9)
         assert right_val == pytest.approx(3.0 / (0.75 + 1e-6), rel=1e-9)
 
     def test_depth_zero_single_leaf(self):
         X = np.random.default_rng(0).random((8, 3))
         r = np.random.default_rng(1).random(8)
-        tree = fit_regression_tree(X, r, np.full(8, 0.25), max_depth=0)
+        tree = fit_regression_tree(*pair_space(X), r, np.full(8, 0.25), max_depth=0)
         assert tree.n_leaves == 1
 
     def test_min_samples_leaf_respected(self):
         X = np.arange(8.0).reshape(8, 1)
         r = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
-        tree = fit_regression_tree(X, r, np.full(8, 0.25), max_depth=3, min_samples_leaf=3)
-        leaves = tree.apply(X)
+        tree = fit_regression_tree(*pair_space(X), r, np.full(8, 0.25), max_depth=3, min_samples_leaf=3)
+        leaves = tree.apply(*pair_space(X))
         _, counts = np.unique(leaves, return_counts=True)
         assert counts.min() >= 3
 
@@ -110,7 +113,7 @@ class TestRegressionTree:
             n = int(rng.integers(4, 21))
             X = np.round(rng.random((n, 3)), 2)
             r = rng.normal(size=n)
-            tree = fit_regression_tree(X, r, np.full(n, 0.25), max_depth=1,
+            tree = fit_regression_tree(*pair_space(X), r, np.full(n, 0.25), max_depth=1,
                                        min_samples_leaf=1)
             best = bruteforce_best_split(X, r)
             if tree.n_leaves == 1:
@@ -140,7 +143,7 @@ class TestRegressionTree:
             r = rng.integers(-8, 9, n) / 8.0
             msl = (1, 3, 5)[trial % 3]
             depth = 3 + trial % 2
-            tree = fit_regression_tree(X, r, np.full(n, 0.25), max_depth=depth,
+            tree = fit_regression_tree(*pair_space(X), r, np.full(n, 0.25), max_depth=depth,
                                        min_samples_leaf=msl)
             stack = [(0, np.arange(n), 0)]
             while stack:
@@ -168,11 +171,11 @@ class TestRegressionTree:
         assert (a + b) / 2.0 == b
         X = np.array([[a], [a], [b], [b]])
         r = np.array([-1.0, -1.0, 1.0, 1.0])
-        tree = fit_regression_tree(X, r, np.full(4, 0.25), max_depth=1,
+        tree = fit_regression_tree(*pair_space(X), r, np.full(4, 0.25), max_depth=1,
                                    min_samples_leaf=1)
         assert tree.n_leaves == 2
         assert tree.threshold[0] == a
-        leaves = tree.apply(X)
+        leaves = tree.apply(*pair_space(X))
         assert leaves[0] == leaves[1] != leaves[2] == leaves[3]
 
     def test_tiebreak_lowest_feature_then_threshold(self):
@@ -181,7 +184,7 @@ class TestRegressionTree:
             [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
         )
         r = np.array([-1.0, -1.0, 1.0, 1.0])
-        tree = fit_regression_tree(X, r, np.full(4, 0.25), max_depth=1,
+        tree = fit_regression_tree(*pair_space(X), r, np.full(4, 0.25), max_depth=1,
                                    min_samples_leaf=1)
         assert tree.feature[0] == 1
         assert tree.threshold[0] == pytest.approx(0.5)
@@ -198,19 +201,19 @@ class TestGbdtFit:
     def test_default_tree_count(self):
         X = np.random.default_rng(0).random((20, 2))
         y = np.array([0, 1] * 10, dtype=float)
-        ens = gbdt_fit(X, y)
+        ens = gbdt_fit(*pair_space(X), y)
         assert ens.n_trees == 10 and len(ens.trees) == 10
 
     def test_zero_learning_rate_constant_prediction(self):
         X = np.random.default_rng(0).random((10, 2))
         y = np.array([0, 1] * 5, dtype=float)
-        ens = gbdt_fit(X, y, learning_rate=0.0)
+        ens = gbdt_fit(*pair_space(X), y, learning_rate=0.0)
         np.testing.assert_allclose(predict_proba(ens, X), 0.5, atol=1e-15)
 
     def test_xor_pattern_fit_exactly(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        ens = gbdt_fit(X, y, max_depth=2, min_samples_leaf=1)
+        ens = gbdt_fit(*pair_space(X), y, max_depth=2, min_samples_leaf=1)
         proba = predict_proba(ens, X)
         assert np.array_equal(proba > 0.5, y.astype(bool))
 
@@ -218,27 +221,27 @@ class TestGbdtFit:
         rng = np.random.default_rng(99)
         for _ in range(50):
             X, y = self._random_dataset(rng)
-            ens = gbdt_fit(X, y, min_samples_leaf=2)
+            ens = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
             hist = np.array(ens.loss_history)
             assert np.all(np.diff(hist) <= 1e-9)
 
     def test_loss_history_agrees_with_recomputation(self):
         rng = np.random.default_rng(5)
         X, y = self._random_dataset(rng)
-        ens = gbdt_fit(X, y)
+        ens = gbdt_fit(*pair_space(X), y)
         assert ens.loss_history[-1] == pytest.approx(
             logistic_loss(y, raw_score(ens, X)), rel=1e-12
         )
 
     def test_degenerate_labels_rejected(self):
         with pytest.raises(NumericError):
-            gbdt_fit(np.zeros((4, 1)), np.ones(4))
+            gbdt_fit(*pair_space(np.zeros((4, 1))), np.ones(4))
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         X, y = self._random_dataset(rng)
-        a = gbdt_fit(X, y)
-        b = gbdt_fit(X, y)
+        a = gbdt_fit(*pair_space(X), y)
+        b = gbdt_fit(*pair_space(X), y)
         for ta, tb in zip(a.trees, b.trees):
             assert np.array_equal(ta.feature, tb.feature)
             assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
@@ -251,17 +254,17 @@ class TestLeafEncoding:
         X = rng.random((30, 3))
         y = (X[:, 0] > 0.5).astype(float)
         y[:2] = [0.0, 1.0]
-        return X, y, gbdt_fit(X, y, min_samples_leaf=2, **kw)
+        return X, y, gbdt_fit(*pair_space(X), y, min_samples_leaf=2, **kw)
 
     def test_popcount_equals_n_trees(self):
         X, y, ens = self._fitted()
-        enc = gbdt_leaf_encode(ens, X)
+        enc = gbdt_leaf_encode(ens, *pair_space(X))
         assert enc.shape == (30, ens.total_leaves)
         np.testing.assert_array_equal(enc.sum(axis=1), np.full(30, ens.n_trees))
 
     def test_per_tree_blocks_one_hot(self):
         X, y, ens = self._fitted(seed=1)
-        enc = gbdt_leaf_encode(ens, X)
+        enc = gbdt_leaf_encode(ens, *pair_space(X))
         offsets = ens.leaf_offsets + [ens.total_leaves]
         for t in range(ens.n_trees):
             block = enc[:, offsets[t]:offsets[t + 1]]
@@ -270,8 +273,8 @@ class TestLeafEncoding:
     def test_identical_routing_identical_encoding(self):
         X, y, ens = self._fitted(seed=2)
         x = X[4:5]
-        a = gbdt_leaf_encode(ens, x)
-        b = gbdt_leaf_encode(ens, x.copy())
+        a = gbdt_leaf_encode(ens, *pair_space(x))
+        b = gbdt_leaf_encode(ens, *pair_space(x.copy()))
         np.testing.assert_array_equal(a, b)
 
     def test_depth3_trees_at_most_eight_leaves(self):
@@ -282,7 +285,7 @@ class TestLeafEncoding:
     def test_unfitted_rejected(self):
         empty = GbdtEnsemble([], 0.0, 0.1, 10)
         with pytest.raises(ValueError, match="no fitted trees"):
-            gbdt_leaf_encode(empty, np.zeros((1, 3)))
+            gbdt_leaf_encode(empty, *pair_space(np.zeros((1, 3))))
 
 
 def manual_tree_value(tree, x):
@@ -302,7 +305,7 @@ class TestPrediction:
         X = rng.random((25, 3))
         y = (X[:, 1] > 0.4).astype(float)
         y[:2] = [0.0, 1.0]
-        ens = gbdt_fit(X, y, min_samples_leaf=2)
+        ens = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
         for x in X[:10]:
             expect = ens.init_score + ens.learning_rate * sum(
                 manual_tree_value(t, x) for t in ens.trees
@@ -317,10 +320,127 @@ class TestPrediction:
         rng = np.random.default_rng(22)
         X = rng.random((20, 2))
         y = np.array([0, 1] * 10, dtype=float)
-        ens = gbdt_fit(X, y, n_trees=3, min_samples_leaf=2)
+        ens = gbdt_fit(*pair_space(X), y, n_trees=3, min_samples_leaf=2)
         before = predict_proba(ens, X)
-        bonus = fit_regression_tree(X, np.full(20, 1.0), np.full(20, 0.25), max_depth=0)
+        bonus = fit_regression_tree(*pair_space(X), np.full(20, 1.0), np.full(20, 0.25), max_depth=0)
         ens.trees.append(bonus)
         after = predict_proba(ens, X)
         assert np.all(after > before)
 
+
+
+def dense_apply(tree, X):
+    """Oracle: route assembled feature rows, one depth at a time."""
+    node = np.zeros(len(X), dtype=np.int64)
+    while True:
+        active = np.flatnonzero(tree.feature[node] >= 0)
+        if active.size == 0:
+            return node
+        at = node[active]
+        go_left = X[active, tree.feature[at]] <= tree.threshold[at]
+        node[active] = np.where(go_left, tree.left[at], tree.right[at])
+
+
+def random_tree(rng, left, right, depth):
+    """A random tree whose thresholds are exact values of the tested column,
+    so pairs sitting on a threshold exercise the ``<=``."""
+    width = left.shape[1]
+    nodes = []
+
+    def build(d):
+        node = len(nodes)
+        nodes.append([-1, np.nan, -1, -1, float(rng.normal())])
+        if d < depth and rng.random() < 0.8:
+            f = int(rng.integers(width + right.shape[1]))
+            column = left[:, f] if f < width else right[:, f - width]
+            nodes[node][:2] = f, float(rng.choice(column))
+            nodes[node][2] = build(d + 1)
+            nodes[node][3] = build(d + 1)
+        return node
+
+    build(0)
+    feature, threshold, lo, hi, value = (np.array(c) for c in zip(*nodes))
+    leaf = feature < 0
+    return RegressionTree(
+        feature.astype(np.int32), threshold, lo.astype(np.int32), hi.astype(np.int32),
+        value, np.where(leaf, np.cumsum(leaf) - 1, -1).astype(np.int32), int(leaf.sum()),
+    )
+
+
+def tie_prone_pair_space(rng, n_pairs):
+    """Entity tables on a coarse grid, with a duplicated entity row and a
+    right column that copies a left column's partition, so nodes see many
+    gains that tie in exact arithmetic."""
+    n_left, n_right = int(rng.integers(3, 12)), int(rng.integers(2, 7))
+    left = np.round(rng.random((n_left, int(rng.integers(1, 5)))), 1)
+    right = np.round(rng.random((n_right, int(rng.integers(1, 5)))), 1)
+    left[-1] = left[0]
+    pairs = np.column_stack([
+        rng.integers(0, n_left, n_pairs), rng.integers(0, n_right, n_pairs)
+    ])
+    return left, right, pairs
+
+
+def tie_rule_best_split(X, r, min_samples_leaf):
+    """Oracle on assembled rows: every (feature, midpoint) candidate; among
+    gains within a relative 1e-12 of the largest, the lowest feature wins,
+    then the lowest threshold."""
+    candidates = []
+    for f in range(X.shape[1]):
+        vals = np.unique(X[:, f])
+        for lo, hi in zip(vals[:-1], vals[1:]):
+            t = (lo + hi) / 2.0
+            t = t if t < hi else lo
+            mask = X[:, f] <= t
+            n_left = int(mask.sum())
+            if min(n_left, len(X) - n_left) < min_samples_leaf:
+                continue
+            gain = r[mask].sum() ** 2 / n_left + r[~mask].sum() ** 2 / (len(X) - n_left)
+            candidates.append((gain, f, t))
+    if not candidates:
+        return None
+    top = max(g for g, _, _ in candidates)
+    return min((f, t) for g, f, t in candidates if g >= top * (1.0 - 1e-12))
+
+
+class TestPairSpace:
+    def test_routing_matches_dense_rows(self):
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            left, right, pairs = tie_prone_pair_space(rng, int(rng.integers(1, 50)))
+            if trial % 5 == 0:
+                right = np.zeros((len(right), 0))  # a zero-width side
+            tree = random_tree(rng, left, right, depth=int(rng.integers(0, 5)))
+            np.testing.assert_array_equal(
+                tree.apply(left, right, pairs),
+                dense_apply(tree, assemble(left, right, pairs)),
+            )
+
+    def test_every_split_follows_the_tie_rule(self):
+        rng = np.random.default_rng(43)
+        n_nodes = 0
+        for trial in range(60):
+            n = int(rng.integers(20, 80))
+            left, right, pairs = tie_prone_pair_space(rng, n)
+            X = assemble(left, right, pairs)
+            # multiples of 1/8 half the time (exact sums), else arbitrary floats
+            r = rng.integers(-8, 9, n) / 8.0 if trial % 2 else rng.normal(size=n)
+            msl, depth = (1, 2, 5)[trial % 3], 3 + trial % 2
+            tree = fit_regression_tree(left, right, pairs, r, np.full(n, 0.25),
+                                       max_depth=depth, min_samples_leaf=msl)
+            stack = [(0, np.arange(n), 0)]
+            while stack:
+                node, rows, d = stack.pop()
+                best = tie_rule_best_split(X[rows], r[rows], msl)
+                f = int(tree.feature[node])
+                if f < 0:
+                    assert (d == depth or rows.size < 2 * msl
+                            or np.all(r[rows] == r[rows][0]) or best is None)
+                    continue
+                n_nodes += 1
+                t = float(tree.threshold[node])
+                assert (f, t) == best, (trial, node)
+                go_left = X[rows, f] <= t
+                stack.append((int(tree.left[node]), rows[go_left], d + 1))
+                stack.append((int(tree.right[node]), rows[~go_left], d + 1))
+        assert n_nodes > 300

@@ -13,6 +13,8 @@ from sda.evaluation import (
 )
 from sda.svm import SvmParams
 
+from conftest import pair_space
+
 
 def roc_auc_oracle(scores, labels):
     """Brute force: count positive-negative pairs, ties worth one half."""
@@ -200,7 +202,7 @@ class TestRunCv:
 
     def test_report_structure_and_fold_sizes(self):
         X, y = self._separable()
-        report = run_cv(X, y, self._config(), self.PARAMS)
+        report = run_cv(*pair_space(X), y, self._config(), self.PARAMS)
         assert len(report.folds) == 5
         assert sum(f["n_test"] for f in report.folds) == len(y)
         for key in ("roc_auc", "auprc", "accuracy", "f1", "mse"):
@@ -211,7 +213,7 @@ class TestRunCv:
 
     def test_separable_data_scores_high(self):
         X, y = self._separable()
-        report = run_cv(X, y, self._config(), self.PARAMS)
+        report = run_cv(*pair_space(X), y, self._config(), self.PARAMS)
         assert report.mean["roc_auc"] > 0.95
 
     def test_fold_features_rebuilt_per_fold_in_strict_mode(self):
@@ -220,10 +222,10 @@ class TestRunCv:
 
         def fold_features(test_idx):
             seen.append(test_idx)
-            return X
+            return pair_space(X)[:2]
 
         report = run_cv(
-            X, y, self._config(mode="strict-folds"), self.PARAMS, fold_features
+            *pair_space(X), y, self._config(mode="strict-folds"), self.PARAMS, fold_features
         )
         assert report.mode == "strict-folds"
         assert len(seen) == 5
@@ -232,14 +234,14 @@ class TestRunCv:
     def test_fold_features_required_exactly_in_strict_mode(self):
         X, y = self._separable()
         with pytest.raises(ValueError, match="strict-folds"):
-            run_cv(X, y, self._config(mode="strict-folds"), self.PARAMS)
+            run_cv(*pair_space(X), y, self._config(mode="strict-folds"), self.PARAMS)
         with pytest.raises(ValueError, match="strict-folds"):
-            run_cv(X, y, self._config(), self.PARAMS, lambda test_idx: X)
+            run_cv(*pair_space(X), y, self._config(), self.PARAMS, lambda test_idx: pair_space(X)[:2])
 
     def test_permuted_labels_near_half(self):
         X, y = self._separable(n=200, seed=4)
         rng = np.random.default_rng(99)
         y_perm = y.copy()
         rng.shuffle(y_perm)
-        report = run_cv(X, y_perm, self._config(), self.PARAMS)
+        report = run_cv(*pair_space(X), y_perm, self._config(), self.PARAMS)
         assert abs(report.mean["roc_auc"] - 0.5) < 0.12

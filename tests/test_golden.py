@@ -22,7 +22,7 @@ from conftest import write_config_file
 GOLDEN = {
     "evaluate": (
         "evaluate", {}, "report.json",
-        "e6da756f39d4fda2e317b347a0e18f8061b26beca8af5c9f7b4834335aa2d303",
+        "4aee1c6a4e6eb6c6dc6f2b86e7f230d067a01233b247bb8fda16d50657e86a2e",
     ),
     "evaluate-strict-folds": (
         "evaluate", {"mode": "strict-folds"}, "report.json",
@@ -30,7 +30,7 @@ GOLDEN = {
     ),
     "evaluate-k-range": (
         "evaluate", {"k_range": "5,10"}, "report.json",
-        "3059c08c5283d0afe03750235cb32863da9fd93be85206430278203edb9a16f3",
+        "66b634674261f553b4bf27a5a97ae9d7be32356e27ac25d683b8f86d354af1c7",
     ),
     "evaluate-strict-k-range": (
         "evaluate", {"mode": "strict-folds", "k_range": "5,10"}, "report.json",
@@ -38,24 +38,24 @@ GOLDEN = {
     ),
     "holdout": (
         "holdout", {}, "holdout_report.json",
-        "277966baa44bdf6537f73a148c8c8694e68842eb2f3426023b6c5ad0289003f8",
+        "7c7a1c7228aadc73f9c2995e66efdd565f19fec63eca9bfa89ebd4dfaf0fb20e",
     ),
     "rank": (
         "rank", {}, "rankings.csv",
-        "922da4b9a54ba1aa5f79905449ef7900cc0416b7e253bc0afd206448c9b6926b",
+        "1fd8c2e850f944190d7c434af4ec23ee0ee2a2e70c0aaad23dbb7a0fea506999",
     ),
     "rank-grid": (
         "rank", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "b22f2a8aeaa0a3d49a00f47e8179b1be6588b768d7c2df4abc95e3cf56255c5c",
+        "d0b17e104b3182f3d6ff28fb3db9fcc050d7355f48734db873dc6472e8c5c927",
     ),
     # run-all: evaluate and rank share one grid search's pick
     "run-all-grid-report": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "report.json",
-        "3d9f28f440b49ef0b64b94dd77227f55d558bad9fe826ef3d529c2d814e7fe54",
+        "7f071ac54945ac66ccb3439e10c9cfef09c5a393d1cedd899f23efa1bd747748",
     ),
     "run-all-grid-rankings": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "b22f2a8aeaa0a3d49a00f47e8179b1be6588b768d7c2df4abc95e3cf56255c5c",
+        "d0b17e104b3182f3d6ff28fb3db9fcc050d7355f48734db873dc6472e8c5c927",
     ),
 }
 

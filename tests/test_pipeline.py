@@ -1,16 +1,19 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sda import pipeline, sampling
+from sda import pipeline
+from sda.boost import gbdt_leaf_encode
 from sda.cli import main
 from sda.config import PipelineConfig
 from sda.errors import ConfigError
-from sda.synth import make_block_dataset
+from sda.svm import svm_decision
+from sda.synth import make_block_dataset, write_dataset_files
 
-from conftest import write_config_file
+from conftest import assemble, write_config_file
 
 
 class TestPrepare:
@@ -19,7 +22,7 @@ class TestPrepare:
         n = len(prepared.labels)
         assert prepared.labels.sum() * 2 == n
         assert n == 2 * len(prepared.positives)
-        assert prepared.features.shape == (
+        assert assemble(*prepared.tables, prepared.pairs).shape == (
             n, prepared.am.n_snornas + prepared.am.n_diseases
         )
 
@@ -33,46 +36,79 @@ class TestPrepare:
     def test_strict_fold_features_differ_on_affected_pairs(self, synth_config):
         prepared = pipeline.prepare(synth_config)
         test_idx = np.arange(10)  # first ten samples are positives
-        strict = prepared.strict_fold_features(test_idx)
-        assert strict.shape == prepared.features.shape
-        assert not np.array_equal(strict, prepared.features)
+        strict = assemble(*prepared.strict_fold_tables(test_idx), prepared.pairs)
+        features = assemble(*prepared.tables, prepared.pairs)
+        assert strict.shape == features.shape
+        assert not np.array_equal(strict, features)
 
-    def test_score_pairs_chunking_is_equivalent(self, synth_config):
+    def test_score_pairs_scores_distinct_patterns_as_rows(self, synth_config, monkeypatch):
         prepared = pipeline.prepare(synth_config)
         params = pipeline.resolve_svm_params(prepared, synth_config)
         ens, model = pipeline.train_final(prepared, synth_config, params)
-        pairs = prepared.negatives[:300]
-        a = pipeline.score_pairs(prepared, ens, model, pairs, chunk=64)
-        b = pipeline.score_pairs(prepared, ens, model, pairs, chunk=4096)
-        np.testing.assert_array_equal(a, b)
+        scored = []
+
+        def spy(model, X):
+            scored.append(len(X))
+            return svm_decision(model, X)
+
+        monkeypatch.setattr(pipeline, "svm_decision", spy)
+        candidates = prepared.negatives
+        for pairs in (candidates, candidates * 10, candidates[:1], []):
+            want = svm_decision(model, gbdt_leaf_encode(ens, *prepared.tables, pairs))
+            got = pipeline.score_pairs(prepared, ens, model, pairs)
+            assert got.shape == (len(pairs),)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # one SVM row per distinct leaf pattern, however often it repeats
+        assert scored[0] == scored[1] < len(candidates)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPrepareMemory:
     @pytest.mark.parametrize("k_range", [(), (2, 3)], ids=["k", "k-range"])
     @pytest.mark.parametrize("mode", ["paper-faithful", "strict-folds"])
-    def test_no_feature_matrix_over_the_negatives(self, mode, k_range, monkeypatch):
-        """k-means clusters the unknown pairs from per-entity tables: no
-        feature matrix is assembled for the whole negative pair list."""
+    def test_no_feature_matrix_over_the_negatives(self, mode, k_range):
+        """k-means clusters the unknown pairs from per-entity tables: prepare
+        never holds as much memory as one feature matrix over the negatives
+        (it peaks below half of one on this sparse 120 x 40 problem)."""
         am, _ft, _dag = make_block_dataset(
-            n_snornas=30, n_diseases=10, n_blocks=2, within=0.7, across=0.02, seed=3
+            n_snornas=120, n_diseases=40, n_blocks=4, within=0.1, across=0.002, seed=3
         )
         cfg = PipelineConfig(
             k=3, k_range=k_range, mode=mode, n_folds=3, seed=5,
             svm_c=(10.0,), svm_gamma=(0.1,),
         )
-        rows = []
-        assemble = sampling.assemble_feature_matrix
-
-        def spy(msfs, mdss, pairs):
-            rows.append(len(pairs))
-            return assemble(msfs, mdss, pairs)
-
-        monkeypatch.setattr(sampling, "assemble_feature_matrix", spy)
-        prepared = pipeline.prepare_from_matrix(am, cfg)
+        prepared, peak = traced_peak(pipeline.prepare_from_matrix, am, cfg)
         n_neg = len(prepared.negatives)
-        # the balanced set's sizes differ from n_neg, so the check can tell
-        assert n_neg not in (len(prepared.positives), len(prepared.pairs))
-        assert rows and n_neg not in rows
+        assert peak < n_neg * (am.n_snornas + am.n_diseases) * 8
+
+
+class TestRankMemory:
+    def test_no_feature_matrix_over_the_candidates(self, tmp_path):
+        """rank routes and scores the candidates from the entity tables:
+        the whole command never holds as much memory as one feature matrix
+        over the candidates (it peaks below half of one at 160 x 48, a
+        quarter of what assembling and scoring in 4096-row chunks took)."""
+        am, ft, dag = make_block_dataset(
+            n_snornas=160, n_diseases=48, n_blocks=5, within=0.1, across=0.002, seed=3
+        )
+        paths = write_dataset_files(str(tmp_path), am, ft, dag)
+        cfg = write_config_file(
+            tmp_path / "cfg.txt", association_path=paths["association"],
+            feature_path=paths["features"], dag_path=paths["dag"],
+            output_dir=str(tmp_path / "out"), seed=3, svm_c="10", svm_gamma="0.1",
+        )
+        rc, peak = traced_peak(main, ["rank", "--config", cfg])
+        assert rc == 0
+        n_candidates = int((am.entries == 0).sum())
+        assert peak < n_candidates * (am.n_snornas + am.n_diseases) * 8
 
 
 class TestPrecomputedDiseaseSimilarity:
@@ -162,11 +198,11 @@ class TestStrictFolds:
         prepared = pipeline.prepare(synth_config)
         n_pos = len(prepared.positives)
         test_idx = np.arange(n_pos // 5)
-        strict = prepared.strict_fold_features(test_idx)
+        strict = assemble(*prepared.strict_fold_tables(test_idx), prepared.pairs)
         # rows of untouched pairs may still shift (bandwidth is global), but
         # every pair feature must remain a valid similarity value
         assert np.all(strict >= 0.0) and np.all(strict <= 1.0)
-        assert strict.shape == prepared.features.shape
+        assert strict.shape == assemble(*prepared.tables, prepared.pairs).shape
 
 
 class TestConfigIsInputOnly:

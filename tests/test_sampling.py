@@ -6,48 +6,13 @@ import pytest
 from sda.errors import DataError
 from sda.sampling import (
     Clustering,
-    assemble_feature_matrix,
     choose_k,
     kmeans,
     largest_remainder_counts,
     select_negatives,
 )
-from sda.similarity import SimilarityMatrix
 
-
-def sim(n, seed=0):
-    rng = np.random.default_rng(seed)
-    vals = rng.random((n, n))
-    vals = (vals + vals.T) / 2
-    np.fill_diagonal(vals, 1.0)
-    return SimilarityMatrix([f"e{i}" for i in range(n)], vals, np.ones((n, n), bool))
-
-
-class TestAssemble:
-    def test_toy_vector_length(self):
-        msfs, mdss = sim(2, 1), sim(2, 2)
-        feats = assemble_feature_matrix(msfs, mdss, [(0, 1)])
-        assert feats.shape == (1, 4)
-        np.testing.assert_array_equal(feats[0, :2], msfs.values[0, :])
-        np.testing.assert_array_equal(feats[0, 2:], mdss.values[:, 1])
-
-    def test_length_is_ns_plus_nd(self):
-        msfs, mdss = sim(7, 1), sim(5, 2)
-        feats = assemble_feature_matrix(msfs, mdss, [(3, 2), (0, 0)])
-        assert feats.shape == (2, 12)
-
-    def test_deterministic(self):
-        msfs, mdss = sim(4, 3), sim(4, 4)
-        a = assemble_feature_matrix(msfs, mdss, [(1, 2)])
-        b = assemble_feature_matrix(msfs, mdss, [(1, 2)])
-        np.testing.assert_array_equal(a, b)
-
-    def test_index_out_of_range(self):
-        msfs, mdss = sim(2, 1), sim(2, 2)
-        with pytest.raises(IndexError):
-            assemble_feature_matrix(msfs, mdss, [(2, 0)])
-        with pytest.raises(IndexError):
-            assemble_feature_matrix(msfs, mdss, [(0, 5)])
+from conftest import pair_space
 
 
 def two_blobs(seed=0, per=4):
@@ -71,12 +36,6 @@ def bruteforce_best_two_partition(points):
             inertia += ((members - members.mean(axis=0)) ** 2).sum()
         best = min(best, inertia)
     return best
-
-
-def pair_space(points):
-    """A plain point set as a pair space: point i is ``[points[i] | ]``."""
-    points = np.asarray(points, dtype=np.float64)
-    return points, np.zeros((1, 0)), [(i, 0) for i in range(len(points))]
 
 
 class TestKmeans:
