@@ -242,6 +242,7 @@ def gbdt_fit(
 
     Fitting is deterministic, so it takes no seed.
     """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)  # once for all trees
     tables, ents, sides = _prepare(left, right, pairs)  # one sort for every tree
     y = np.asarray(y, dtype=np.float64)
     if len(ents[0]) != len(y):
@@ -266,6 +267,7 @@ def gbdt_leaves(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:
     tree: its leaf ordinal offset by the leaves of the trees before."""
     if not ens.trees:
         raise ValueError("ensemble has no fitted trees")
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)  # once for all trees
     return np.column_stack([
         offset + tree.leaf_ordinal[tree.apply(left, right, pairs)]
         for offset, tree in zip(ens.leaf_offsets, ens.trees)

@@ -52,7 +52,8 @@ class PipelineConfig:
         explicit = explicit or set()
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError(f"delta must be in (0, 1], got {self.delta}")
-        if not all(map(_finite_positive, (self.gamma_prime_snorna, self.gamma_prime_disease))):
+        gamma_primes = (self.gamma_prime_snorna, self.gamma_prime_disease)
+        if not all(map(_finite_positive, gamma_primes)):
             raise ConfigError("gamma_prime values must be positive and finite")
         if self.k < 1:
             raise ConfigError("k must be >= 1")

@@ -94,8 +94,7 @@ class TestRankMemory:
     def test_no_feature_matrix_over_the_candidates(self, tmp_path):
         """rank routes and scores the candidates from the entity tables:
         the whole command never holds as much memory as one feature matrix
-        over the candidates (it peaks below half of one at 160 x 48, a
-        quarter of what assembling and scoring in 4096-row chunks took)."""
+        over the candidates (it peaks below half of one at 160 x 48)."""
         am, ft, dag = make_block_dataset(
             n_snornas=160, n_diseases=48, n_blocks=5, within=0.1, across=0.002, seed=3
         )
