@@ -16,9 +16,9 @@ The split search is LightGBM's histogram search (Ke et al., NeurIPS 2017)
 with entities as bins, which makes it exact: one feature takes one value per
 entity of its side, so a ``bincount`` of the node's residuals and row counts
 by entity, cumulated along the feature's entity order, gives the left sum
-and count of every threshold. A node keeps, per feature, only the entities
-present among its rows, in value order; a split partitions those orders
-with a presence mask, which keeps each in order. Among gains within a
+and count of every threshold. A node that searches keeps, per feature, only
+the entities present among its rows, in value order: a presence mask
+restricts its parent's orders and keeps each in order. Among gains within a
 relative 1e-12 of the best, the lowest feature (left side first), then the
 lowest threshold wins, so summation order cannot decide a tie. Every
 internal node tests one column of one side, so pairs are routed by entity
@@ -32,9 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .util import sigmoid
-
-TIE = 1e-12  # relative gain tolerance of the split search's tie rule
+from .util import first_max, sigmoid
 
 
 def _pair_space(left, right, pairs):
@@ -155,8 +153,9 @@ def _best_split(sides, ents, r, min_samples_leaf):
     if gains.size == 0:
         return None
     # Candidates run side by side, feature-major, in threshold order: the
-    # first within the tolerance has the lowest feature, then threshold.
-    best = int(np.argmax(gains >= gains.max() * (1.0 - TIE)))
+    # first within a relative 1e-12 of the best has the lowest feature,
+    # then threshold.
+    best = first_max(gains, gains.max())
     side = int(best >= len(found[0][2]))
     feat, q, _ = found[side]
     i = best - side * len(found[0][2])

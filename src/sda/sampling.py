@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .util import derive_seed
+from .util import derive_seed, first_max
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +97,7 @@ def kmeans(
     chosen = [first]
     nearest = distances_to(first)
     while len(chosen) < k:
-        nxt = _first_max(nearest, nearest.max())
+        nxt = first_max(nearest, nearest.max())
         chosen.append(nxt)
         nearest = np.minimum(nearest, distances_to(nxt))
     centroids = np.array([point(i) for i in chosen])
@@ -113,7 +113,7 @@ def kmeans(
         sizes = np.bincount(assignments, minlength=k)
         for c in np.flatnonzero(sizes == 0):
             # the expanded form leaves noise at the scale of the squared norms
-            far = _first_max(min_d2, max(min_d2.max(), norm_scale))
+            far = first_max(min_d2, max(min_d2.max(), norm_scale))
             centroids[c] = point(far)
             assignments[far] = c
             min_d2[far] = 0.0
@@ -137,11 +137,6 @@ def kmeans(
     inertia = float(d2[np.arange(n), assignments].sum())
     history.append(inertia)
     return Clustering(k, assignments, centroids, inertia, seed, history)
-
-
-def _first_max(values: np.ndarray, scale: float) -> int:
-    """The lowest index whose value is within ``1e-12 * scale`` of the maximum."""
-    return int(np.argmax(values >= values.max() - 1e-12 * scale))
 
 
 def largest_remainder_counts(sizes: np.ndarray, total: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeding, sigmoid, atomic file writes."""
+"""Small shared helpers: seeding, sigmoid, tie-aware argmax, atomic file writes."""
 
 from __future__ import annotations
 
@@ -29,6 +29,12 @@ def sigmoid(z):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def first_max(values: np.ndarray, scale: float) -> int:
+    """The lowest index whose value is within ``1e-12 * scale`` of the
+    maximum: an argmax whose ties do not fall to rounding."""
+    return int(np.argmax(values >= values.max() - 1e-12 * scale))
 
 
 def atomic_write_text(path: str, text: str) -> None:
