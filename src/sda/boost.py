@@ -1,6 +1,5 @@
 """Gradient-boosted regression trees with logistic loss over a pair space,
-plus the leaf one-hot encoding used as the classifier's transformed feature
-space.
+plus the leaf encoding used as the classifier's transformed feature space.
 
 Pair (a, b) has the features ``[left[a] | right[b]]``: in the pipeline the
 snoRNA's MSFS row and the disease's MDSS column. No pair feature row is ever
@@ -9,8 +8,9 @@ pair list, as ``sampling.kmeans`` clusters them. Each boosting round fits a
 regression tree to the residuals y - sigmoid(F) by exact greedy split search
 (squared-error criterion, thresholds at midpoints between consecutive
 distinct values) and sets each leaf to one Newton step:
-sum(residual) / (sum(p*(1-p)) + lambda). Encoding a pair yields one active
-leaf per tree, concatenated across trees.
+sum(residual) / (sum(p*(1-p)) + lambda). Encoding a pair yields the index
+of its leaf in every tree: the positions of the ones in the one-hot-per-tree
+encoding (He et al., ADKDD 2014), which is never built.
 
 The split search is LightGBM's histogram search (Ke et al., NeurIPS 2017)
 with entities as bins, which makes it exact: one feature takes one value per
@@ -261,9 +261,10 @@ def gbdt_fit(
     return ens
 
 
-def gbdt_leaves(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:
-    """The (n_pairs, n_trees) encoding column of each pair's leaf in every
-    tree: its leaf ordinal offset by the leaves of the trees before."""
+def gbdt_leaf_encode(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:
+    """The (n_pairs, n_trees) leaf index of each pair in every tree: its leaf
+    ordinal offset by the leaves of the trees before, which is the column of
+    its one in that tree's block of the one-hot encoding."""
     if not ens.trees:
         raise ValueError("ensemble has no fitted trees")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)  # once for all trees
@@ -271,16 +272,3 @@ def gbdt_leaves(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:
         offset + tree.leaf_ordinal[tree.apply(left, right, pairs)]
         for offset, tree in zip(ens.leaf_offsets, ens.trees)
     ])
-
-
-def leaf_one_hot(leaves: np.ndarray, width: int) -> np.ndarray:
-    """Binary matrix (n, width) with a one at each of a row's ``leaves``."""
-    out = np.zeros((len(leaves), width), dtype=np.int8)
-    np.put_along_axis(out, leaves, 1, axis=1)
-    return out
-
-
-def gbdt_leaf_encode(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:
-    """Binary matrix (n_pairs, total_leaves) with exactly one active leaf
-    per tree for every pair."""
-    return leaf_one_hot(gbdt_leaves(ens, left, right, pairs), ens.total_leaves)

@@ -220,7 +220,7 @@ def run_cv(
         enc_train = gbdt_leaf_encode(ens, *tables, pairs[train_idx])
         enc_test = gbdt_leaf_encode(ens, *tables, pairs[test_idx])
         model = smo_train(
-            enc_train, y_train, C=params.c, gamma=params.gamma_for(enc_train.shape[1]),
+            enc_train, y_train, C=params.c, gamma=params.gamma_for(ens.total_leaves),
             tol=config.svm_tol, max_passes=config.svm_max_passes,
         )
         scores = svm_decision(model, enc_test)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import corpus, sampling, similarity
-from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode, gbdt_leaves, leaf_one_hot
+from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
 from .evaluation import MetricsReport, run_cv
@@ -306,7 +306,7 @@ def fit_full_gbdt(
     prepared: PreparedData, cfg: PipelineConfig
 ) -> tuple[GbdtEnsemble, np.ndarray]:
     """The tree ensemble fitted on the whole balanced set, and the set's leaf
-    encoding. The grid search and the final model share this one fit."""
+    indices. The grid search and the final model share this one fit."""
     ens = gbdt_fit(
         *prepared.tables, prepared.pairs, prepared.labels, n_trees=cfg.n_trees,
         learning_rate=cfg.learning_rate, max_depth=cfg.max_depth,
@@ -321,14 +321,13 @@ def resolve_svm_params(
     full: tuple[GbdtEnsemble, np.ndarray] | None = None,
 ) -> SvmParams:
     """The SVM's (C, gamma): the configured point when the grid has one cell,
-    else the pick of a grid search on the full balanced set's leaf encodings.
+    else the pick of a grid search on the full balanced set's leaf indices.
     ``full`` is the output of ``fit_full_gbdt``, fitted here when needed and
     not given."""
     if len(cfg.svm_c) == 1 and len(cfg.svm_gamma) == 1:
         return SvmParams(float(cfg.svm_c[0]), cfg.svm_gamma[0])
-    _ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
-    dim = enc.shape[1]
-    gammas = sorted({gamma_value(g, dim) for g in cfg.svm_gamma})
+    ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
+    gammas = sorted({gamma_value(g, ens.total_leaves) for g in cfg.svm_gamma})
     grid = ParamGrid(c_values=sorted(set(map(float, cfg.svm_c))), gamma_values=gammas)
     best_c, best_gamma, _scores = grid_search(
         enc,
@@ -355,13 +354,13 @@ def train_final(
     prepared: PreparedData,
     cfg: PipelineConfig,
     params: SvmParams,
-    full: tuple[GbdtEnsemble, np.ndarray] | None = None,
+    full: tuple[GbdtEnsemble, np.ndarray],
 ) -> tuple[GbdtEnsemble, SvmModel]:
-    """Fit the ranking model at ``params`` on 100% of the balanced set,
-    reusing ``full`` (from ``fit_full_gbdt``) when given."""
-    ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
+    """Fit the ranking model at ``params`` on 100% of the balanced set, on
+    the tree ensemble and leaf indices of ``full`` (from ``fit_full_gbdt``)."""
+    ens, enc = full
     model = smo_train(
-        enc, prepared.labels, C=params.c, gamma=params.gamma_for(enc.shape[1]),
+        enc, prepared.labels, C=params.c, gamma=params.gamma_for(ens.total_leaves),
         tol=cfg.svm_tol, max_passes=cfg.svm_max_passes,
     )
     return ens, model
@@ -374,16 +373,16 @@ def score_pairs(
     pairs: list[tuple[int, int]],
 ) -> np.ndarray:
     """Decision values for arbitrary pairs. The SVM sees only leaf
-    encodings, so it scores each distinct leaf pattern once: every pattern
+    indices, so it scores each distinct leaf pattern once: every pattern
     gets one integer key, folded tree by tree, and its score is scattered
     back to the pairs that share it."""
-    leaves = gbdt_leaves(ens, *prepared.tables, pairs)
+    leaves = gbdt_leaf_encode(ens, *prepared.tables, pairs)
     key = np.zeros(len(leaves), dtype=np.int64)
     for column in leaves.T:  # key < len(pairs), so key * width + column fits
         _, first, key = np.unique(
             key * ens.total_leaves + column, return_index=True, return_inverse=True
         )
-    return svm_decision(model, leaf_one_hot(leaves[first], ens.total_leaves))[key]
+    return svm_decision(model, leaves[first])[key]
 
 
 def rank_candidates(

@@ -2,6 +2,13 @@
 encodings by sequential minimal optimization with LIBSVM's second-order
 working-set selection (WSS2; Fan, Chen & Lin, JMLR 6, 2005).
 
+A row is a pair's leaf index in each of T trees (``boost.gbdt_leaf_encode``).
+Its one-hot encoding has one 1 per tree, so two rows sharing s leaves lie
+||x - y||^2 = 2 (T - s) apart, and the RBF kernel takes only T + 1 values:
+a Gram matrix is one lookup of the shared-leaf counts into a table of them.
+The counts are exact integers, so the kernel equals the RBF of the one-hots
+bit for bit, is exactly symmetric and is 1 on the diagonal.
+
 The solver keeps ``v = y - g``, where ``g`` is the decision value without
 bias (``v`` is ``-y`` times the gradient of the dual), and the index sets
 I_up = {alpha < C, y = +1} | {alpha > 0, y = -1} and
@@ -28,55 +35,43 @@ from .errors import NumericError
 log = logging.getLogger(__name__)
 
 
-def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Squared distances ||X_i - Y_j||^2, clipped at 0 against rounding."""
-    d2 = (
-        np.sum(X**2, axis=1)[:, None]
-        - 2.0 * X @ Y.T
-        + np.sum(Y**2, axis=1)[None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _shared_leaves(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """S[i, j] = the number of trees in which leaf rows A_i and B_j share a
+    leaf, summed tree by tree in the smallest unsigned dtype that holds it."""
+    S = np.zeros((len(A), len(B)), dtype=np.min_scalar_type(A.shape[1]))
+    for a, b in zip(A.T, B.T):
+        S += a[:, None] == b
+    return S
 
 
-def rbf_cross(X, Y, gamma: float) -> np.ndarray:
-    """Kernel block K[i, j] = exp(-gamma * ||X_i - Y_j||^2)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    return np.exp(-gamma * _sq_dists(X, Y))
+def _kernel_table(n_trees: int, gamma: float) -> np.ndarray:
+    """The kernel value for each shared-leaf count s = 0..T."""
+    return np.exp(-gamma * (2.0 * (n_trees - np.arange(n_trees + 1))))
 
 
-def _gram_from_sq(d2: np.ndarray, gamma: float) -> np.ndarray:
-    """``rbf_gram`` from precomputed squared distances."""
-    K = np.exp(-gamma * d2)
-    K = np.triu(K) + np.triu(K, 1).T
-    np.fill_diagonal(K, 1.0)
-    return K
+def leaf_kernel(A, B, gamma: float) -> np.ndarray:
+    """K[i, j] = exp(-gamma * ||x_i - y_j||^2) between the one-hot encodings
+    of leaf rows A_i and B_j."""
+    return _kernel_table(A.shape[1], gamma)[_shared_leaves(A, B)]
 
 
-def rbf_gram(X, gamma: float) -> np.ndarray:
-    """Symmetric kernel matrix with an exact unit diagonal."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _gram_from_sq(_sq_dists(X, X), gamma)
-
-
-def gamma_value(setting, encoding_dim: int) -> float:
-    """The RBF gamma a ``svm_gamma`` setting means for leaf encodings
-    ``encoding_dim`` wide: the setting itself, or one over the width for
-    the literal "1/d"."""
-    return 1.0 / encoding_dim if setting == "1/d" else float(setting)
+def gamma_value(setting, total_leaves: int) -> float:
+    """The RBF gamma a ``svm_gamma`` setting means for an ensemble of
+    ``total_leaves`` leaves: the setting itself, or, for the literal "1/d",
+    one over the width of the one-hot encoding, which is that count."""
+    return 1.0 / total_leaves if setting == "1/d" else float(setting)
 
 
 @dataclass(frozen=True)
 class SvmParams:
     """One (C, gamma) point. ``gamma`` is a number or the literal "1/d",
-    which resolves only once the tree ensemble fixes the encoding width."""
+    which resolves only once the tree ensemble fixes its leaf count."""
 
     c: float
     gamma: float | str
 
-    def gamma_for(self, encoding_dim: int) -> float:
-        return gamma_value(self.gamma, encoding_dim)
+    def gamma_for(self, total_leaves: int) -> float:
+        return gamma_value(self.gamma, total_leaves)
 
 
 @dataclass
@@ -96,7 +91,7 @@ class ParamGrid:
 
 @dataclass
 class SvmModel:
-    support_vectors: np.ndarray  # (n_sv, d)
+    support_vectors: np.ndarray  # (n_sv, n_trees) leaf rows
     alphas: np.ndarray  # (n_sv,)
     labels: np.ndarray  # (n_sv,), values in {-1, +1}
     bias: float
@@ -194,7 +189,7 @@ def _fit(
     X: np.ndarray, y: np.ndarray, K: np.ndarray, C: float, gamma: float,
     tol: float, max_passes: int,
 ) -> tuple[SvmModel, np.ndarray]:
-    """Train on rows ``X`` with labels ``y`` in {-1, +1} and their Gram ``K``.
+    """Train on leaf rows ``X`` with labels ``y`` in {-1, +1} and their Gram ``K``.
     Returns the model and the mask of its support vectors among the rows."""
     n = len(y)
     alphas, up, low, steps, converged = _solve(K, y, C, tol, max_passes)
@@ -223,25 +218,26 @@ def smo_train(
     tol: float = 1e-3,
     max_passes: int = 100,
 ) -> SvmModel:
-    """Fit the dual soft-margin problem by WSS2 pairwise steps.
+    """Fit the dual soft-margin problem on leaf rows ``X`` (n, n_trees) by
+    WSS2 pairwise steps.
 
     Converged means the maximal violating pair is closer than ``tol``.
     ``max_passes`` caps the steps at ``max_passes * n``; ``n_sweeps`` counts
     steps in units of n. When the cap is hit, the last (best) iterate is
     returned with ``converged=False``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(X))
     y = _as_pm1(y)
-    return _fit(X, y, rbf_gram(X, gamma), C, gamma, tol, max_passes)[0]
+    return _fit(X, y, leaf_kernel(X, X, gamma), C, gamma, tol, max_passes)[0]
 
 
 def svm_decision(model: SvmModel, X) -> np.ndarray:
     """Raw margin f(x) = sum_i alpha_i y_i K(sv_i, x) + b; sign is the label,
     the value itself is the ranking confidence."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(X))
     if len(model.alphas) == 0:
         return np.full(X.shape[0], model.bias)
-    K = rbf_cross(model.support_vectors, X, model.gamma)
+    K = leaf_kernel(model.support_vectors, X, model.gamma)
     return (model.alphas * model.labels) @ K + model.bias
 
 
@@ -258,14 +254,15 @@ def grid_search(
 
     Ties fall to the smaller C, then the smaller gamma. Folds whose training
     or test part ends up single-class are skipped with a warning; a cell with
-    every fold skipped is an error. Each fold's squared distances are
+    every fold skipped is an error. Each fold's shared-leaf counts are
     computed once, training x training and training x test; each (fold,
-    gamma) Gram matrix once, and every C is solved on that Gram. A cell's
-    decision values slice the support vectors' rows of the test block.
+    gamma) Gram matrix once, from one kernel table, and every C is solved on
+    that Gram. A cell's decision values look up the support vectors' rows of
+    the test counts.
     """
     from .evaluation import roc_auc, stratified_kfold
 
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(X))
     y01 = np.asarray(y)
     y01 = np.where(y01 == 1, 1, 0)
     counts = np.bincount(y01, minlength=2)
@@ -285,13 +282,14 @@ def grid_search(
             log.warning("grid_search: fold %d skipped (single class)", f)
             continue
         X_train, y_train = X[train], _as_pm1(y01[train])
-        d2 = _sq_dists(X_train, X_train)
-        d2_test = _sq_dists(X_train, X[test])
+        shared = _shared_leaves(X_train, X_train)
+        shared_test = _shared_leaves(X_train, X[test])
         for gamma in grid.gamma_values:
-            K = _gram_from_sq(d2, gamma)
+            table = _kernel_table(X.shape[1], gamma)
+            K = table[shared]
             for C in grid.c_values:
                 model, keep = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
-                K_test = np.exp(-gamma * d2_test[keep])
+                K_test = table[shared_test[keep]]
                 scores = (model.alphas * model.labels) @ K_test + model.bias
                 results[(C, gamma)].append(roc_auc(scores, y01[test]))
     best = None

@@ -201,7 +201,11 @@ class TestCriterion5GbdtInvariants:
             rises = np.diff(ens.loss_history)
             worst_rise = max(worst_rise, float(rises.max()))
             enc = gbdt_leaf_encode(ens, *pair_space(X))
-            assert np.all(enc.sum(axis=1) == ens.n_trees)
+            # one leaf per tree, each inside its tree's block of the one-hot
+            offsets = np.array(ens.leaf_offsets)
+            widths = np.array([t.n_leaves for t in ens.trees])
+            assert enc.shape == (n, ens.n_trees)
+            assert np.all((enc >= offsets) & (enc < offsets + widths))
         report(
             "5-loss", worst_rise <= 1e-9,
             f"max per-iteration loss rise = {worst_rise:.2e} over 50 datasets",

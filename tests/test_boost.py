@@ -257,18 +257,24 @@ class TestLeafEncoding:
         return X, y, gbdt_fit(*pair_space(X), y, min_samples_leaf=2, **kw)
 
     def test_popcount_equals_n_trees(self):
+        # one leaf index per tree, all distinct: the one-hot row has
+        # n_trees ones
         X, y, ens = self._fitted()
         enc = gbdt_leaf_encode(ens, *pair_space(X))
-        assert enc.shape == (30, ens.total_leaves)
-        np.testing.assert_array_equal(enc.sum(axis=1), np.full(30, ens.n_trees))
+        assert enc.shape == (30, ens.n_trees)
+        assert all(len(set(row)) == ens.n_trees for row in enc.tolist())
+        assert enc.min() >= 0 and enc.max() < ens.total_leaves
 
     def test_per_tree_blocks_one_hot(self):
+        # column t is tree t's leaf: inside its block of the one-hot width
         X, y, ens = self._fitted(seed=1)
         enc = gbdt_leaf_encode(ens, *pair_space(X))
-        offsets = ens.leaf_offsets + [ens.total_leaves]
-        for t in range(ens.n_trees):
-            block = enc[:, offsets[t]:offsets[t + 1]]
-            np.testing.assert_array_equal(block.sum(axis=1), np.ones(30))
+        for t, (offset, tree) in enumerate(zip(ens.leaf_offsets, ens.trees)):
+            column = enc[:, t]
+            assert np.all((column >= offset) & (column < offset + tree.n_leaves))
+            np.testing.assert_array_equal(
+                column, offset + tree.leaf_ordinal[tree.apply(*pair_space(X))]
+            )
 
     def test_identical_routing_identical_encoding(self):
         X, y, ens = self._fitted(seed=2)

@@ -43,8 +43,9 @@ class TestPrepare:
 
     def test_score_pairs_scores_distinct_patterns_as_rows(self, synth_config, monkeypatch):
         prepared = pipeline.prepare(synth_config)
-        params = pipeline.resolve_svm_params(prepared, synth_config)
-        ens, model = pipeline.train_final(prepared, synth_config, params)
+        full = pipeline.fit_full_gbdt(prepared, synth_config)
+        params = pipeline.resolve_svm_params(prepared, synth_config, full)
+        ens, model = pipeline.train_final(prepared, synth_config, params, full)
         scored = []
 
         def spy(model, X):
@@ -209,10 +210,11 @@ class TestConfigIsInputOnly:
         cfg = replace(synth_config, svm_c=(1.0, 10.0), svm_gamma=("1/d", 0.1))
         before = replace(cfg)
         prepared = pipeline.prepare(cfg)
-        params = pipeline.resolve_svm_params(prepared, cfg)
+        full = pipeline.fit_full_gbdt(prepared, cfg)
+        params = pipeline.resolve_svm_params(prepared, cfg, full)
         assert params.c in cfg.svm_c
         pipeline.evaluate(prepared, cfg, params)
-        pipeline.train_final(prepared, cfg, params)
+        pipeline.train_final(prepared, cfg, params, full)
         pipeline.holdout_inference_check(cfg)
         assert cfg == before
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from sda.errors import NumericError
 from sda.svm import (
     ParamGrid,
     grid_search,
-    rbf_cross,
-    rbf_gram,
+    leaf_kernel,
     smo_train,
     svm_decision,
 )
@@ -21,22 +21,55 @@ def rbf_kernel(x, y, gamma):
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
+def one_hot(leaves, width):
+    """The one-hot encoding of leaf rows, one block of ``width`` per tree."""
+    leaves = np.atleast_2d(leaves)
+    out = np.zeros((len(leaves), leaves.shape[1], width))
+    np.put_along_axis(out, leaves[:, :, None], 1.0, axis=2)
+    return out.reshape(len(leaves), -1)
+
+
+def rbf_oracle(A, B, gamma):
+    """The RBF kernel between the one-hot encodings of leaf rows A and B."""
+    width = int(max(np.max(A), np.max(B))) + 1
+    return np.array(
+        [[rbf_kernel(x, y, gamma) for y in one_hot(B, width)] for x in one_hot(A, width)]
+    )
+
+
+def leaf_rows(rng, n, n_trees=4, n_leaves=4):
+    """``n`` random leaf rows, tree t's leaves numbered from t * n_leaves as
+    ``gbdt_leaf_encode`` numbers them."""
+    return rng.integers(0, n_leaves, size=(n, n_trees)) + n_leaves * np.arange(n_trees)
+
+
 class TestRbfKernel:
     def test_same_point(self):
-        assert rbf_cross([[1.0, 2.0]], [[1.0, 2.0]], 0.7)[0, 0] == 1.0
+        assert leaf_kernel(np.array([[1, 6]]), np.array([[1, 6]]), 0.7)[0, 0] == 1.0
 
     def test_zero_gamma(self):
-        assert rbf_cross([[0.0, 0.0]], [[5.0, -3.0]], 0.0)[0, 0] == 1.0
+        assert leaf_kernel(np.array([[0, 4]]), np.array([[3, 7]]), 0.0)[0, 0] == 1.0
 
     def test_hand_value(self):
-        assert rbf_cross([[0.0, 0.0]], [[1.0, 1.0]], 0.5)[0, 0] == pytest.approx(
+        # one of two leaves differs: ||x - y||^2 = 2
+        assert leaf_kernel(np.array([[0, 4]]), np.array([[1, 4]]), 0.5)[0, 0] == pytest.approx(
             math.exp(-1.0), abs=1e-12
         )
 
+    @pytest.mark.parametrize("n_trees", [1, 2, 7])
+    @pytest.mark.parametrize("gamma", [0.0, 0.05, 0.5, 3.0])
+    def test_equals_one_hot_rbf_exactly(self, n_trees, gamma):
+        rng = np.random.default_rng(n_trees)
+        A = leaf_rows(rng, 9, n_trees, n_leaves=3)
+        A = np.vstack([A, A[:4]])  # duplicate rows
+        B = np.vstack([leaf_rows(rng, 6, n_trees, n_leaves=3), A[5:7]])
+        assert np.array_equal(leaf_kernel(A, B, gamma), rbf_oracle(A, B, gamma))
+        assert np.array_equal(leaf_kernel(A, A, gamma), rbf_oracle(A, A, gamma))
+
     def test_gram_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(0)
-        X = rng.random((12, 4))
-        K = rbf_gram(X, 0.8)
+        X = leaf_rows(rng, 12, n_trees=4, n_leaves=2)  # 16 patterns: repeats
+        K = leaf_kernel(X, X, 0.8)
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == 1.0)
         assert np.all(K > 0.0) and np.all(K <= 1.0)
@@ -68,34 +101,38 @@ def grid_dual_max(K, y, C, steps):
 
 
 def random_problem(rng, n, gamma=0.5, C=1.0):
-    X = rng.random((n, 2)) * 2.0
+    """``n`` distinct random leaf rows, labels of both classes, and the
+    one-hot RBF Gram of the rows."""
+    codes = rng.choice(4**4, size=n, replace=False)
+    X = (codes[:, None] // 4 ** np.arange(4)) % 4 + 4 * np.arange(4)
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     y[0], y[1] = 1.0, -1.0
-    K = rbf_gram(X, gamma)
+    K = rbf_oracle(X, X, gamma)
     return X, y, K
 
 
 class TestSmoTraining:
     def test_two_point_separable_analytic(self):
-        # K12 = exp(-2); symmetric pair: alpha* = 1/(1 - e^-2), b = 0
-        X = np.array([[0.0], [2.0]])
+        # one tree, two leaves: ||x1 - x2||^2 = 2, so K12 = exp(-2) at
+        # gamma = 1; symmetric pair: alpha* = 1/(1 - e^-2), b = 0
+        X = np.array([[0], [1]])
         y = np.array([-1.0, 1.0])
-        model = smo_train(X, y, C=1e6, gamma=0.5, tol=1e-6)
+        model = smo_train(X, y, C=1e6, gamma=1.0, tol=1e-6)
         assert model.converged
         expect_alpha = 1.0 / (1.0 - math.exp(-2.0))
         assert len(model.alphas) == 2
         np.testing.assert_allclose(model.alphas, expect_alpha, rtol=1e-4)
         assert model.bias == pytest.approx(0.0, abs=1e-4)
-        # midpoint decision is 0 by symmetry
-        assert svm_decision(model, np.array([[1.0]]))[0] == pytest.approx(0.0, abs=1e-6)
+        # a third leaf is equidistant from both: decision 0 by symmetry
+        assert svm_decision(model, np.array([[2]]))[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_duplicate_conflicting_labels_hit_bound(self):
-        X = np.array([[1.0, 1.0], [1.0, 1.0]])
+        X = np.array([[1, 4], [1, 4]])
         y = np.array([1.0, -1.0])
         C = 2.0
         model = smo_train(X, y, C=C, gamma=0.3, tol=1e-6)
         # dual: W = a1 + a2 - 0.5 (a1 - a2)^2, constraint a1 = a2 -> max at C
-        K = rbf_gram(X, 0.3)
+        K = rbf_oracle(X, X, 0.3)
         expect = grid_dual_max(K, y, C, steps=200)
         np.testing.assert_allclose(np.sort(model.alphas), [C, C], atol=1e-8)
         assert model.dual_objective == pytest.approx(expect, abs=1e-4)
@@ -106,7 +143,7 @@ class TestSmoTraining:
         C = 1e-8
         model = smo_train(X, y, C=C, gamma=0.5)
         assert np.all(model.alphas <= C + 1e-18)
-        probe = rng.random((5, 2))
+        probe = leaf_rows(rng, 5)
         np.testing.assert_allclose(
             svm_decision(model, probe), model.bias, atol=len(y) * C
         )
@@ -115,10 +152,10 @@ class TestSmoTraining:
         rng = np.random.default_rng(4)
         X, y, _ = random_problem(rng, 14)
         model = smo_train(X, y, C=1.0, gamma=0.5)
-        probe = rng.random((6, 2))
+        probe = leaf_rows(rng, 6)
         for x in probe:
             expect = model.bias + sum(
-                a * l * rbf_kernel(sv, x, model.gamma)
+                a * l * rbf_oracle(sv, x, model.gamma)[0, 0]
                 for a, l, sv in zip(model.alphas, model.labels, model.support_vectors)
             )
             assert svm_decision(model, x[None, :])[0] == pytest.approx(expect, abs=1e-12)
@@ -132,8 +169,8 @@ class TestSmoTraining:
         pad_sv = np.vstack([model.support_vectors, X[:3]])
         pad_alpha = np.concatenate([model.alphas, np.zeros(3)])
         pad_label = np.concatenate([model.labels, y[:3]])
-        probe = rng.random((4, 2))
-        K = rbf_cross(pad_sv, probe, model.gamma)
+        probe = leaf_rows(rng, 4)
+        K = rbf_oracle(pad_sv, probe, model.gamma)
         padded = (pad_alpha * pad_label) @ K + model.bias
         np.testing.assert_allclose(svm_decision(model, probe), padded, atol=1e-12)
 
@@ -150,7 +187,7 @@ class TestSmoTraining:
 
     def test_single_class_rejected(self):
         with pytest.raises(NumericError):
-            smo_train(np.zeros((3, 1)), np.ones(3), C=1.0, gamma=0.1)
+            smo_train(np.zeros((3, 1), dtype=int), np.ones(3), C=1.0, gamma=0.1)
 
 
 def kkt_violations(model, X, y, C, tol):
@@ -299,9 +336,10 @@ class TestWss2Solver:
 
 class TestGridSearch:
     def _separable(self, rng, n=40, gamma=0.8):
-        centers = np.array([[0.0, 0.0], [2.0, 2.0]])
+        # two centre patterns; each leaf moves to a random one w.p. 0.3
+        centers = np.array([[0, 4, 8, 12], [1, 5, 9, 13]])
         y = np.array([0, 1] * (n // 2))
-        X = centers[y] + rng.normal(0.0, 0.35, size=(n, 2))
+        X = np.where(rng.random((n, 4)) < 0.3, leaf_rows(rng, n), centers[y])
         return X, y
 
     def test_singleton_grid_returns_it(self):
@@ -324,7 +362,7 @@ class TestGridSearch:
         # one perfectly separable blob pair: many cells reach AUC 1.0
         rng = np.random.default_rng(12)
         y = np.array([0, 1] * 15)
-        X = np.stack([y * 10.0, y * 10.0], axis=1) + rng.normal(0, 0.01, (30, 2))
+        X = np.column_stack([y, 2 + y, 4 + rng.integers(0, 2, 30)])
         grid = ParamGrid([1.0, 10.0], [0.1, 1.0])
         c, g, scores = grid_search(X, y, grid, seed=2)
         means = {cell: round(float(np.mean(v)), 12) for cell, v in scores.items()}
@@ -356,7 +394,7 @@ class TestGridSearch:
 
     def test_single_class_folds_skipped_with_warning(self, caplog):
         rng = np.random.default_rng(13)
-        X = rng.random((12, 2))
+        X = leaf_rows(rng, 12)
         y = np.array([1, 1, 1] + [0] * 9)  # 3 positives < 5 folds
         with caplog.at_level("WARNING"):
             c, g, scores = grid_search(X, y, ParamGrid([1.0], [0.5]), seed=3)
@@ -370,8 +408,25 @@ class TestGridSearch:
             ParamGrid([1.0], [0.5, 0.5])
 
     def test_all_folds_skipped_is_error(self):
-        X = np.random.default_rng(14).random((8, 2))
+        X = leaf_rows(np.random.default_rng(14), 8)
         y = np.array([1] + [0] * 7)  # the lone positive breaks every fold
         with pytest.raises(NumericError, match="every fold skipped"):
             grid_search(X, y, ParamGrid([1.0], [0.5]), seed=4)
 
+
+
+class TestMemory:
+    def test_smo_peak_below_two_grams(self):
+        # The Gram is the one n x n float64 array; the shared-leaf counts
+        # beside it are one byte per entry.
+        rng = np.random.default_rng(22)
+        n = 800
+        X = leaf_rows(rng, n, n_trees=10)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            smo_train(X, y, C=1.0, gamma=0.1, max_passes=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
