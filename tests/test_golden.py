@@ -3,7 +3,8 @@
 Each case runs ``sda.cli.main`` on one fixed synthetic problem and compares
 the sha256 of the written artifact with a digest pinned from an earlier
 version of the code (numpy's floating-point results are part of what is
-pinned). A change that is meant to keep behaviour (a speed-up,
+pinned). The other files ``prepare`` and ``evaluate`` write, and the
+generator's dataset files, are pinned the same way. A change that is meant to keep behaviour (a speed-up,
 a refactor) must leave every digest as it is; a change that alters results
 on purpose re-pins the digest and says why.
 """
@@ -60,6 +61,54 @@ GOLDEN = {
 }
 
 
+# command -> {artifact: sha256} for the other files a command writes, run
+# on the same problem and config as GOLDEN's cases
+ARTIFACTS = {
+    "prepare": {
+        "MSFS.csv": "406044387da553526da7b1117b52816b303113816c53aa73299f0b33a6f7f7e0",
+        "MSFS.mask.csv": "8cd89ee5472230d80290c82b015b443f90306e1c7ff5768ce546ed5f83687de3",
+        "MDSS.csv": "e2e6ab8ac43e03fe5e1a8e26b18bc4a19086fa9f65516c5e0891b30b4f1857c9",
+        "MDSS.mask.csv": "8dc02b7ebbf2edbb5f93141f1bf3cbfcc3f401f94820a66bb46df786f746933d",
+        "balanced_pairs.csv": "b50564d506eabc075683e4d38ab338e0920dbe25a5fd95b4c191fd75345b2dea",
+        "prepare.json": "2d478659a9015b9efd0a9d9cb33c5beb0799c2ee4862a86a3605861db43641ac",
+    },
+    "evaluate": {
+        "roc_points.csv": "2889285cc6cf2f75adc6d3adf426a0c9ef71e1c85100d2ce2943a88f62b67e14",
+        "pr_points.csv": "0b83355831e08d2fad83c9344dd19c9ffcd14e456c02c0a5c7e7f126a3f0fd5c",
+    },
+}
+
+# write_dataset_files' key -> sha256 of that file, for the golden problem
+DATASET_FILES = {
+    "association": "365e03ef5b598e69a31d3feda75cd6e5b0dff94534283086cc3a65ce408847c4",
+    "features": "ea6132384569f33939a4b29004acc5efb1d81dc68b3610a7f1804d49449c597c",
+    "dag": "f81927ce0a5f71bd286b352a96ef99df5712f5afc040e03f385c57ec4dc9a206",
+}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _run(command, extra, dataset, tmp_path):
+    """Run ``command`` on the golden problem; returns its output directory."""
+    out = str(tmp_path / "out")
+    keys = dict(
+        association_path=dataset["association"],
+        feature_path=dataset["features"],
+        dag_path=dataset["dag"],
+        output_dir=out,
+        seed=7,
+        svm_c="10.0",
+        svm_gamma="0.1",
+    )
+    keys.update(extra)
+    cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+    assert main([command, "--config", cfg]) == 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden_dataset(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden-data")
@@ -70,19 +119,19 @@ def golden_dataset(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_output_digest_pinned(case, golden_dataset, tmp_path):
     command, extra, artifact, digest = GOLDEN[case]
-    out = str(tmp_path / "out")
-    keys = dict(
-        association_path=golden_dataset["association"],
-        feature_path=golden_dataset["features"],
-        dag_path=golden_dataset["dag"],
-        output_dir=out,
-        seed=7,
-        svm_c="10.0",
-        svm_gamma="0.1",
-    )
-    keys.update(extra)
-    cfg = write_config_file(tmp_path / "cfg.txt", **keys)
-    assert main([command, "--config", cfg]) == 0
-    with open(os.path.join(out, artifact), "rb") as fh:
-        got = hashlib.sha256(fh.read()).hexdigest()
+    out = _run(command, extra, golden_dataset, tmp_path)
+    got = _sha256(os.path.join(out, artifact))
     assert got == digest, f"{case}: {artifact} changed (sha256 {got})"
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_artifact_digests_pinned(command, golden_dataset, tmp_path):
+    out = _run(command, {}, golden_dataset, tmp_path)
+    got = {name: _sha256(os.path.join(out, name)) for name in ARTIFACTS[command]}
+    changed = sorted(name for name in got if got[name] != ARTIFACTS[command][name])
+    assert not changed, f"{command}: {changed} changed (sha256 {got})"
+
+
+def test_dataset_files_pinned(golden_dataset):
+    got = {key: _sha256(path) for key, path in golden_dataset.items()}
+    assert got == DATASET_FILES
