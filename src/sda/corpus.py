@@ -1,11 +1,24 @@
-"""Input corpus: association matrix, snoRNA feature table, disease DAG.
+"""Input corpus, and the CSV formats of every file the package reads or writes.
 
-File formats (all UTF-8):
-  * association matrix: CSV, header row = disease ids, first column =
-    snoRNA ids, body cells "0"/"1"
-  * feature table: CSV or TSV (picked by extension), header row of feature
-    names, first column = snoRNA id, float cells
-  * disease DAG: two-column CSV "child,parent", no header
+Every file is UTF-8 with comma-separated cells. Readers skip blank lines,
+and every error about a row or a cell names the file and the row's physical
+line as ``path:line:``. Writers join cells with commas and end every line
+with a newline (``write_rows``). The formats:
+  * labelled table (``read_table``, ``write_table``): a header row of
+    column ids after one blank cell, then one row per id: the row id, then
+    one cell per column. A repeated row or column id is a data error.
+  * association matrix: labelled table, snoRNA rows x disease columns,
+    cells "0"/"1"
+  * feature table: labelled table, CSV or TSV (picked by extension),
+    snoRNA rows x feature names, finite float cells
+  * similarity matrix (``similarity``): square labelled table, the same ids
+    in the same order on both axes, float cells; its optional sibling
+    ``<name>.mask.csv`` has the same ids and "0"/"1" cells
+  * disease DAG: two-cell rows "child,parent", no header
+  * balanced pairs (``pipeline``): the header "snorna_id,disease_id,label",
+    then one row per pair with a "0"/"1" label
+  * curves and rankings (``pipeline``): a header of column names, then one
+    row per point or prediction
 
 Loaders are pure functions of file contents; loaded structures are treated
 as immutable. Checks that only warn (``load_association_matrix``,
@@ -18,12 +31,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
+from .util import atomic_write_text
 
 log = logging.getLogger(__name__)
 
@@ -34,12 +47,101 @@ def _warn(message: str, strict: bool) -> None:
     log.warning(message)
 
 
-def _check_unique(ids: list[str], axis: str, path: str) -> None:
+def read_rows(path: str, delimiter: str = ",") -> list[tuple[int, list[str]]]:
+    """The non-empty rows of a delimited file, each with the physical line
+    number it ends on."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    if not rows:
+        raise DataError(f"{path}:1: empty file")
+    return rows
+
+
+def write_rows(path: str, rows) -> None:
+    """Write rows of string cells atomically, cells joined by commas and
+    every line ending in a newline."""
+    atomic_write_text(path, "".join(",".join(row) + "\n" for row in rows))
+
+
+def _binary(cell: str) -> int:
+    if cell.strip() not in ("0", "1"):
+        raise ValueError("non-binary")
+    return int(cell)
+
+
+def _number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError("non-numeric") from None
+
+
+def _finite(cell: str) -> float:
+    value = _number(cell)
+    if not math.isfinite(value):
+        raise ValueError("non-finite")
+    return value
+
+
+# cell format of a labelled table -> (cell parser, value dtype)
+_CELLS = {"0/1": (_binary, np.int8), "number": (_number, np.float64),
+          "finite": (_finite, np.float64)}
+
+
+def _check_unique(located_ids, axis: str, path: str) -> None:
+    """Raise on the first id of the (line, id) pairs that repeats."""
     seen = set()
-    for i in ids:
+    for line, i in located_ids:
         if i in seen:
-            raise DataError(f"{path}: duplicate {axis} id '{i}'")
+            raise DataError(f"{path}:{line}: duplicate {axis} id '{i}'")
         seen.add(i)
+
+
+def read_table(
+    path: str, cells: str, axes: tuple[str, str] = ("row", "column"), delimiter: str = ","
+) -> tuple[list[str], list[str], np.ndarray]:
+    """Row ids, column ids and values of a labelled table whose cells are
+    ``cells``: "0/1" (int8 values), "number" or "finite" (float64 values).
+    ``axes`` names the row and column ids in errors."""
+    parse, dtype = _CELLS[cells]
+    (header_line, header), *body = read_rows(path, delimiter)
+    col_ids = [c.strip() for c in header[1:]]
+    _check_unique(((header_line, c) for c in col_ids), axes[1], path)
+    row_ids: list[str] = []
+    values = np.zeros((len(body), len(col_ids)), dtype=dtype)
+    for r, (line, row) in enumerate(body):
+        row_id = row[0].strip()
+        if len(row) != len(col_ids) + 1:
+            raise DataError(
+                f"{path}:{line}: row '{row_id}' has {len(row)} cells, "
+                f"expected {len(col_ids) + 1}"
+            )
+        parsed = []
+        for col_id, cell in zip(col_ids, row[1:]):
+            try:
+                parsed.append(parse(cell))
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}:{line}: {exc} cell '{cell}' at row '{row_id}', "
+                    f"column '{col_id}'"
+                ) from None
+        values[r] = parsed
+        row_ids.append(row_id)
+    _check_unique(zip((line for line, _ in body), row_ids), axes[0], path)
+    return row_ids, col_ids, values
+
+
+def write_table(path: str, row_ids, col_ids, values, fmt=str) -> None:
+    """Write ``values`` as a labelled table, each cell formatted by ``fmt``."""
+    write_rows(
+        path,
+        [["", *col_ids]]
+        + [[row_id, *map(fmt, row.tolist())] for row_id, row in zip(row_ids, values)],
+    )
 
 
 @dataclass
@@ -61,24 +163,6 @@ class AssociationMatrix:
     @property
     def n_known(self) -> int:
         return int(self.entries.sum())
-
-    def validate(self, strict: bool = False) -> None:
-        if self.entries.shape != (self.n_snornas, self.n_diseases):
-            raise DataError(
-                f"association matrix shape {self.entries.shape} does not match "
-                f"{self.n_snornas} snoRNA ids x {self.n_diseases} disease ids"
-            )
-        _check_unique(self.snorna_ids, "snoRNA", "association matrix")
-        _check_unique(self.disease_ids, "disease", "association matrix")
-        bad = (self.entries != 0) & (self.entries != 1)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise DataError(
-                f"association matrix entry at row '{self.snorna_ids[i]}', "
-                f"column '{self.disease_ids[j]}' is not 0/1"
-            )
-        if self.n_known == 0:
-            _warn("association matrix has no positive entries", strict)
 
 
 @dataclass
@@ -158,40 +242,12 @@ class DiseaseDag:
         raise DataError("disease DAG contains a cycle: " + " -> ".join(cycle))
 
 
-def _read_rows(path: str, delimiter: str) -> list[list[str]]:
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    return rows
-
-
 def load_association_matrix(path: str, strict: bool = False) -> AssociationMatrix:
-    """Load and validate a binary association matrix CSV."""
-    rows = _read_rows(path, ",")
-    disease_ids = [c.strip() for c in rows[0][1:]]
-    snorna_ids: list[str] = []
-    entries = np.zeros((len(rows) - 1, len(disease_ids)), dtype=np.int8)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(disease_ids) + 1:
-            raise DataError(
-                f"{path}: row {r} has {len(row)} cells, expected {len(disease_ids) + 1}"
-            )
-        snorna_ids.append(row[0].strip())
-        for c, cell in enumerate(row[1:]):
-            v = cell.strip()
-            if v not in ("0", "1"):
-                raise DataError(
-                    f"{path}: non-binary cell '{cell}' at row '{row[0].strip()}', "
-                    f"column '{disease_ids[c]}'"
-                )
-            entries[r - 2, c] = int(v)
-    _check_unique(snorna_ids, "snoRNA", path)
-    _check_unique(disease_ids, "disease", path)
+    """Load a binary association matrix CSV."""
+    snorna_ids, disease_ids, entries = read_table(path, "0/1", axes=("snoRNA", "disease"))
     am = AssociationMatrix(snorna_ids, disease_ids, entries)
-    am.validate(strict=strict)
+    if am.n_known == 0:
+        _warn("association matrix has no positive entries", strict)
     log.info(
         "loaded association matrix %s: %d snoRNAs x %d diseases, %d positives",
         path, am.n_snornas, am.n_diseases, am.n_known,
@@ -200,41 +256,18 @@ def load_association_matrix(path: str, strict: bool = False) -> AssociationMatri
 
 
 def save_association_matrix(am: AssociationMatrix, path: str) -> None:
-    from .util import atomic_write_text
-
-    lines = ["," + ",".join(am.disease_ids)]
-    for i, sid in enumerate(am.snorna_ids):
-        lines.append(sid + "," + ",".join(str(int(v)) for v in am.entries[i]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, am.snorna_ids, am.disease_ids, am.entries)
 
 
 def load_feature_table(path: str) -> FeatureTable:
     """Load a snoRNA feature table; feature count is inferred from the header."""
     delimiter = "\t" if path.endswith(".tsv") else ","
-    rows = _read_rows(path, delimiter)
-    n_f = len(rows[0]) - 1
-    snorna_ids: list[str] = []
-    features = np.zeros((len(rows) - 1, n_f), dtype=np.float64)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != n_f + 1:
-            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {n_f + 1}")
-        snorna_ids.append(row[0].strip())
-        for c, cell in enumerate(row[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell '{cell}' at row '{row[0].strip()}', "
-                    f"column {c + 1}"
-                ) from None
-            if not math.isfinite(v):
-                raise DataError(
-                    f"{path}: non-finite cell '{cell}' at row '{row[0].strip()}', "
-                    f"column {c + 1}"
-                )
-            features[r - 2, c] = v
-    _check_unique(snorna_ids, "snoRNA", path)
-    log.info("loaded feature table %s: %d rows x %d features", path, len(snorna_ids), n_f)
+    snorna_ids, names, features = read_table(
+        path, "finite", axes=("snoRNA", "feature"), delimiter=delimiter
+    )
+    log.info(
+        "loaded feature table %s: %d rows x %d features", path, len(snorna_ids), len(names)
+    )
     return FeatureTable(snorna_ids, features)
 
 
@@ -257,11 +290,10 @@ def check_feature_alignment(
 def load_disease_dag(path: str) -> DiseaseDag:
     """Load a child,parent edge list into a validated DAG whose node set is
     the union of all edge endpoints, in order of first appearance."""
-    rows = _read_rows(path, ",")
     edges: list[tuple[str, str]] = []
-    for r, row in enumerate(rows, start=1):
+    for line, row in read_rows(path):
         if len(row) != 2:
-            raise DataError(f"{path}: row {r} has {len(row)} cells, expected 2")
+            raise DataError(f"{path}:{line}: row has {len(row)} cells, expected 2")
         edges.append((row[0].strip(), row[1].strip()))
     nodes = list(dict.fromkeys(endpoint for edge in edges for endpoint in edge))
     dag = DiseaseDag(nodes, edges)

@@ -4,16 +4,10 @@
 class ConfigError(Exception):
     """Bad usage or configuration (exit code 1)."""
 
-    exit_code = 1
-
 
 class DataError(Exception):
     """Malformed or inconsistent input data (exit code 2)."""
 
-    exit_code = 2
-
 
 class NumericError(Exception):
     """Degenerate numerical input or failed convergence (exit code 3)."""
-
-    exit_code = 3

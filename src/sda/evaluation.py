@@ -159,19 +159,6 @@ class MetricsReport:
     roc_curve: list[tuple[float, float]] = field(default_factory=list)
     pr_curve: list[tuple[float, float]] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_folds": self.n_folds,
-            "seed": self.seed,
-            "svm_c": self.svm_c,
-            "svm_gamma": self.svm_gamma,
-            "folds": self.folds,
-            "mean": self.mean,
-            "roc_curve": [list(p) for p in self.roc_curve],
-            "pr_curve": [list(p) for p in self.pr_curve],
-        }
-
 
 def run_cv(
     left, right, pairs, labels, config, params: SvmParams, fold_tables=None

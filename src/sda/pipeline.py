@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .util import atomic_write_text, derive_seed, fmt_float
 log = logging.getLogger(__name__)
 
 
-PAIRS_HEADER = "snorna_id,disease_id,label"  # balanced_pairs.csv
+PAIRS_HEADER = ("snorna_id", "disease_id", "label")  # balanced_pairs.csv
 PREPARE_RECORD = "prepare.json"  # the k a prepare run clustered with
 
 
@@ -168,28 +168,23 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
         raise DataError("prepared similarity matrices do not match the association matrix ids")
 
     pairs_path = os.path.join(cfg.prepared_dir, "balanced_pairs.csv")
-    if not os.path.exists(pairs_path):
-        raise DataError(f"file not found: {pairs_path}")
     s_index = {s: i for i, s in enumerate(am.snorna_ids)}
     d_index = {d: i for i, d in enumerate(am.disease_ids)}
     pairs: list[tuple[int, int]] = []
     labels: list[int] = []
-    with open(pairs_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != PAIRS_HEADER:
-        raise DataError(f"{pairs_path}:1: expected the header '{PAIRS_HEADER}'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise DataError(f"{pairs_path}:{lineno}: expected 3 fields, got {len(cells)}")
-        snorna_id, disease_id, label = cells
+    (line, header), *body = corpus.read_rows(pairs_path)
+    if tuple(c.strip() for c in header) != PAIRS_HEADER:
+        raise DataError(
+            f"{pairs_path}:{line}: expected the header '{','.join(PAIRS_HEADER)}'"
+        )
+    for line, row in body:
+        if len(row) != 3:
+            raise DataError(f"{pairs_path}:{line}: row has {len(row)} cells, expected 3")
+        snorna_id, disease_id, label = (c.strip() for c in row)
         if snorna_id not in s_index or disease_id not in d_index:
-            raise DataError(f"{pairs_path}:{lineno}: unknown id in pair")
+            raise DataError(f"{pairs_path}:{line}: unknown id in pair")
         if label not in ("0", "1"):
-            raise DataError(f"{pairs_path}:{lineno}: label must be 0 or 1, got '{label}'")
+            raise DataError(f"{pairs_path}:{line}: label must be 0 or 1, got '{label}'")
         pairs.append((s_index[snorna_id], d_index[disease_id]))
         labels.append(int(label))
     if set(labels) != {0, 1}:
@@ -509,12 +504,13 @@ def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
     pairs_path = os.path.join(out_dir, "balanced_pairs.csv")
     similarity.save_similarity_matrix(prepared.msfs, msfs_path)
     similarity.save_similarity_matrix(prepared.mdss, mdss_path)
-    lines = [PAIRS_HEADER]
-    for (s, d), label in zip(prepared.pairs, prepared.labels):
-        lines.append(
-            f"{prepared.am.snorna_ids[s]},{prepared.am.disease_ids[d]},{int(label)}"
-        )
-    atomic_write_text(pairs_path, "\n".join(lines) + "\n")
+    snorna_ids, disease_ids = prepared.am.snorna_ids, prepared.am.disease_ids
+    corpus.write_rows(
+        pairs_path,
+        [PAIRS_HEADER]
+        + [(snorna_ids[s], disease_ids[d], str(label))
+           for (s, d), label in zip(prepared.pairs, prepared.labels.tolist())],
+    )
     record_path = os.path.join(out_dir, PREPARE_RECORD)
     atomic_write_text(record_path, json.dumps({"k": prepared.k_used}) + "\n")
     return [msfs_path, mdss_path, pairs_path, record_path]
@@ -523,27 +519,23 @@ def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
 def write_report(report: MetricsReport, out_dir: str) -> list[str]:
     report_path = os.path.join(out_dir, "report.json")
     atomic_write_text(
-        report_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        report_path, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     )
     roc_path = os.path.join(out_dir, "roc_points.csv")
-    atomic_write_text(
-        roc_path,
-        "far,tar\n"
-        + "".join(f"{fmt_float(x)},{fmt_float(y)}\n" for x, y in report.roc_curve),
-    )
     pr_path = os.path.join(out_dir, "pr_points.csv")
-    atomic_write_text(
-        pr_path,
-        "recall,precision\n"
-        + "".join(f"{fmt_float(x)},{fmt_float(y)}\n" for x, y in report.pr_curve),
-    )
+    for path, header, curve in (
+        (roc_path, ("far", "tar"), report.roc_curve),
+        (pr_path, ("recall", "precision"), report.pr_curve),
+    ):
+        corpus.write_rows(path, [header] + [tuple(map(fmt_float, point)) for point in curve])
     return [report_path, roc_path, pr_path]
 
 
 def write_rankings(predictions: list[RankedPrediction], out_dir: str) -> str:
     path = os.path.join(out_dir, "rankings.csv")
-    lines = ["disease_id,snorna_id,score,rank"]
-    for p in predictions:
-        lines.append(f"{p.disease_id},{p.snorna_id},{fmt_float(p.score)},{p.rank}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    corpus.write_rows(
+        path,
+        [("disease_id", "snorna_id", "score", "rank")]
+        + [(p.disease_id, p.snorna_id, fmt_float(p.score), str(p.rank)) for p in predictions],
+    )
     return path

@@ -12,16 +12,15 @@ bitwise symmetric.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DiseaseDag, FeatureTable
+from .corpus import DiseaseDag, FeatureTable, read_table, write_table
 from .errors import DataError, NumericError
-from .util import atomic_write_text, fmt_float
+from .util import fmt_float
 
 log = logging.getLogger(__name__)
 
@@ -225,61 +224,31 @@ def reindex(sm: SimilarityMatrix, ids: list[str]) -> SimilarityMatrix:
 
 def save_similarity_matrix(sm: SimilarityMatrix, path: str) -> None:
     """Write values as an id-labelled CSV plus a sibling ``.mask.csv`` file."""
-    header = "," + ",".join(sm.ids)
-    lines = [header]
-    for i, sid in enumerate(sm.ids):
-        lines.append(sid + "," + ",".join(fmt_float(v) for v in sm.values[i]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-    mask_lines = [header]
-    for i, sid in enumerate(sm.ids):
-        mask_lines.append(sid + "," + ",".join(str(int(v)) for v in sm.available[i]))
-    atomic_write_text(_mask_path(path), "\n".join(mask_lines) + "\n")
+    write_table(path, sm.ids, sm.ids, sm.values, fmt_float)
+    write_table(_mask_path(path), sm.ids, sm.ids, sm.available.astype(np.int8))
 
 
-def _read_square_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Column ids and cell rows of an id-labelled square CSV. Raises
-    DataError unless there is one row per column id, in the same order, and
-    every row has one cell per id."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    ids = [c.strip() for c in rows[0][1:]]
-    n = len(ids)
-    for r, row in enumerate(rows[1:]):
-        if len(row) != n + 1:
-            raise DataError(f"{path}: row {r + 2} has {len(row)} cells, expected {n + 1}")
-    if [row[0].strip() for row in rows[1:]] != ids:
+def _read_square(path: str, cells: str) -> tuple[list[str], np.ndarray]:
+    """Ids and values of a labelled table with one row per column id, in
+    the same order; ``cells`` is its cell format (``corpus.read_table``)."""
+    row_ids, ids, values = read_table(path, cells)
+    if row_ids != ids:
         raise DataError(f"{path}: row ids do not match column ids")
-    return ids, [row[1:] for row in rows[1:]]
+    return ids, values
 
 
 def load_similarity_matrix(path: str) -> SimilarityMatrix:
     """Load an id-labelled similarity CSV; the ``.mask.csv`` sibling is optional
     (absent mask means fully available) but must carry the same ids."""
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    ids, cells = _read_square_csv(path)
-    n = len(ids)
-    values = np.zeros((n, n), dtype=np.float64)
-    for r, row in enumerate(cells):
-        try:
-            values[r] = [float(c) for c in row]
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric cell in row '{ids[r]}'") from exc
-
+    ids, values = _read_square(path, "number")
     mask_path = _mask_path(path)
     if os.path.exists(mask_path):
-        mask_ids, mask_cells = _read_square_csv(mask_path)
+        mask_ids, flags = _read_square(mask_path, "0/1")
         if mask_ids != ids:
             raise DataError(f"{mask_path}: ids do not match those of {path}")
-        flags = np.array([[c.strip() for c in row] for row in mask_cells], dtype=str)
-        if not np.isin(flags, ("0", "1")).all():
-            raise DataError(f"{mask_path}: cells must be 0 or 1")
-        available = (flags == "1").reshape(n, n)
+        available = flags == 1
     else:
-        available = np.ones((n, n), dtype=bool)
+        available = np.ones(values.shape, dtype=bool)
     sm = SimilarityMatrix(ids, values, available)
     sm.validate()
     return sm

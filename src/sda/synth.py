@@ -13,8 +13,11 @@ import os
 
 import numpy as np
 
-from .corpus import AssociationMatrix, DiseaseDag, FeatureTable, save_association_matrix
-from .util import atomic_write_text, fmt_float
+from .corpus import (
+    AssociationMatrix, DiseaseDag, FeatureTable, save_association_matrix, write_rows,
+    write_table,
+)
+from .util import fmt_float
 
 
 def make_block_dataset(
@@ -62,13 +65,9 @@ def write_dataset_files(
     save_association_matrix(am, paths["association"])
     if ft is not None:
         paths["features"] = os.path.join(directory, "features.csv")
-        header = "," + ",".join(f"f{i}" for i in range(ft.n_features))
-        lines = [header]
-        for i, sid in enumerate(ft.snorna_ids):
-            lines.append(sid + "," + ",".join(fmt_float(v) for v in ft.features[i]))
-        atomic_write_text(paths["features"], "\n".join(lines) + "\n")
+        names = [f"f{i}" for i in range(ft.n_features)]
+        write_table(paths["features"], ft.snorna_ids, names, ft.features, fmt_float)
     if dag is not None:
         paths["dag"] = os.path.join(directory, "dag.csv")
-        lines = [f"{child},{parent}" for child, parent in dag.edges]
-        atomic_write_text(paths["dag"], "\n".join(lines) + "\n")
+        write_rows(paths["dag"], dag.edges)
     return paths

@@ -9,9 +9,9 @@ import pytest
 from sda import pipeline
 from sda.cli import main
 from sda.config import PipelineConfig
-from sda.corpus import load_association_matrix
+from sda.corpus import load_association_matrix, load_disease_dag, load_feature_table
 from sda.errors import ConfigError, DataError
-from sda.similarity import SimilarityMatrix, save_similarity_matrix
+from sda.similarity import SimilarityMatrix, load_similarity_matrix, save_similarity_matrix
 from sda.synth import make_block_dataset, write_dataset_files
 
 from conftest import write_config_file
@@ -184,6 +184,32 @@ class TestDiseaseSimilarityFile:
         cfg = write_config_file(tmp_path / "cfg.txt", **keys)
         assert main(["prepare", "--config", cfg, "--strict"]) == 2
         assert "disease similarity file missing 2 id(s)" in caplog.text
+
+    @pytest.mark.parametrize("in_mask", (False, True), ids=("values", "mask"))
+    def test_repeated_id_exits_two(self, in_mask, small_dataset, tmp_path, caplog):
+        """A repeated id is a data error, not a silent pick of one of its
+        rows: a repeated column id in the values, a repeated row id in the
+        mask."""
+        a, b = load_association_matrix(small_dataset["association"]).disease_ids[:2]
+        path = tmp_path / "dss.csv"
+        if in_mask:
+            path.write_text(f",{a},{b}\n{a},1.0,0.5\n{b},0.5,1.0\n", encoding="utf-8")
+            (tmp_path / "dss.mask.csv").write_text(
+                f",{a},{b}\n{a},1,1\n{a},1,1\n", encoding="utf-8"
+            )
+            where = f"{tmp_path / 'dss.mask.csv'}:3: duplicate row id '{a}'"
+        else:
+            path.write_text(
+                f",{a},{b},{a}\n{a},1,0.3,1\n{b},0.3,1,0.3\n{a},1,0.3,1\n",
+                encoding="utf-8",
+            )
+            where = f"{path}:1: duplicate column id '{a}'"
+        keys = base_keys(
+            small_dataset, str(tmp_path / "out"), disease_similarity_path=str(path)
+        )
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        assert main(["prepare", "--config", cfg]) == 2
+        assert where in caplog.text
 
 
 class TestEvaluate:
@@ -427,6 +453,55 @@ class TestMalformedPairsFile:
         cfg = write_config_file(tmp_path / "cfg.txt", **keys)
         assert main(["evaluate", "--config", cfg]) == 2
         assert where in caplog.text
+
+
+# case -> (file written into a copy of a prepare run, its text with blank
+# lines before a bad row, that row's physical line, loader of the copy;
+# "{s},{d}" is the run's first balanced pair)
+BLANK_LINE_CASES = {
+    "association": (
+        "am.csv", ",d1,d2\n\ns1,1,0\n\ns2,1\n", 5,
+        lambda d, _: load_association_matrix(os.path.join(d, "am.csv")),
+    ),
+    "feature-csv": (
+        "ft.csv", ",f1,f2\n\n\ns1,1.0,x\n", 4,
+        lambda d, _: load_feature_table(os.path.join(d, "ft.csv")),
+    ),
+    "feature-tsv": (
+        "ft.tsv", "\tf1\tf2\n\ns1\t1.0\t2.0\n\ns2\tnan\t1.0\n", 5,
+        lambda d, _: load_feature_table(os.path.join(d, "ft.tsv")),
+    ),
+    "similarity": (
+        "sim.csv", ",a,b\n\na,1.0,0.5\n\nb,0.5\n", 5,
+        lambda d, _: load_similarity_matrix(os.path.join(d, "sim.csv")),
+    ),
+    "mask": (
+        "MSFS.mask.csv", ",a,b\n\n\na,1,1\nb,1,2\n", 5,
+        lambda d, _: load_similarity_matrix(os.path.join(d, "MSFS.csv")),
+    ),
+    "dag": (
+        "dag.csv", "A,R\n\nB,R,X\n", 3,
+        lambda d, _: load_disease_dag(os.path.join(d, "dag.csv")),
+    ),
+    "balanced-pairs": (
+        "balanced_pairs.csv", "snorna_id,disease_id,label\n\n{s},{d},1\n\n{s},{d},2\n", 5,
+        lambda d, paths: load_prepared(paths, d),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLANK_LINE_CASES))
+def test_error_names_physical_line(case, small_dataset, prepared_dir, tmp_path):
+    name, text, line, load = BLANK_LINE_CASES[case]
+    directory = str(tmp_path / "files")
+    shutil.copytree(prepared_dir, directory)
+    path = os.path.join(directory, name)
+    with open(os.path.join(prepared_dir, "balanced_pairs.csv"), encoding="utf-8") as fh:
+        s, d, _label = fh.read().splitlines()[1].split(",")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.format(s=s, d=d))
+    with pytest.raises(DataError, match=re.escape(f"{path}:{line}:")):
+        load(directory, small_dataset)
 
 
 # case -> prepare.json's content; None removes the file

@@ -43,7 +43,7 @@ class TestAssociationMatrix:
 
     def test_ragged_row_rejected(self, tmp_path):
         p = write(tmp_path / "am.csv", ",d1,d2\ns1,1\n")
-        with pytest.raises(DataError, match="row 2 has 2 cells, expected 3"):
+        with pytest.raises(DataError, match=":2: row 's1' has 2 cells, expected 3"):
             load_association_matrix(p)
 
     def test_zero_positive_matrix_warns_then_errors_in_strict(self, tmp_path, caplog):

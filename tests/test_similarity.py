@@ -315,7 +315,7 @@ class TestSerialization:
 
     def test_mask_with_short_row_rejected(self, tmp_path):
         path = self._with_mask(tmp_path, ",a,b\na,1,1\nb,1\n")
-        with pytest.raises(DataError, match="row 3 has 2 cells"):
+        with pytest.raises(DataError, match=":3: row 'b' has 2 cells"):
             load_similarity_matrix(path)
 
     def test_mask_with_mismatched_id_rejected(self, tmp_path):
@@ -325,7 +325,7 @@ class TestSerialization:
 
     def test_mask_with_non_flag_cell_rejected(self, tmp_path):
         path = self._with_mask(tmp_path, ",a,b\na,1,yes\nb,yes,1\n")
-        with pytest.raises(DataError, match="0 or 1"):
+        with pytest.raises(DataError, match="non-binary cell 'yes'"):
             load_similarity_matrix(path)
 
     def test_values_with_extra_row_rejected(self, tmp_path):
