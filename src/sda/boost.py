@@ -16,13 +16,18 @@ The split search is LightGBM's histogram search (Ke et al., NeurIPS 2017)
 with entities as bins, which makes it exact: one feature takes one value per
 entity of its side, so a ``bincount`` of the node's residuals and row counts
 by entity, cumulated along the feature's entity order, gives the left sum
-and count of every threshold. A node that searches keeps, per feature, only
-the entities present among its rows, in value order: a presence mask
-restricts its parent's orders and keeps each in order. Among gains within a
-relative 1e-12 of the best, the lowest feature (left side first), then the
-lowest threshold wins, so summation order cannot decide a tie. Every
-internal node tests one column of one side, so pairs are routed by entity
-index, one depth at a time.
+and count of every threshold. Each side of a node is one dense gain table,
+columns by positions in the entity order, built by two gathers, two
+cumulative sums and a few in-place passes, with -inf where no candidate
+lies. A node that searches keeps, per column, only the entities present
+among its rows, in value order: a presence mask restricts its parent's
+orders and keeps each in order. A column bitwise equal to an earlier one of
+its table is never searched, since it would only repeat that column's
+gains. Among gains within a relative 1e-12 of the best, the lowest feature
+(left side first), then the lowest threshold wins, so summation order cannot
+decide a tie. Every internal node tests one column of one side, so pairs are
+routed by entity index, one depth at a time; the training rows' leaves are
+recorded as the tree grows, so boosting never routes its own pairs.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ class GbdtEnsemble:
 def gbdt_init(labels) -> float:
     """Loss-minimizing constant for logistic loss: the log-odds of the mean label."""
     y = np.asarray(labels, dtype=np.float64)
-    if y.size == 0 or len(np.unique(y)) < 2:
+    if y.size == 0 or y.min() == y.max():
         raise NumericError("degenerate training set: need both classes present")
     p = float(y.mean())
     return float(np.log(p / (1.0 - p)))
@@ -105,65 +110,91 @@ def gbdt_init(labels) -> float:
 
 def _prepare(left, right, pairs):
     """The two tables, each row's entity on either side, and each side's
-    entity orders: per feature, the entities by ascending value (ties by
-    entity index) and their values. Sorted once for every tree."""
+    search tables: the first of each set of bitwise-equal columns, and per
+    such column the entities present among the pairs by ascending value
+    (ties by entity index) and their values. Sorted once for every tree."""
     left, right, a, b = _pair_space(left, right, pairs)
     sides = []
-    for table in (left, right):
-        order = np.argsort(table.T, axis=1, kind="stable")
-        sides.append((order, np.take_along_axis(table.T, order, axis=1)))
+    for table, ent in zip((left, right), (a, b)):
+        first: dict[bytes, int] = {}
+        for j, column in enumerate(table.T):
+            first.setdefault(column.tobytes(), j)
+        cols = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+        values = table.T[cols]
+        order = np.argsort(values, axis=1, kind="stable")
+        vals = np.take_along_axis(values, order, axis=1)
+        sides.append((cols, *_keep_present(order, vals, ent, len(table))))
     return (left, right), (a, b), sides
 
 
 def _keep_present(order, vals, ent: np.ndarray, n_entities: int):
     """One side's entity orders restricted to the entities in ``ent``.
-    Boolean indexing keeps each row's order."""
+    Boolean indexing keeps each row's order; when no entity dropped out the
+    orders are returned as they are."""
     present = np.bincount(ent, minlength=n_entities) > 0
+    n_present = int(np.count_nonzero(present))
+    if n_present == order.shape[1]:
+        return order, vals
     keep = present[order]
-    shape = (len(order), int(present.sum()))
+    shape = (len(order), n_present)
     return order[keep].reshape(shape), vals[keep].reshape(shape)
 
 
 def _side_gains(order, vals, ent, r, total, min_samples_leaf):
-    """Every candidate split on one side of a node: (feature, position in
-    the entity order, gain). A candidate falls between distinct consecutive
-    values and leaves ``min_samples_leaf`` rows on each side."""
+    """The gain of every split on one side of a node, as an (n_columns,
+    n_present) table: position q puts the first q + 1 entities of the
+    column's order left. Only a position between distinct consecutive
+    values that leaves ``min_samples_leaf`` rows on each side is a
+    candidate; the others hold -inf. Every entity in ``order`` is present,
+    so n_left >= 1 everywhere and n_left <= m - 1 before the last position,
+    which puts every row left; nan there keeps it out of every comparison.
+    The arithmetic runs in place, term by term in the order of
+    s_left**2 / n_left + (total - s_left)**2 / (m - n_left)."""
     m = len(r)
-    count = np.cumsum(np.bincount(ent)[order], axis=1)[:, :-1]
-    rsum = np.cumsum(np.bincount(ent, weights=r)[order], axis=1)
-    feat, q = np.nonzero(
-        (vals[:, 1:] > vals[:, :-1])
-        & (count >= min_samples_leaf) & (count <= m - min_samples_leaf)
-    )
-    n_left, s_left = count[feat, q], rsum[feat, q]
-    return feat, q, s_left**2 / n_left + (total - s_left) ** 2 / (m - n_left)
+    n_left = np.bincount(ent).astype(np.float64)[order]
+    np.cumsum(n_left, axis=1, out=n_left)
+    n_left[:, -1] = np.nan
+    gain = np.bincount(ent, weights=r)[order]
+    np.cumsum(gain, axis=1, out=gain)
+    ok = n_left >= min_samples_leaf
+    ok &= n_left <= m - min_samples_leaf
+    ok[:, :-1] &= vals[:, 1:] > vals[:, :-1]
+    right = np.subtract(total, gain)
+    np.square(right, out=right)
+    np.square(gain, out=gain)
+    gain /= n_left
+    right /= np.subtract(m, n_left, out=n_left)
+    gain += right
+    np.putmask(gain, ~ok, -np.inf)
+    return gain
 
 
 def _best_split(sides, ents, r, min_samples_leaf):
-    """The split maximizing the drop in squared error, as (side, feature of
+    """The split maximizing the drop in squared error, as (side, column of
     that side, threshold), or None when there is no candidate. Zero-gain
     splits are allowed on impure nodes (callers screen constant residuals);
     they open up gains at the next depth, e.g. XOR patterns."""
     total = float(r.sum())
-    found = [
-        _side_gains(*side, ent, r, total, min_samples_leaf)
-        for side, ent in zip(sides, ents)
+    tables = [
+        _side_gains(order, vals, ent, r, total, min_samples_leaf)
+        for (_, order, vals), ent in zip(sides, ents)
     ]
-    gains = np.concatenate([g for _, _, g in found])
-    if gains.size == 0:
+    gains = np.concatenate([t.ravel() for t in tables])
+    top = gains.max() if gains.size else -np.inf
+    if top == -np.inf:
         return None
-    # Candidates run side by side, feature-major, in threshold order: the
-    # first within a relative 1e-12 of the best has the lowest feature,
-    # then threshold.
-    best = first_max(gains, gains.max())
-    side = int(best >= len(found[0][2]))
-    feat, q, _ = found[side]
-    i = best - side * len(found[0][2])
-    below, above = sides[side][1][feat[i], q[i] : q[i] + 2]
+    # The tables run side by side, each column-major and then in threshold
+    # order: the first gain within a relative 1e-12 of the best has the
+    # lowest column, then threshold.
+    best = first_max(gains, top)
+    side = int(best >= tables[0].size)
+    row, q = divmod(best - side * tables[0].size, tables[side].shape[1])
+    cols, _, vals = sides[side]
+    below, above = vals[row, q : q + 2]
     # Between adjacent floats the midpoint can round up to ``above``, which
     # would send every row left; the lower value then splits the same rows.
     mid = (below + above) / 2.0
-    return side, int(feat[i]), float(mid if mid < above else below)
+    return side, int(cols[row]), float(mid if mid < above else below)
 
 
 def fit_regression_tree(
@@ -177,18 +208,22 @@ def fit_regression_tree(
     if len(res) == 0 or len(ents[0]) != len(res):
         raise ValueError("pairs and residuals must be nonempty and equal length")
     hessian = np.asarray(hessian, dtype=np.float64)
-    return _grow_tree(tables, ents, sides, res, hessian, max_depth, min_samples_leaf, lam)
+    return _grow_tree(
+        tables, ents, sides, res, hessian, max_depth, min_samples_leaf, lam
+    )[0]
 
 
 def _grow_tree(
     tables, ents, sides, res, hessian, max_depth, min_samples_leaf, lam
-) -> RegressionTree:
-    """Grow one tree from ``_prepare``'s output. Each node carries its rows
-    in ascending order (for the leaf sums); a node that searches for a split
-    restricts its parent's entity orders to the entities present among its
-    rows, since only their values bound candidate thresholds."""
+) -> tuple[RegressionTree, np.ndarray]:
+    """Grow one tree from ``_prepare``'s output; returns it and the leaf
+    node of each training row. Each node carries its rows in ascending order
+    (for the leaf sums); a node that searches for a split restricts its
+    parent's entity orders to the entities present among its rows, since
+    only their values bound candidate thresholds."""
     width = tables[0].shape[1]
     nodes = []  # [feature, threshold, left, right, value], in preorder
+    leaf_of_row = np.empty(len(res), dtype=np.int32)
 
     def build(idx: np.ndarray, sides, depth: int) -> int:
         node = len(nodes)
@@ -198,12 +233,13 @@ def _grow_tree(
         split = None
         if depth < max_depth and idx.size >= 2 * min_samples_leaf and not np.all(r == r[0]):
             sides = [
-                _keep_present(*s, e, len(table))
-                for s, e, table in zip(sides, node_ents, tables)
+                (cols, *_keep_present(order, vals, e, len(table)))
+                for (cols, order, vals), e, table in zip(sides, node_ents, tables)
             ]
             split = _best_split(sides, node_ents, r, min_samples_leaf)
         if split is None:
             nodes[node][4] = float(r.sum() / (hessian[idx].sum() + lam))
+            leaf_of_row[idx] = node
             return node
         side, f, t = split
         nodes[node][:2] = f + side * width, t
@@ -215,7 +251,7 @@ def _grow_tree(
     build(np.arange(len(res)), sides, 0)
     feature, threshold, left, right, value = zip(*nodes)
     leaf = np.array(feature) < 0
-    return RegressionTree(
+    tree = RegressionTree(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold),
         left=np.array(left, dtype=np.int32),
@@ -224,6 +260,7 @@ def _grow_tree(
         leaf_ordinal=np.where(leaf, np.cumsum(leaf) - 1, -1).astype(np.int32),
         n_leaves=int(leaf.sum()),
     )
+    return tree, leaf_of_row
 
 
 def logistic_loss(labels, scores) -> float:
@@ -241,7 +278,6 @@ def gbdt_fit(
 
     Fitting is deterministic, so it takes no seed.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)  # once for all trees
     tables, ents, sides = _prepare(left, right, pairs)  # one sort for every tree
     y = np.asarray(y, dtype=np.float64)
     if len(ents[0]) != len(y):
@@ -252,11 +288,12 @@ def gbdt_fit(
     ens.loss_history.append(logistic_loss(y, scores))
     for _ in range(n_trees):
         p = sigmoid(scores)
-        tree = _grow_tree(
+        tree, leaf_of_row = _grow_tree(
             tables, ents, sides, y - p, p * (1.0 - p), max_depth, min_samples_leaf, lam
         )
         ens.trees.append(tree)
-        scores = scores + learning_rate * tree.predict(*tables, pairs)
+        # Each training row's leaf is known from the growth: no re-routing.
+        scores = scores + learning_rate * tree.value[leaf_of_row]
         ens.loss_history.append(logistic_loss(y, scores))
     return ens
 

@@ -29,6 +29,7 @@ as immutable. Checks that only warn (``load_association_matrix``,
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -47,15 +48,25 @@ def _warn(message: str, strict: bool) -> None:
     log.warning(message)
 
 
+def read_text(path: str) -> str:
+    """The whole text of a UTF-8 file, line endings untranslated. A missing,
+    unreadable or undecodable file is a DataError that names it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+
+
 def read_rows(path: str, delimiter: str = ",") -> list[tuple[int, list[str]]]:
     """The non-empty rows of a delimited file, each with the physical line
     number it ends on."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            rows = [(reader.line_num, row) for row in reader if row]
-    except FileNotFoundError:
-        raise DataError(f"file not found: {path}") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""), delimiter=delimiter)
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise DataError(f"{path}:1: empty file")
     return rows
@@ -310,7 +321,10 @@ def split_known_unknown(
     Returns (positive pairs, negative pairs) as (snorna_index, disease_index)
     tuples; every cell appears in exactly one of the two lists.
     """
+
+    def cells(mask: np.ndarray) -> list[tuple[int, int]]:
+        rows, cols = np.nonzero(mask)
+        return list(zip(rows.tolist(), cols.tolist()))
+
     pos_mask = am.entries == 1
-    positives = [(int(i), int(j)) for i, j in np.argwhere(pos_mask)]
-    negatives = [(int(i), int(j)) for i, j in np.argwhere(~pos_mask)]
-    return positives, negatives
+    return cells(pos_mask), cells(~pos_mask)

@@ -30,7 +30,7 @@ def stratified_kfold(labels, n_folds: int = 5, seed: int = 0) -> np.ndarray:
         raise ValueError("n_folds must be >= 2")
     rng = np.random.default_rng(seed)
     fold_index = np.empty(len(y), dtype=np.int64)
-    for cls in np.unique(y):
+    for cls in sorted(set(y.tolist())):  # ascending: the order of the RNG draws
         idx = np.flatnonzero(y == cls)
         if idx.size < n_folds:
             raise DataError(

@@ -209,11 +209,9 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
 
 def _load_k_used(path: str) -> int:
     """The cluster count a prepare run recorded in its ``prepare.json``."""
+    text = corpus.read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            k = json.load(fh)["k"]
-    except FileNotFoundError:
-        raise DataError(f"file not found: {path}") from None
+        k = json.loads(text)["k"]
     except (ValueError, TypeError, KeyError) as exc:
         raise DataError(
             f"{path}: expected a JSON object with an integer 'k' ({exc})"
@@ -396,8 +394,8 @@ def rank_candidates(
     scores = score_pairs(prepared, ens, model, candidates)
 
     by_disease: dict[int, list[tuple[float, int]]] = {}
-    for idx, (s, d) in enumerate(candidates):
-        by_disease.setdefault(d, []).append((float(scores[idx]), s))
+    for (s, d), score in zip(candidates, scores.tolist()):
+        by_disease.setdefault(d, []).append((score, s))
 
     predictions: list[RankedPrediction] = []
     exhausted: list[str] = []

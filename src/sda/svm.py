@@ -103,14 +103,13 @@ class SvmModel:
 
 def _as_pm1(y) -> np.ndarray:
     y = np.asarray(y)
-    vals = set(np.unique(y).tolist())
-    if vals <= {0, 1}:
+    if np.all((y == 0) | (y == 1)):
         y = np.where(y == 1, 1.0, -1.0)
-    elif vals <= {-1, 1}:
+    elif np.all((y == -1) | (y == 1)):
         y = y.astype(np.float64)
     else:
-        raise ValueError(f"labels must be 0/1 or -1/+1, got {sorted(vals)}")
-    if len(np.unique(y)) < 2:
+        raise ValueError(f"labels must be 0/1 or -1/+1, got {sorted(set(y.tolist()))}")
+    if y.size == 0 or y.min() == y.max():
         raise NumericError("degenerate training set: need both classes present")
     return y
 
@@ -133,23 +132,29 @@ def _optimal_bias(v: np.ndarray, up: np.ndarray, low: np.ndarray) -> float:
 
 
 def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
-    """WSS2 SMO on the Gram matrix ``K`` for labels ``y`` in {-1, +1}.
+    """WSS2 SMO on the leaf-kernel Gram matrix ``K`` for labels ``y`` in
+    {-1, +1}. The diagonal of ``K`` is exactly 1, so a_ij = 2 - 2 K_ij.
 
     Runs at most ``max_passes * n`` steps. Returns ``(alphas, up, low,
     steps, converged)``, with ``up`` and ``low`` the masks of I_up and I_low.
     """
     n = len(y)
-    diag = K.diagonal()
     alphas = np.zeros(n)
     v = y.copy()  # g == 0 at alphas == 0
     up = y > 0
     low = ~up
+    # Every step reuses these buffers.
+    masked, a, b = np.empty(n), np.empty(n), np.empty(n)
+    pick = np.empty(n, dtype=bool)
     steps = 0
     while True:
-        v_up = np.where(up, v, -np.inf)
-        i = int(v_up.argmax())
-        m = v_up[i]
-        M = np.where(low, v, np.inf).min()
+        masked.fill(-np.inf)
+        np.copyto(masked, v, where=up)
+        i = int(masked.argmax())
+        m = masked[i]
+        masked.fill(np.inf)
+        np.copyto(masked, v, where=low)
+        M = masked.min()
         if m - M < tol or m <= M:  # m <= M: exactly optimal, even at tol <= 0
             # Confirm on a fresh v: the updates below accumulate rounding.
             fresh = y - (alphas * y) @ K
@@ -160,23 +165,29 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
         if steps == max_passes * n:
             return alphas, up, low, steps, False
         Ki = K[i]
-        a = diag[i] + diag - 2.0 * Ki
-        a[a <= 0.0] = TAU
-        b = m - v
-        j = int(np.where(low & (b > 0.0), b * b / a, -np.inf).argmax())
+        np.subtract(2.0, np.multiply(2.0, Ki, out=a), out=a)
+        np.copyto(a, TAU, where=np.less_equal(a, 0.0, out=pick))
+        np.subtract(m, v, out=b)
+        np.logical_and(low, np.greater(b, 0.0, out=pick), out=pick)
+        masked.fill(-np.inf)
+        np.divide(np.square(b, out=b), a, out=masked, where=pick)
+        j = int(masked.argmax())
         Kj = K[j]
         # Move alpha_i by y_i * t and alpha_j by -y_j * t, which keeps
         # sum(alpha * y); t is the unconstrained optimum, clipped to the box.
         room_i = C - alphas[i] if y[i] > 0 else alphas[i]
         room_j = alphas[j] if y[j] > 0 else C - alphas[j]
-        t = min(b[j] / a[j], room_i, room_j)
+        t = min((m - v[j]) / a[j], room_i, room_j)
         ai = alphas[i] + y[i] * t
         aj = alphas[j] - y[j] * t
         if t == room_i:
             ai = C if y[i] > 0 else 0.0
         if t == room_j:
             aj = 0.0 if y[j] > 0 else C
-        v -= (y[i] * (ai - alphas[i])) * Ki + (y[j] * (aj - alphas[j])) * Kj
+        # a and b are free again: they take the two terms of the update.
+        np.multiply(y[i] * (ai - alphas[i]), Ki, out=a)
+        a += np.multiply(y[j] * (aj - alphas[j]), Kj, out=b)
+        v -= a
         alphas[i], alphas[j] = ai, aj
         for k in (i, j):
             below_c, above_zero = alphas[k] < C, alphas[k] > 0.0
@@ -278,7 +289,7 @@ def grid_search(
     for f in range(n_folds):
         test = fold_index == f
         train = ~test
-        if len(np.unique(y01[train])) < 2 or len(np.unique(y01[test])) < 2:
+        if not all(0 < y01[part].sum() < part.sum() for part in (train, test)):
             log.warning("grid_search: fold %d skipped (single class)", f)
             continue
         X_train, y_train = X[train], _as_pm1(y01[train])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sda import boost
 from sda.boost import (
     GbdtEnsemble,
     RegressionTree,
@@ -450,3 +451,181 @@ class TestPairSpace:
                 stack.append((int(tree.left[node]), rows[go_left], d + 1))
                 stack.append((int(tree.right[node]), rows[~go_left], d + 1))
         assert n_nodes > 300
+
+
+def walk_tie_rule(left, right, pairs, r, msl, depth):
+    """Fit a tree and check each node against ``tie_rule_best_split`` on
+    the assembled rows. Returns the tree and, per visited node, its rows and
+    its children's rows (none at a leaf)."""
+    X = assemble(left, right, pairs)
+    tree = fit_regression_tree(left, right, pairs, r, np.full(len(r), 0.25),
+                               max_depth=depth, min_samples_leaf=msl)
+    visited = []
+    stack = [(0, np.arange(len(r)), 0)]
+    while stack:
+        node, rows, d = stack.pop()
+        best = tie_rule_best_split(X[rows], r[rows], msl)
+        f = int(tree.feature[node])
+        if f < 0:
+            visited.append((rows, ()))
+            assert (d == depth or rows.size < 2 * msl
+                    or np.all(r[rows] == r[rows][0]) or best is None)
+            continue
+        t = float(tree.threshold[node])
+        assert (f, t) == best, node
+        go_left = X[rows, f] <= t
+        visited.append((rows, (rows[go_left], rows[~go_left])))
+        stack.append((int(tree.left[node]), rows[go_left], d + 1))
+        stack.append((int(tree.right[node]), rows[~go_left], d + 1))
+    return tree, visited
+
+
+class TestSplitSearch:
+    """The dense gain tables and the entity restriction behind each split."""
+
+    @staticmethod
+    def _sides(table):
+        order = np.argsort(table.T, axis=1, kind="stable")
+        return order, np.take_along_axis(table.T, order, axis=1)
+
+    def test_keep_present_restricts_in_order(self):
+        table = np.round(np.random.default_rng(3).random((7, 3)), 1)
+        order, vals = self._sides(table)
+        kept, kept_vals = boost._keep_present(order, vals, np.array([4, 1, 4, 6]), 7)
+        assert kept.shape == kept_vals.shape == (3, 3)
+        for f in range(3):
+            expect = [e for e in order[f] if e in (1, 4, 6)]
+            assert kept[f].tolist() == expect
+            assert kept_vals[f].tolist() == table[expect, f].tolist()
+
+    def test_keep_present_returns_unchanged_orders(self):
+        # no entity dropped out: the parent's arrays, not copies
+        table = np.round(np.random.default_rng(4).random((5, 2)), 1)
+        order, vals = self._sides(table)
+        kept, kept_vals = boost._keep_present(order, vals, np.array([3, 0, 1, 4, 2, 0]), 5)
+        assert kept is order and kept_vals is vals
+
+    @pytest.mark.parametrize("msl", (1, 2, 4))
+    def test_side_gains_every_position(self, msl):
+        rng = np.random.default_rng(5 + msl)
+        table = np.round(rng.random((6, 3)), 1)
+        ent = rng.integers(0, 6, 25)
+        r = rng.normal(size=25)
+        order, vals = boost._keep_present(*self._sides(table), ent, 6)
+        gains = boost._side_gains(order, vals, ent, r, float(r.sum()), msl)
+        m, width = len(r), order.shape[1]
+        assert gains.shape == order.shape and width == len(set(ent.tolist()))
+        for f in range(len(order)):
+            for q in range(width):
+                left = np.isin(ent, order[f, : q + 1])
+                n_left = int(left.sum())
+                if (q < width - 1 and vals[f, q] < vals[f, q + 1]
+                        and msl <= n_left <= m - msl):
+                    expect = (r[left].sum() ** 2 / n_left
+                              + r[~left].sum() ** 2 / (m - n_left))
+                    assert gains[f, q] == pytest.approx(expect, rel=1e-12)
+                else:
+                    assert gains[f, q] == -np.inf
+
+    def test_min_samples_leaf_leaves_no_candidate(self):
+        # the one threshold puts 3 rows left: a candidate at 3, none at 4
+        X = np.array([[0.0]] * 3 + [[1.0]] * 7)
+        r = np.array([-1.0, 1.0] * 5)
+        for msl, n_leaves in ((3, 2), (4, 1)):
+            tree = fit_regression_tree(*pair_space(X), r, np.full(10, 0.25),
+                                       max_depth=2, min_samples_leaf=msl)
+            assert tree.n_leaves == n_leaves
+        tables, ents, sides = boost._prepare(*pair_space(X))
+        gains = boost._side_gains(*sides[0][1:], ents[0], r, float(r.sum()), 4)
+        assert np.all(gains == -np.inf)
+        assert boost._best_split(sides, ents, r, 4) is None
+
+    @staticmethod
+    def _drops(pairs, visited):
+        """For each child of a split: whether it lost entities on the left
+        side and on the right side, against its parent."""
+        pairs = np.asarray(pairs)
+
+        def present(rows):
+            return [set(pairs[rows, side].tolist()) for side in (0, 1)]
+
+        return [
+            tuple(c < p for c, p in zip(present(child), present(rows)))
+            for rows, children in visited
+            for child in children
+        ]
+
+    def test_entities_drop_out_on_the_split_side_only(self):
+        # every left entity meets every right one: a split on one side keeps
+        # all of the other side's entities in both children
+        rng = np.random.default_rng(8)
+        left = np.round(rng.random((9, 2)), 1)
+        right = np.round(rng.random((4, 2)), 1)
+        pairs = [(a, b) for a in range(9) for b in range(4)]
+        X = assemble(left, right, pairs)
+        r = np.sign(X[:, 0] - 0.5) + 0.5 * X[:, 2] + rng.integers(-2, 3, len(pairs)) / 8.0
+        _, visited = walk_tie_rule(left, right, pairs, r, msl=2, depth=4)
+        drops = self._drops(pairs, visited)
+        assert drops and all(sum(d) == 1 for d in drops)
+        assert set(drops) == {(True, False), (False, True)}
+
+    def test_entities_drop_out_on_both_sides(self):
+        # left entities below 5 meet right entities 0-2 only, the rest 3-5:
+        # a split between the blocks drops entities on both sides
+        rng = np.random.default_rng(9)
+        left = np.round(rng.random((10, 2)), 1)
+        left[:, 0] = np.arange(10) >= 5
+        right = np.round(rng.random((6, 2)), 1)
+        pairs = [(a, b) for a in range(10) for b in range(6) if (a >= 5) == (b >= 3)]
+        X = assemble(left, right, pairs)
+        r = 2.0 * X[:, 0] - 1.0 + rng.integers(-4, 5, len(pairs)) / 8.0
+        _, visited = walk_tie_rule(left, right, pairs, r, msl=2, depth=3)
+        assert (True, True) in self._drops(pairs, visited)
+
+    def test_zero_width_left_side(self):
+        # the left table has no column, so every split tests the right one
+        rng = np.random.default_rng(10)
+        X = np.round(rng.random((40, 3)), 1)
+        r = rng.integers(-8, 9, 40) / 8.0
+        pairs = [(0, i) for i in range(40)]
+        tree, visited = walk_tie_rule(np.zeros((1, 0)), X, pairs, r, msl=2, depth=3)
+        assert sum(bool(children) for _, children in visited) > 3
+        mirrored = fit_regression_tree(*pair_space(X), r, np.full(40, 0.25),
+                                       max_depth=3, min_samples_leaf=2)
+        assert np.array_equal(tree.feature, mirrored.feature)
+        assert np.array_equal(tree.threshold, mirrored.threshold, equal_nan=True)
+
+    def test_repeated_columns_follow_the_tie_rule(self):
+        # a column equal to an earlier one is never searched; the earlier one
+        # wins every tie it would have made
+        rng = np.random.default_rng(11)
+        base = np.round(rng.random((12, 3)), 1)
+        left = base[:, [1, 0, 1, 2, 0]]
+        right = np.round(rng.random((5, 2)), 1)[:, [0, 0, 1]]
+        pairs = np.column_stack([rng.integers(0, 12, 70), rng.integers(0, 5, 70)])
+        r = rng.integers(-8, 9, 70) / 8.0
+        tree, visited = walk_tie_rule(left, right, pairs, r, msl=2, depth=4)
+        assert sum(bool(children) for _, children in visited) > 5
+        assert not set(tree.feature[tree.feature >= 0].tolist()) & {2, 4, 6}
+
+    def test_grower_records_each_training_rows_leaf(self):
+        rng = np.random.default_rng(12)
+        left, right, pairs = tie_prone_pair_space(rng, 60)
+        r = rng.normal(size=60)
+        tables, ents, sides = boost._prepare(left, right, pairs)
+        tree, leaf_of_row = boost._grow_tree(
+            tables, ents, sides, r, np.full(60, 0.25), 4, 2, 1e-6
+        )
+        np.testing.assert_array_equal(leaf_of_row, tree.apply(left, right, pairs))
+
+    def test_training_scores_equal_summed_predictions(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            left, right, pairs = tie_prone_pair_space(rng, int(rng.integers(20, 80)))
+            y = (rng.random(len(pairs)) < 0.5).astype(float)
+            y[:2] = [0.0, 1.0]
+            ens = gbdt_fit(left, right, pairs, y, n_trees=6, min_samples_leaf=2)
+            scores = np.full(len(y), ens.init_score)
+            for t, tree in enumerate(ens.trees):
+                scores = scores + ens.learning_rate * tree.predict(left, right, pairs)
+                assert ens.loss_history[t + 1] == logistic_loss(y, scores)

@@ -2,10 +2,13 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sda
 from sda import pipeline
 from sda.cli import main
 from sda.config import PipelineConfig
@@ -559,6 +562,65 @@ class TestPrepareRecord:
         cfg = write_config_file(tmp_path / "cfg.txt", **keys)
         assert main(["evaluate", "--config", cfg]) == 2
         assert path in caplog.text
+
+
+def run_fresh(argv):
+    """``main(argv)`` in a fresh interpreter: its exit code, its standard
+    error, and the names of the modules it imported by the end."""
+    code = (
+        "import sys; from sda.cli import main; rc = main(sys.argv[1:]); "
+        "print(*sys.modules, sep='\\n'); sys.exit(rc)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sda.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stderr, set(proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("command", ("evaluate", "rank"))
+def test_command_does_not_import_numpy_ma(command, small_dataset, tmp_path):
+    # the first plain np.unique imports numpy.ma, which costs every command
+    # about 12 ms and 1.5 MB; no label check needs it
+    cfg = write_config_file(
+        tmp_path / "cfg.txt", **base_keys(small_dataset, str(tmp_path / "out"))
+    )
+    rc, err, modules = run_fresh([command, "--config", cfg])
+    assert rc == 0, err
+    assert "numpy" in modules
+    assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize(
+    "case", ("non-utf8-association", "directory-association", "directory-prepare-record")
+)
+def test_unreadable_input_exits_two(case, small_dataset, prepared_dir, tmp_path):
+    keys = base_keys(small_dataset, str(tmp_path / "out"))
+    command = "prepare"
+    if case == "non-utf8-association":
+        path = str(tmp_path / "association.csv")
+        with open(small_dataset["association"], "rb") as fh:
+            content = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(content.replace(b"sno", b"sn\xe9", 1))  # Latin-1 e-acute
+        keys["association_path"] = path
+    elif case == "directory-association":
+        path = str(tmp_path)
+        keys["association_path"] = path
+    else:
+        broken = str(tmp_path / "prepared")
+        shutil.copytree(prepared_dir, broken)
+        path = os.path.join(broken, "prepare.json")
+        os.remove(path)
+        os.mkdir(path)
+        keys["prepared_dir"] = broken
+        command = "evaluate"
+    cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+    rc, err, _ = run_fresh([command, "--config", cfg])
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert f"data error: {path}" in err
 
 
 MATRIX_COMMANDS = ("prepare", "evaluate", "rank", "run-all", "holdout")
