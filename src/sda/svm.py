@@ -242,14 +242,22 @@ def smo_train(
     return _fit(X, y, leaf_kernel(X, X, gamma), C, gamma, tol, max_passes)[0]
 
 
+def _decision(K: np.ndarray, model: SvmModel) -> np.ndarray:
+    """f(x) + b for each row of ``K``, the kernel of the scored rows (rows)
+    with the support vectors (columns). Each row is weighted in place and
+    summed along itself, so its value does not depend on the other rows
+    scored with it (a BLAS product's blocking would). Overwrites ``K``."""
+    K *= model.alphas * model.labels
+    return K.sum(axis=1) + model.bias
+
+
 def svm_decision(model: SvmModel, X) -> np.ndarray:
     """Raw margin f(x) = sum_i alpha_i y_i K(sv_i, x) + b; sign is the label,
     the value itself is the ranking confidence."""
     X = np.atleast_2d(np.asarray(X))
     if len(model.alphas) == 0:
         return np.full(X.shape[0], model.bias)
-    K = leaf_kernel(model.support_vectors, X, model.gamma)
-    return (model.alphas * model.labels) @ K + model.bias
+    return _decision(leaf_kernel(X, model.support_vectors, model.gamma), model)
 
 
 def grid_search(
@@ -266,10 +274,10 @@ def grid_search(
     Ties fall to the smaller C, then the smaller gamma. Folds whose training
     or test part ends up single-class are skipped with a warning; a cell with
     every fold skipped is an error. Each fold's shared-leaf counts are
-    computed once, training x training and training x test; each (fold,
+    computed once, training x training and test x training; each (fold,
     gamma) Gram matrix once, from one kernel table, and every C is solved on
-    that Gram. A cell's decision values look up the support vectors' rows of
-    the test counts.
+    that Gram. A cell's decision values look up the support vectors' columns
+    of the test counts and are summed as ``svm_decision`` sums them.
     """
     from .evaluation import roc_auc, stratified_kfold
 
@@ -294,14 +302,13 @@ def grid_search(
             continue
         X_train, y_train = X[train], _as_pm1(y01[train])
         shared = _shared_leaves(X_train, X_train)
-        shared_test = _shared_leaves(X_train, X[test])
+        shared_test = _shared_leaves(X[test], X_train)
         for gamma in grid.gamma_values:
             table = _kernel_table(X.shape[1], gamma)
             K = table[shared]
             for C in grid.c_values:
                 model, keep = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
-                K_test = table[shared_test[keep]]
-                scores = (model.alphas * model.labels) @ K_test + model.bias
+                scores = _decision(table[shared_test[:, keep]], model)
                 results[(C, gamma)].append(roc_auc(scores, y01[test]))
     best = None
     for (C, gamma), scores in results.items():

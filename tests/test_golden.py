@@ -23,40 +23,40 @@ from conftest import write_config_file
 GOLDEN = {
     "evaluate": (
         "evaluate", {}, "report.json",
-        "4aee1c6a4e6eb6c6dc6f2b86e7f230d067a01233b247bb8fda16d50657e86a2e",
+        "f89a365f1f5794e97d1a76b8550955bfb5138f1da66e1ebb563f0350d72f04e9",
     ),
     "evaluate-strict-folds": (
         "evaluate", {"mode": "strict-folds"}, "report.json",
-        "99275d06c21abf3b57284f46338f8ed7a86aa5b6f81c7a8231f96fb73271a0bb",
+        "6e61aaa5cd41ca2811b6ce82b8430fadc4cfdfec0a201b1e4e12d05aba81ea0b",
     ),
     "evaluate-k-range": (
         "evaluate", {"k_range": "5,10"}, "report.json",
-        "66b634674261f553b4bf27a5a97ae9d7be32356e27ac25d683b8f86d354af1c7",
+        "30451a498b0acd424bdc1f0d7239613ba9c1c1107235501c084243fa6ede57e2",
     ),
     "evaluate-strict-k-range": (
         "evaluate", {"mode": "strict-folds", "k_range": "5,10"}, "report.json",
-        "ad18d39c75744cbd8ba9b77fa91686481e9d060a9653dc246df15ee0e3dcd457",
+        "15c669ef97b76b63cad98a19d5956824f4a250076381feea41167a0ba9072514",
     ),
     "holdout": (
         "holdout", {}, "holdout_report.json",
-        "7c7a1c7228aadc73f9c2995e66efdd565f19fec63eca9bfa89ebd4dfaf0fb20e",
+        "e8885804d605367b235597514ee53e204aae97010c79c50bc26263dffd78e4fe",
     ),
     "rank": (
         "rank", {}, "rankings.csv",
-        "1fd8c2e850f944190d7c434af4ec23ee0ee2a2e70c0aaad23dbb7a0fea506999",
+        "e5ba4acad7204ea21b41da642593488ae0c4746438f306893a6e2197798872d9",
     ),
     "rank-grid": (
         "rank", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "d0b17e104b3182f3d6ff28fb3db9fcc050d7355f48734db873dc6472e8c5c927",
+        "0aa7b46a304fbcfc526f220fc835fefdb09a2ed0fa2f6423337c4c5698650264",
     ),
     # run-all: evaluate and rank share one grid search's pick
     "run-all-grid-report": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "report.json",
-        "7f071ac54945ac66ccb3439e10c9cfef09c5a393d1cedd899f23efa1bd747748",
+        "6a7e903872b60e576182e1314c97754c0995a5faf5da43e0a0593e8bb5e41a31",
     ),
     "run-all-grid-rankings": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "d0b17e104b3182f3d6ff28fb3db9fcc050d7355f48734db873dc6472e8c5c927",
+        "0aa7b46a304fbcfc526f220fc835fefdb09a2ed0fa2f6423337c4c5698650264",
     ),
 }
 
@@ -73,8 +73,8 @@ ARTIFACTS = {
         "prepare.json": "2d478659a9015b9efd0a9d9cb33c5beb0799c2ee4862a86a3605861db43641ac",
     },
     "evaluate": {
-        "roc_points.csv": "2889285cc6cf2f75adc6d3adf426a0c9ef71e1c85100d2ce2943a88f62b67e14",
-        "pr_points.csv": "0b83355831e08d2fad83c9344dd19c9ffcd14e456c02c0a5c7e7f126a3f0fd5c",
+        "roc_points.csv": "7bb153cf1cdaefad38174dfb025d67c8b926ef44041375eb53ebe6aebcdad560",
+        "pr_points.csv": "90133eaf18626b58aa0397e3614b3fcff1b8fc948164b7828964d4ce5ffc0084",
     },
 }
 

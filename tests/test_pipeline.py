@@ -58,9 +58,34 @@ class TestPrepare:
             want = svm_decision(model, gbdt_leaf_encode(ens, *prepared.tables, pairs))
             got = pipeline.score_pairs(prepared, ens, model, pairs)
             assert got.shape == (len(pairs),)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert np.array_equal(got, want)
         # one SVM row per distinct leaf pattern, however often it repeats
         assert scored[0] == scored[1] < len(candidates)
+
+
+class TestBatchIndependentScores:
+    def test_a_pairs_score_does_not_depend_on_its_batch(self, tmp_path):
+        """Scored alone, in the full candidate batch, in a permuted batch or
+        once per distinct leaf pattern, a pair gets the same bits."""
+        am, ft, dag = make_block_dataset(160, 48, within=0.10, across=0.002, seed=3)
+        p = write_dataset_files(str(tmp_path), am, ft, dag)
+        cfg = PipelineConfig(
+            association_path=p["association"], feature_path=p["features"],
+            dag_path=p["dag"], output_dir=str(tmp_path / "out"),
+            svm_c=(10.0,), svm_gamma=(0.1,),
+        )
+        prepared = pipeline.prepare(cfg)
+        full = pipeline.fit_full_gbdt(prepared, cfg)
+        params = pipeline.resolve_svm_params(prepared, cfg, full)
+        ens, model = pipeline.train_final(prepared, cfg, params, full)
+        leaves = gbdt_leaf_encode(ens, *prepared.tables, prepared.negatives)
+        batch = svm_decision(model, leaves)
+        perm = np.random.default_rng(0).permutation(len(leaves))
+        assert np.array_equal(svm_decision(model, leaves[perm]), batch[perm])
+        alone = np.array([svm_decision(model, row[None])[0] for row in leaves])
+        assert np.array_equal(alone, batch)
+        got = pipeline.score_pairs(prepared, ens, model, prepared.negatives)
+        assert np.array_equal(got, batch)
 
 
 def traced_peak(fn, *args):
