@@ -124,9 +124,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _rank_and_write(prepared, cfg: PipelineConfig, params, full) -> tuple[int, list[str]]:
-    models = pipeline.train_final(prepared, cfg, params, full)
-    predictions, exhausted = pipeline.rank_candidates(prepared, cfg, models=models)
+def _rank_and_write(prepared, cfg: PipelineConfig, model) -> tuple[int, list[str]]:
+    predictions, exhausted = pipeline.rank_candidates(prepared, cfg, model)
     pipeline.write_rankings(predictions, cfg.output_dir)
     return len(predictions), exhausted
 
@@ -134,9 +133,7 @@ def _rank_and_write(prepared, cfg: PipelineConfig, params, full) -> tuple[int, l
 def cmd_rank(cfg: PipelineConfig) -> int:
     _echo_config(cfg)
     prepared = pipeline.prepare(cfg)
-    full = pipeline.fit_full_gbdt(prepared, cfg)
-    params = pipeline.resolve_svm_params(prepared, cfg, full)
-    n_rows, exhausted = _rank_and_write(prepared, cfg, params, full)
+    n_rows, exhausted = _rank_and_write(prepared, cfg, pipeline.fit_model(prepared, cfg))
     _print_descriptor(prepared, cfg)
     for disease_id in exhausted:
         print(f"disease '{disease_id}' has no unknown pairs; zero rows ranked")
@@ -154,11 +151,9 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
         _print_descriptor(prepared, cfg)
 
         stage = "evaluate"
-        # one full-set tree ensemble serves the grid search and the final
-        # model, and one (C, gamma) serves the CV and the ranking
-        full = pipeline.fit_full_gbdt(prepared, cfg)
-        params = pipeline.resolve_svm_params(prepared, cfg, full)
-        report = pipeline.evaluate(prepared, cfg, params)
+        # the ranking model's (C, gamma) also serves the CV
+        model = pipeline.fit_model(prepared, cfg)
+        report = pipeline.evaluate(prepared, cfg, model.params)
         pipeline.write_report(report, cfg.output_dir)
         print(
             f"mode={report.mode} mean roc_auc={report.mean['roc_auc']:.4f} "
@@ -166,7 +161,7 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
         )
 
         stage = "rank"
-        n_rows, exhausted = _rank_and_write(prepared, cfg, params, full)
+        n_rows, exhausted = _rank_and_write(prepared, cfg, model)
         for disease_id in exhausted:
             print(f"disease '{disease_id}' has no unknown pairs; zero rows ranked")
         print(f"ranked top {cfg.top_k} per disease: {n_rows} rows")

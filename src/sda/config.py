@@ -8,10 +8,10 @@ echo alone.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .corpus import read_text
+from .errors import ConfigError, DataError
 
 MODES = ("paper-faithful", "strict-folds")
 
@@ -148,10 +148,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
     """Build a config from an optional file plus override values (flags win)."""
     values: dict[str, object] = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read(), source=path))
+        try:
+            text = read_text(path)
+        except DataError as exc:  # the config is usage, not data: exit 1
+            raise ConfigError(str(exc)) from None
+        values.update(parse_config_text(text, source=path))
     if overrides:
         for key, val in overrides.items():
             if key not in CONFIG_KEYS:

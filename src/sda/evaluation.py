@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boost import gbdt_fit, gbdt_leaf_encode
 from .errors import DataError, NumericError
-from .svm import SvmParams, smo_train, svm_decision
+from .model import SvmParams, fit
 from .util import derive_seed, sigmoid
 
 log = logging.getLogger(__name__)
@@ -166,10 +165,9 @@ def run_cv(
     """Stratified k-fold evaluation of the boosted-trees + SVM pipeline over
     the pair space of ``left`` and ``right`` (see ``boost``).
 
-    Each fold fits the tree ensemble on its training pairs, encodes train and
-    test through the fitted leaves, trains the SVM at ``params`` on the
-    training encodings, and scores the test pairs; pooled test scores feed
-    the exported curves.
+    Each fold fits the model (``model.fit``) on its training pairs with the
+    SVM at ``params`` and scores its test pairs; pooled test scores feed the
+    exported curves.
     Every fold uses ``left`` and ``right``, except in strict-folds mode, where
     ``fold_tables(test_idx)`` rebuilds the two tables for each fold from
     training-fold positives only; it is required in that mode and rejected
@@ -199,18 +197,8 @@ def run_cv(
         tables = (left, right) if fold_tables is None else fold_tables(test_idx)
         y_train, y_test = labels[train_idx], labels[test_idx]
 
-        ens = gbdt_fit(
-            *tables, pairs[train_idx], y_train, n_trees=config.n_trees,
-            learning_rate=config.learning_rate, max_depth=config.max_depth,
-            min_samples_leaf=config.min_samples_leaf,
-        )
-        enc_train = gbdt_leaf_encode(ens, *tables, pairs[train_idx])
-        enc_test = gbdt_leaf_encode(ens, *tables, pairs[test_idx])
-        model = smo_train(
-            enc_train, y_train, C=params.c, gamma=params.gamma_for(ens.total_leaves),
-            tol=config.svm_tol, max_passes=config.svm_max_passes,
-        )
-        scores = svm_decision(model, enc_test)
+        model = fit(*tables, pairs[train_idx], y_train, config, params)
+        scores = model.score(*tables, pairs[test_idx])
         pooled[test_idx] = scores
         probs = sigmoid(scores)
         tm = threshold_metrics(probs, y_test)
@@ -225,7 +213,7 @@ def run_cv(
                 "f1": tm.f1,
                 "f1_defined": tm.f1_defined,
                 "mse": float(np.mean((probs - y_test) ** 2)),
-                "svm_converged": model.converged,
+                "svm_converged": model.svm.converged,
             }
         )
         log.info(

@@ -14,13 +14,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import corpus, sampling, similarity
-from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
 from .evaluation import MetricsReport, run_cv
-from .svm import (
-    ParamGrid, SvmModel, SvmParams, gamma_value, grid_search, smo_train, svm_decision,
-)
+from .model import Model, SvmParams, fit, single_cell
 from .util import atomic_write_text, derive_seed, fmt_float
 
 log = logging.getLogger(__name__)
@@ -295,44 +292,16 @@ def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
     )
 
 
-def fit_full_gbdt(
-    prepared: PreparedData, cfg: PipelineConfig
-) -> tuple[GbdtEnsemble, np.ndarray]:
-    """The tree ensemble fitted on the whole balanced set, and the set's leaf
-    indices. The grid search and the final model share this one fit."""
-    ens = gbdt_fit(
-        *prepared.tables, prepared.pairs, prepared.labels, n_trees=cfg.n_trees,
-        learning_rate=cfg.learning_rate, max_depth=cfg.max_depth,
-        min_samples_leaf=cfg.min_samples_leaf,
-    )
-    return ens, gbdt_leaf_encode(ens, *prepared.tables, prepared.pairs)
+def fit_model(prepared: PreparedData, cfg: PipelineConfig) -> Model:
+    """The ranking model, fitted on 100% of the balanced set. Its SVM point
+    is the configured one, or the pick of a grid search on the set."""
+    return fit(*prepared.tables, prepared.pairs, prepared.labels, cfg)
 
 
-def resolve_svm_params(
-    prepared: PreparedData,
-    cfg: PipelineConfig,
-    full: tuple[GbdtEnsemble, np.ndarray] | None = None,
-) -> SvmParams:
-    """The SVM's (C, gamma): the configured point when the grid has one cell,
-    else the pick of a grid search on the full balanced set's leaf indices.
-    ``full`` is the output of ``fit_full_gbdt``, fitted here when needed and
-    not given."""
-    if len(cfg.svm_c) == 1 and len(cfg.svm_gamma) == 1:
-        return SvmParams(float(cfg.svm_c[0]), cfg.svm_gamma[0])
-    ens, enc = full if full is not None else fit_full_gbdt(prepared, cfg)
-    gammas = sorted({gamma_value(g, ens.total_leaves) for g in cfg.svm_gamma})
-    grid = ParamGrid(c_values=sorted(set(map(float, cfg.svm_c))), gamma_values=gammas)
-    best_c, best_gamma, _scores = grid_search(
-        enc,
-        prepared.labels,
-        grid,
-        n_folds=cfg.n_folds,
-        seed=derive_seed(cfg.seed, "grid-search"),
-        tol=cfg.svm_tol,
-        max_passes=cfg.svm_max_passes,
-    )
-    log.info("grid search chose C=%g gamma=%g", best_c, best_gamma)
-    return SvmParams(best_c, best_gamma)
+def resolve_svm_params(prepared: PreparedData, cfg: PipelineConfig) -> SvmParams:
+    """The SVM's (C, gamma) for the CV: the configured point when the grid
+    has one cell (no model is fitted), else the point ``fit_model`` picks."""
+    return single_cell(cfg) or fit_model(prepared, cfg).params
 
 
 def evaluate(
@@ -343,71 +312,38 @@ def evaluate(
     return run_cv(*prepared.tables, prepared.pairs, prepared.labels, cfg, params, fold_tables)
 
 
-def train_final(
-    prepared: PreparedData,
-    cfg: PipelineConfig,
-    params: SvmParams,
-    full: tuple[GbdtEnsemble, np.ndarray],
-) -> tuple[GbdtEnsemble, SvmModel]:
-    """Fit the ranking model at ``params`` on 100% of the balanced set, on
-    the tree ensemble and leaf indices of ``full`` (from ``fit_full_gbdt``)."""
-    ens, enc = full
-    model = smo_train(
-        enc, prepared.labels, C=params.c, gamma=params.gamma_for(ens.total_leaves),
-        tol=cfg.svm_tol, max_passes=cfg.svm_max_passes,
-    )
-    return ens, model
-
-
-def score_pairs(
-    prepared: PreparedData,
-    ens: GbdtEnsemble,
-    model: SvmModel,
-    pairs: list[tuple[int, int]],
-) -> np.ndarray:
-    """Decision values for arbitrary pairs. The SVM sees only leaf
-    indices, so it scores each distinct leaf pattern once: every pattern
-    gets one integer key, folded tree by tree, and its score is scattered
-    back to the pairs that share it."""
-    leaves = gbdt_leaf_encode(ens, *prepared.tables, pairs)
-    key = np.zeros(len(leaves), dtype=np.int64)
-    for column in leaves.T:  # key < len(pairs), so key * width + column fits
-        _, first, key = np.unique(
-            key * ens.total_leaves + column, return_index=True, return_inverse=True
-        )
-    return svm_decision(model, leaves[first])[key]
+def _scores_by_disease(prepared: PreparedData, model: Model) -> dict[int, dict[int, float]]:
+    """Every unknown pair's decision score, grouped by disease index and
+    then keyed by snoRNA index, in candidate order."""
+    candidates = prepared.negatives
+    by_disease: dict[int, dict[int, float]] = {}
+    for (s, d), score in zip(candidates, model.score(*prepared.tables, candidates).tolist()):
+        by_disease.setdefault(d, {})[s] = score
+    return by_disease
 
 
 def rank_candidates(
-    prepared: PreparedData,
-    cfg: PipelineConfig,
-    models: tuple[GbdtEnsemble, SvmModel],
+    prepared: PreparedData, cfg: PipelineConfig, model: Model
 ) -> tuple[list[RankedPrediction], list[str]]:
-    """Top-k unknown pairs per disease by decision score.
+    """Top-k unknown pairs per disease by ``model``'s decision score.
 
     Unknown pairs used as balancing negatives are still scored (they remain
     candidates); only known positives are excluded. Returns the predictions
     sorted by (disease_id, rank) and the diseases with no unknown pairs left.
     """
-    ens, model = models
-    candidates = prepared.negatives
-    scores = score_pairs(prepared, ens, model, candidates)
-
-    by_disease: dict[int, list[tuple[float, int]]] = {}
-    for (s, d), score in zip(candidates, scores.tolist()):
-        by_disease.setdefault(d, []).append((score, s))
-
+    by_disease = _scores_by_disease(prepared, model)
     predictions: list[RankedPrediction] = []
     exhausted: list[str] = []
     for d_idx, disease_id in sorted(
         enumerate(prepared.am.disease_ids), key=lambda t: t[1]
     ):
-        entries = by_disease.get(d_idx)
-        if not entries:
+        if d_idx not in by_disease:
             exhausted.append(disease_id)
             continue
-        entries.sort(key=lambda t: (-t[0], prepared.am.snorna_ids[t[1]]))
-        for rank, (score, s_idx) in enumerate(entries[: cfg.top_k], start=1):
+        entries = sorted(
+            by_disease[d_idx].items(), key=lambda t: (-t[1], prepared.am.snorna_ids[t[0]])
+        )
+        for rank, (s_idx, score) in enumerate(entries[: cfg.top_k], start=1):
             predictions.append(
                 RankedPrediction(disease_id, prepared.am.snorna_ids[s_idx], score, rank)
             )
@@ -443,37 +379,28 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
         )
 
     prepared = prepare_from_matrix(reduced, cfg)
-    full = fit_full_gbdt(prepared, cfg)
-    params = resolve_svm_params(prepared, cfg, full)
-    ens, model = train_final(prepared, cfg, params, full)
-    candidates = prepared.negatives  # includes the held-out pairs
-    scores = score_pairs(prepared, ens, model, candidates)
-
-    by_disease: dict[int, list[int]] = {}
-    for idx, (_s, d) in enumerate(candidates):
-        by_disease.setdefault(d, []).append(idx)
-    cand_index = {pair: i for i, pair in enumerate(candidates)}
+    # the candidates, the unknown pairs of ``reduced``, include the held-out pairs
+    by_disease = _scores_by_disease(prepared, fit_model(prepared, cfg))
 
     rows = []
     for s, d in held:
         disease_id = am.disease_ids[d]
         if disease_id in excluded:
             continue
-        idxs = by_disease[d]
-        disease_scores = scores[idxs]
-        mine = scores[cand_index[(s, d)]]
+        disease_scores = np.fromiter(by_disease[d].values(), dtype=np.float64)
+        mine = by_disease[d][s]
         below = int((disease_scores < mine).sum())
         ties = int((disease_scores == mine).sum())
-        percentile = 100.0 * (below + 0.5 * ties) / len(idxs)
+        percentile = 100.0 * (below + 0.5 * ties) / len(disease_scores)
         rank = int((disease_scores > mine).sum()) + 1
         rows.append(
             {
                 "snorna_id": am.snorna_ids[s],
                 "disease_id": disease_id,
-                "score": float(mine),
+                "score": mine,
                 "percentile": percentile,
                 "rank_in_disease": rank,
-                "n_candidates": len(idxs),
+                "n_candidates": len(disease_scores),
                 "in_top_k": rank <= cfg.top_k,
             }
         )

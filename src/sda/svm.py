@@ -62,18 +62,6 @@ def gamma_value(setting, total_leaves: int) -> float:
     return 1.0 / total_leaves if setting == "1/d" else float(setting)
 
 
-@dataclass(frozen=True)
-class SvmParams:
-    """One (C, gamma) point. ``gamma`` is a number or the literal "1/d",
-    which resolves only once the tree ensemble fixes its leaf count."""
-
-    c: float
-    gamma: float | str
-
-    def gamma_for(self, total_leaves: int) -> float:
-        return gamma_value(self.gamma, total_leaves)
-
-
 @dataclass
 class ParamGrid:
     c_values: list[float]
@@ -255,8 +243,6 @@ def svm_decision(model: SvmModel, X) -> np.ndarray:
     """Raw margin f(x) = sum_i alpha_i y_i K(sv_i, x) + b; sign is the label,
     the value itself is the ranking confidence."""
     X = np.atleast_2d(np.asarray(X))
-    if len(model.alphas) == 0:
-        return np.full(X.shape[0], model.bias)
     return _decision(leaf_kernel(X, model.support_vectors, model.gamma), model)
 
 

@@ -85,6 +85,17 @@ class TestConfig:
         cfg.write_text("no_such_key = 1\n", encoding="utf-8")
         assert main(["prepare", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("case", ("directory", "non-utf8"))
+    def test_unreadable_config_is_config_error(self, case, tmp_path, caplog):
+        path = tmp_path / "cfg.txt"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"dataset_name = caf\xe9\n")  # Latin-1 e-acute
+        with caplog.at_level("ERROR"):
+            assert main(["prepare", "--config", str(path)]) == 1
+        assert any(str(path) in r.message for r in caplog.records)
+
     def test_conflicting_k_and_k_range(self, small_dataset, tmp_path):
         cfg = write_config_file(
             tmp_path / "cfg.txt",
@@ -330,29 +341,45 @@ class TestRunAll:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
 
+    @staticmethod
+    def _count_gbdt_fits(monkeypatch) -> list:
+        """Record each GBDT fit's number of training pairs."""
+        from sda import model
+
+        calls = []
+        real = model.gbdt_fit
+
+        def fit(*args, **kwargs):
+            calls.append(len(args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "gbdt_fit", fit)
+        return calls
+
     @pytest.mark.parametrize("command,expected", [("rank", 1), ("run-all", 6)])
     def test_one_full_set_gbdt_fit_under_grid(
         self, small_dataset, tmp_path, monkeypatch, command, expected
     ):
         # the grid search and the final model share one full-set ensemble:
         # rank fits it once, run-all once plus one fit per CV fold
-        from sda import evaluation, pipeline
-
-        calls = []
-
-        def counting(real):
-            def fit(*args, **kwargs):
-                calls.append(len(args[0]))
-                return real(*args, **kwargs)
-            return fit
-
-        monkeypatch.setattr(pipeline, "gbdt_fit", counting(pipeline.gbdt_fit))
-        monkeypatch.setattr(evaluation, "gbdt_fit", counting(evaluation.gbdt_fit))
+        calls = self._count_gbdt_fits(monkeypatch)
         keys = base_keys(small_dataset, str(tmp_path / "out"),
                          svm_c="1,10", svm_gamma="0.01,0.1")
         cfg = write_config_file(tmp_path / "cfg.txt", **keys)
         assert main([command, "--config", cfg]) == 0
         assert len(calls) == expected
+
+    def test_single_point_evaluate_fits_only_the_folds(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        # one fit per CV fold, on its training pairs, and none on the full set
+        calls = self._count_gbdt_fits(monkeypatch)
+        out = str(tmp_path / "out")
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
+        assert main(["evaluate", "--config", cfg]) == 0
+        folds = json.load(open(os.path.join(out, "report.json")))["folds"]
+        assert calls == [fold["n_train"] for fold in folds]
+        assert len(calls) == 5
 
 
 class TestHoldout:

@@ -11,7 +11,7 @@ from sda.evaluation import (
     stratified_kfold,
     threshold_metrics,
 )
-from sda.svm import SvmParams
+from sda.model import SvmParams
 
 from conftest import pair_space
 

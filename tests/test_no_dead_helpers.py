@@ -1,4 +1,5 @@
-"""Guard against helpers that only tests use.
+"""Guards on the package's structure: no helper that only tests use, and
+one module that fits and scores the model.
 
 Every public module-level function and class of ``src/sda`` must be named
 somewhere in ``src/sda`` outside ``__init__.py`` (as a name or an attribute),
@@ -46,3 +47,21 @@ def test_every_public_definition_is_used_in_the_package():
         and f"{module}.{node.name}" not in ALLOWED
     ]
     assert not unused, f"named nowhere in src/sda outside __init__.py: {unused}"
+
+
+# the model's fit and score steps: only ``model`` runs them
+MODEL_STEPS = {"gbdt_fit", "smo_train", "svm_decision"}
+
+
+def test_only_the_model_module_fits_and_scores():
+    callers = []
+    for module, tree in _modules():
+        if module == "model":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in MODEL_STEPS:
+                    callers.append(f"{module}.py:{node.lineno}: {name}")
+    assert not callers, f"fit or score steps outside model.py: {callers}"

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sda import pipeline
+from sda import model, pipeline
 from sda.boost import gbdt_leaf_encode
 from sda.cli import main
 from sda.config import PipelineConfig
@@ -43,20 +43,19 @@ class TestPrepare:
 
     def test_score_pairs_scores_distinct_patterns_as_rows(self, synth_config, monkeypatch):
         prepared = pipeline.prepare(synth_config)
-        full = pipeline.fit_full_gbdt(prepared, synth_config)
-        params = pipeline.resolve_svm_params(prepared, synth_config, full)
-        ens, model = pipeline.train_final(prepared, synth_config, params, full)
+        fitted = pipeline.fit_model(prepared, synth_config)
         scored = []
 
-        def spy(model, X):
+        def spy(svm, X):
             scored.append(len(X))
-            return svm_decision(model, X)
+            return svm_decision(svm, X)
 
-        monkeypatch.setattr(pipeline, "svm_decision", spy)
+        monkeypatch.setattr(model, "svm_decision", spy)
         candidates = prepared.negatives
         for pairs in (candidates, candidates * 10, candidates[:1], []):
-            want = svm_decision(model, gbdt_leaf_encode(ens, *prepared.tables, pairs))
-            got = pipeline.score_pairs(prepared, ens, model, pairs)
+            leaves = gbdt_leaf_encode(fitted.ens, *prepared.tables, pairs)
+            want = svm_decision(fitted.svm, leaves)
+            got = fitted.score(*prepared.tables, pairs)
             assert got.shape == (len(pairs),)
             assert np.array_equal(got, want)
         # one SVM row per distinct leaf pattern, however often it repeats
@@ -75,17 +74,14 @@ class TestBatchIndependentScores:
             svm_c=(10.0,), svm_gamma=(0.1,),
         )
         prepared = pipeline.prepare(cfg)
-        full = pipeline.fit_full_gbdt(prepared, cfg)
-        params = pipeline.resolve_svm_params(prepared, cfg, full)
-        ens, model = pipeline.train_final(prepared, cfg, params, full)
-        leaves = gbdt_leaf_encode(ens, *prepared.tables, prepared.negatives)
-        batch = svm_decision(model, leaves)
+        fitted = pipeline.fit_model(prepared, cfg)
+        leaves = gbdt_leaf_encode(fitted.ens, *prepared.tables, prepared.negatives)
+        batch = svm_decision(fitted.svm, leaves)
         perm = np.random.default_rng(0).permutation(len(leaves))
-        assert np.array_equal(svm_decision(model, leaves[perm]), batch[perm])
-        alone = np.array([svm_decision(model, row[None])[0] for row in leaves])
+        assert np.array_equal(svm_decision(fitted.svm, leaves[perm]), batch[perm])
+        alone = np.array([svm_decision(fitted.svm, row[None])[0] for row in leaves])
         assert np.array_equal(alone, batch)
-        got = pipeline.score_pairs(prepared, ens, model, prepared.negatives)
-        assert np.array_equal(got, batch)
+        assert np.array_equal(fitted.score(*prepared.tables, prepared.negatives), batch)
 
 
 def traced_peak(fn, *args):
@@ -235,11 +231,9 @@ class TestConfigIsInputOnly:
         cfg = replace(synth_config, svm_c=(1.0, 10.0), svm_gamma=("1/d", 0.1))
         before = replace(cfg)
         prepared = pipeline.prepare(cfg)
-        full = pipeline.fit_full_gbdt(prepared, cfg)
-        params = pipeline.resolve_svm_params(prepared, cfg, full)
+        params = pipeline.fit_model(prepared, cfg).params
         assert params.c in cfg.svm_c
         pipeline.evaluate(prepared, cfg, params)
-        pipeline.train_final(prepared, cfg, params, full)
         pipeline.holdout_inference_check(cfg)
         assert cfg == before
 
