@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -332,6 +333,52 @@ class TestWss2Solver:
         assert any("did not converge" in r.message for r in caplog.records)
         assert np.all((model.alphas >= 0.0) & (model.alphas <= 100.0))
         assert abs(np.dot(model.alphas, model.labels)) <= 1e-9
+
+    # (n_sweeps, converged, sha256 of alphas, sha256 of support vectors,
+    # bias.hex(), dual_objective.hex()): a rewrite of the step loop must keep
+    # every iterate, so these must not move.
+    PINNED = {
+        "random-60": (
+            4, True,
+            "eff5f25ce3bdbef5950e6dfe3ab7102cc78aed89f6dd5b933153fa2ee936b22d",
+            "ad74987fa76514bcd46b4a8f7526fab67d73006a2a6d676acaa424911ae84a46",
+            "0x1.73afe683a534ap-4", "0x1.08cd98ac16126p+6",
+        ),
+        "conflicting-repeats": (
+            2, True,
+            "a7e017d983cbf32682e35efbd905526332c24eff8e481345eea37e4b4f049588",
+            "bb118ea0cf75adb01f20856220c77e7713c926230297021cf8c8453523842e9c",
+            "-0x1.311734eac49a7p-6", "0x1.5e88158db9bd6p+5",
+        ),
+        "capped": (
+            1, False,
+            "bab6a1e498508345b56b460c46d374530abf6ec30dc920595371da3880644c91",
+            "2816aba44d0f7ce6326d0d8d6683c75d0ded15a8eb9758a81fc3ab026d158f85",
+            "0x1.9d283b700ad2ap-4", "0x1.3bcb9bfae4a29p+4",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_iterates_pinned(self, case):
+        if case == "random-60":
+            X, y, _ = random_problem(np.random.default_rng(31), 60)
+            model = smo_train(X, y, C=10.0, gamma=0.3)
+        elif case == "conflicting-repeats":
+            X, y, _ = random_problem(np.random.default_rng(32), 24)
+            X = np.vstack([X, X[:8], X[:8]])
+            y = np.concatenate([y, -y[:8], y[:8]])
+            model = smo_train(X, y, C=2.0, gamma=0.5)
+        else:
+            X, y, _ = random_problem(np.random.default_rng(33), 40)
+            model = smo_train(X, y, C=100.0, gamma=2.0, max_passes=1)
+        assert (
+            model.n_sweeps,
+            model.converged,
+            hashlib.sha256(model.alphas.tobytes()).hexdigest(),
+            hashlib.sha256(model.support_vectors.tobytes()).hexdigest(),
+            model.bias.hex(),
+            model.dual_objective.hex(),
+        ) == self.PINNED[case]
 
 
 class TestGridSearch:
