@@ -21,6 +21,12 @@ M = min of v over I_low: under the bias that ``_optimal_bias`` picks, that
 is every KKT condition holding within ``tol``. Every step raises the dual
 and the selection is deterministic, so no seed is needed and the last
 iterate is the best one.
+
+I_up and I_low are held as penalty vectors, 0 inside the set and -inf
+outside, so that a masked maximum is one addition and one ``argmax``, and a
+step rewrites only the two entries it moved. The same vector m - v plus the
+I_low penalty gives both the stop test (its maximum is m - M) and the
+gains.
 """
 
 from __future__ import annotations
@@ -127,60 +133,70 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
     steps, converged)``, with ``up`` and ``low`` the masks of I_up and I_low.
     """
     n = len(y)
-    alphas = np.zeros(n)
+    C = float(C)
+    # A step reads and writes two entries of alphas and labels: Python floats
+    # cost less there than numpy scalars, and round the same.
+    alphas, labels = [0.0] * n, y.tolist()
     v = y.copy()  # g == 0 at alphas == 0
-    up = y > 0
-    low = ~up
+    up_pen = np.where(y > 0, 0.0, -np.inf)
+    low_pen = np.where(y > 0, -np.inf, 0.0)
     # Every step reuses these buffers.
-    masked, a, b = np.empty(n), np.empty(n), np.empty(n)
+    a, b, gain = np.empty(n), np.empty(n), np.empty(n)
     pick = np.empty(n, dtype=bool)
     steps = 0
     while True:
-        masked.fill(-np.inf)
-        np.copyto(masked, v, where=up)
-        i = int(masked.argmax())
-        m = masked[i]
-        masked.fill(np.inf)
-        np.copyto(masked, v, where=low)
-        M = masked.min()
-        if m - M < tol or m <= M:  # m <= M: exactly optimal, even at tol <= 0
+        i = int(np.add(v, up_pen, out=b).argmax())
+        m = b.item(i)  # -inf when I_up is empty, as the max over no point
+        # b_j = m - v_j on I_low, -inf elsewhere. Subtracting from a fixed m
+        # is monotone, so its max is m - M bit for bit.
+        np.subtract(m, v, out=b)
+        b += low_pen
+        gap = b.max()
+        if gap < tol or gap <= 0.0:  # gap <= 0: exactly optimal, even at tol <= 0
             # Confirm on a fresh v: the updates below accumulate rounding.
-            fresh = y - (alphas * y) @ K
+            fresh = y - (np.array(alphas) * y) @ K
             if np.array_equal(fresh, v):
-                return alphas, up, low, steps, True
+                return np.array(alphas), up_pen == 0.0, low_pen == 0.0, steps, True
             v = fresh
             continue
         if steps == max_passes * n:
-            return alphas, up, low, steps, False
+            return np.array(alphas), up_pen == 0.0, low_pen == 0.0, steps, False
         Ki = K[i]
         np.subtract(2.0, np.multiply(2.0, Ki, out=a), out=a)
-        np.copyto(a, TAU, where=np.less_equal(a, 0.0, out=pick))
-        np.subtract(m, v, out=b)
-        np.logical_and(low, np.greater(b, 0.0, out=pick), out=pick)
-        masked.fill(-np.inf)
-        np.divide(np.square(b, out=b), a, out=masked, where=pick)
-        j = int(masked.argmax())
+        a[np.less_equal(a, 0.0, out=pick)] = TAU
+        # The gain (m - v_j)^2 / a_ij over the j in I_low with v_j < m, and 0
+        # elsewhere. When every such gain underflows to 0 (gap below about
+        # 1e-162, reachable only at a tol that small), the first such j is
+        # taken, as the argmax over those j alone would take it.
+        np.maximum(b, 0.0, out=gain)
+        np.square(gain, out=gain)
+        gain /= a
+        j = int(gain.argmax())
+        if gain.item(j) == 0.0:
+            j = int(np.greater(b, 0.0, out=pick).argmax())
         Kj = K[j]
         # Move alpha_i by y_i * t and alpha_j by -y_j * t, which keeps
         # sum(alpha * y); t is the unconstrained optimum, clipped to the box.
-        room_i = C - alphas[i] if y[i] > 0 else alphas[i]
-        room_j = alphas[j] if y[j] > 0 else C - alphas[j]
-        t = min((m - v[j]) / a[j], room_i, room_j)
-        ai = alphas[i] + y[i] * t
-        aj = alphas[j] - y[j] * t
+        yi, yj, alpha_i, alpha_j = labels[i], labels[j], alphas[i], alphas[j]
+        room_i = C - alpha_i if yi > 0 else alpha_i
+        room_j = alpha_j if yj > 0 else C - alpha_j
+        t = min(b.item(j) / a.item(j), room_i, room_j)
+        ai = alpha_i + yi * t
+        aj = alpha_j - yj * t
         if t == room_i:
-            ai = C if y[i] > 0 else 0.0
+            ai = C if yi > 0 else 0.0
         if t == room_j:
-            aj = 0.0 if y[j] > 0 else C
+            aj = 0.0 if yj > 0 else C
         # a and b are free again: they take the two terms of the update.
-        np.multiply(y[i] * (ai - alphas[i]), Ki, out=a)
-        a += np.multiply(y[j] * (aj - alphas[j]), Kj, out=b)
+        np.multiply(yi * (ai - alpha_i), Ki, out=a)
+        a += np.multiply(yj * (aj - alpha_j), Kj, out=b)
         v -= a
         alphas[i], alphas[j] = ai, aj
-        for k in (i, j):
-            below_c, above_zero = alphas[k] < C, alphas[k] > 0.0
-            up[k] = below_c if y[k] > 0 else above_zero
-            low[k] = above_zero if y[k] > 0 else below_c
+        for k, y_k, alpha in ((i, yi, ai), (j, yj, aj)):
+            below_c = 0.0 if alpha < C else -np.inf
+            above_zero = 0.0 if alpha > 0.0 else -np.inf
+            up_pen[k] = below_c if y_k > 0 else above_zero
+            low_pen[k] = above_zero if y_k > 0 else below_c
         steps += 1
 
 
