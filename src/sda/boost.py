@@ -272,9 +272,11 @@ def logistic_loss(labels, scores) -> float:
 def gbdt_fit(
     left, right, pairs, y, n_trees: int = 10, learning_rate: float = 0.1,
     max_depth: int = 4, min_samples_leaf: int = 5, lam: float = 1e-6,
-) -> GbdtEnsemble:
+) -> tuple[GbdtEnsemble, np.ndarray]:
     """Boost ``n_trees`` regression trees on logistic residuals over the pair
-    space of ``left`` and ``right``.
+    space of ``left`` and ``right``. Returns the ensemble and the training
+    pairs' leaf indices, as ``gbdt_leaf_encode`` gives them, recorded as the
+    trees grow.
 
     Fitting is deterministic, so it takes no seed.
     """
@@ -282,10 +284,13 @@ def gbdt_fit(
     y = np.asarray(y, dtype=np.float64)
     if len(ents[0]) != len(y):
         raise ValueError("pairs and labels must have equal length")
+    if n_trees < 1:
+        raise ValueError("n_trees must be at least 1")
     init = gbdt_init(y)
     scores = np.full(len(y), init)
     ens = GbdtEnsemble([], init, learning_rate, n_trees)
     ens.loss_history.append(logistic_loss(y, scores))
+    leaves, offset = [], 0
     for _ in range(n_trees):
         p = sigmoid(scores)
         tree, leaf_of_row = _grow_tree(
@@ -295,7 +300,9 @@ def gbdt_fit(
         # Each training row's leaf is known from the growth: no re-routing.
         scores = scores + learning_rate * tree.value[leaf_of_row]
         ens.loss_history.append(logistic_loss(y, scores))
-    return ens
+        leaves.append(offset + tree.leaf_ordinal[leaf_of_row])
+        offset += tree.n_leaves
+    return ens, np.column_stack(leaves)
 
 
 def gbdt_leaf_encode(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:

@@ -64,12 +64,11 @@ def fit(left, right, pairs, labels, cfg, params: SvmParams | None = None) -> Mod
     ``right``, then the SVM on their leaf indices at ``params``. Without
     ``params`` the SVM takes ``single_cell(cfg)``, or the pick of a grid
     search on those leaf indices."""
-    ens = gbdt_fit(
+    ens, leaves = gbdt_fit(
         left, right, pairs, labels, n_trees=cfg.n_trees,
         learning_rate=cfg.learning_rate, max_depth=cfg.max_depth,
         min_samples_leaf=cfg.min_samples_leaf,
     )
-    leaves = gbdt_leaf_encode(ens, left, right, pairs)
     params = params or single_cell(cfg)
     if params is None:
         gammas = sorted({gamma_value(g, ens.total_leaves) for g in cfg.svm_gamma})

@@ -197,7 +197,7 @@ class TestCriterion5GbdtInvariants:
             X = rng.random((n, int(rng.integers(2, 5))))
             y = (rng.random(n) < 0.5).astype(float)
             y[0], y[1] = 0.0, 1.0
-            ens = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
+            ens, _ = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
             rises = np.diff(ens.loss_history)
             worst_rise = max(worst_rise, float(rises.max()))
             enc = gbdt_leaf_encode(ens, *pair_space(X))

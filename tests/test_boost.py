@@ -202,19 +202,19 @@ class TestGbdtFit:
     def test_default_tree_count(self):
         X = np.random.default_rng(0).random((20, 2))
         y = np.array([0, 1] * 10, dtype=float)
-        ens = gbdt_fit(*pair_space(X), y)
+        ens, _ = gbdt_fit(*pair_space(X), y)
         assert ens.n_trees == 10 and len(ens.trees) == 10
 
     def test_zero_learning_rate_constant_prediction(self):
         X = np.random.default_rng(0).random((10, 2))
         y = np.array([0, 1] * 5, dtype=float)
-        ens = gbdt_fit(*pair_space(X), y, learning_rate=0.0)
+        ens, _ = gbdt_fit(*pair_space(X), y, learning_rate=0.0)
         np.testing.assert_allclose(predict_proba(ens, X), 0.5, atol=1e-15)
 
     def test_xor_pattern_fit_exactly(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        ens = gbdt_fit(*pair_space(X), y, max_depth=2, min_samples_leaf=1)
+        ens, _ = gbdt_fit(*pair_space(X), y, max_depth=2, min_samples_leaf=1)
         proba = predict_proba(ens, X)
         assert np.array_equal(proba > 0.5, y.astype(bool))
 
@@ -222,14 +222,14 @@ class TestGbdtFit:
         rng = np.random.default_rng(99)
         for _ in range(50):
             X, y = self._random_dataset(rng)
-            ens = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
+            ens, _ = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
             hist = np.array(ens.loss_history)
             assert np.all(np.diff(hist) <= 1e-9)
 
     def test_loss_history_agrees_with_recomputation(self):
         rng = np.random.default_rng(5)
         X, y = self._random_dataset(rng)
-        ens = gbdt_fit(*pair_space(X), y)
+        ens, _ = gbdt_fit(*pair_space(X), y)
         assert ens.loss_history[-1] == pytest.approx(
             logistic_loss(y, raw_score(ens, X)), rel=1e-12
         )
@@ -241,8 +241,8 @@ class TestGbdtFit:
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         X, y = self._random_dataset(rng)
-        a = gbdt_fit(*pair_space(X), y)
-        b = gbdt_fit(*pair_space(X), y)
+        a, _ = gbdt_fit(*pair_space(X), y)
+        b, _ = gbdt_fit(*pair_space(X), y)
         for ta, tb in zip(a.trees, b.trees):
             assert np.array_equal(ta.feature, tb.feature)
             assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
@@ -255,7 +255,8 @@ class TestLeafEncoding:
         X = rng.random((30, 3))
         y = (X[:, 0] > 0.5).astype(float)
         y[:2] = [0.0, 1.0]
-        return X, y, gbdt_fit(*pair_space(X), y, min_samples_leaf=2, **kw)
+        ens, _ = gbdt_fit(*pair_space(X), y, min_samples_leaf=2, **kw)
+        return X, y, ens
 
     def test_popcount_equals_n_trees(self):
         # one leaf index per tree, all distinct: the one-hot row has
@@ -312,7 +313,7 @@ class TestPrediction:
         X = rng.random((25, 3))
         y = (X[:, 1] > 0.4).astype(float)
         y[:2] = [0.0, 1.0]
-        ens = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
+        ens, _ = gbdt_fit(*pair_space(X), y, min_samples_leaf=2)
         for x in X[:10]:
             expect = ens.init_score + ens.learning_rate * sum(
                 manual_tree_value(t, x) for t in ens.trees
@@ -327,7 +328,7 @@ class TestPrediction:
         rng = np.random.default_rng(22)
         X = rng.random((20, 2))
         y = np.array([0, 1] * 10, dtype=float)
-        ens = gbdt_fit(*pair_space(X), y, n_trees=3, min_samples_leaf=2)
+        ens, _ = gbdt_fit(*pair_space(X), y, n_trees=3, min_samples_leaf=2)
         before = predict_proba(ens, X)
         bonus = fit_regression_tree(*pair_space(X), np.full(20, 1.0), np.full(20, 0.25), max_depth=0)
         ens.trees.append(bonus)
@@ -624,8 +625,23 @@ class TestSplitSearch:
             left, right, pairs = tie_prone_pair_space(rng, int(rng.integers(20, 80)))
             y = (rng.random(len(pairs)) < 0.5).astype(float)
             y[:2] = [0.0, 1.0]
-            ens = gbdt_fit(left, right, pairs, y, n_trees=6, min_samples_leaf=2)
+            ens, _ = gbdt_fit(left, right, pairs, y, n_trees=6, min_samples_leaf=2)
             scores = np.full(len(y), ens.init_score)
             for t, tree in enumerate(ens.trees):
                 scores = scores + ens.learning_rate * tree.predict(left, right, pairs)
                 assert ens.loss_history[t + 1] == logistic_loss(y, scores)
+
+    def test_fit_returns_training_leaves_as_encoded(self):
+        rng = np.random.default_rng(14)
+        left, right, pairs = tie_prone_pair_space(rng, 70)
+        y = (rng.random(len(pairs)) < 0.5).astype(float)
+        y[:2] = [0.0, 1.0]
+        ens, leaves = gbdt_fit(left, right, pairs, y, n_trees=5, min_samples_leaf=2)
+        encoded = gbdt_leaf_encode(ens, left, right, pairs)
+        assert leaves.dtype == encoded.dtype
+        np.testing.assert_array_equal(leaves, encoded)
+
+    def test_fit_needs_a_tree(self):
+        left, right, pairs = tie_prone_pair_space(np.random.default_rng(15), 10)
+        with pytest.raises(ValueError, match="n_trees"):
+            gbdt_fit(left, right, pairs, np.arange(10) % 2, n_trees=0)
