@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -443,9 +443,9 @@ def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
 
 def write_report(report: MetricsReport, out_dir: str) -> list[str]:
     report_path = os.path.join(out_dir, "report.json")
-    atomic_write_text(
-        report_path, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-    )
+    # A shallow dict: json writes the curves' tuples as arrays, with no copy.
+    shallow = {f.name: getattr(report, f.name) for f in fields(report)}
+    atomic_write_text(report_path, json.dumps(shallow, indent=2, sort_keys=True) + "\n")
     roc_path = os.path.join(out_dir, "roc_points.csv")
     pr_path = os.path.join(out_dir, "pr_points.csv")
     for path, header, curve in (
