@@ -177,6 +177,7 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
         Kj = K[j]
         # Move alpha_i by y_i * t and alpha_j by -y_j * t, which keeps
         # sum(alpha * y); t is the unconstrained optimum, clipped to the box.
+        # j is in I_low, so b_j = m - v_j.
         yi, yj, alpha_i, alpha_j = labels[i], labels[j], alphas[i], alphas[j]
         room_i = C - alpha_i if yi > 0 else alpha_i
         room_j = alpha_j if yj > 0 else C - alpha_j
