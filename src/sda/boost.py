@@ -129,15 +129,15 @@ def _prepare(left, right, pairs):
 
 def _keep_present(order, vals, ent: np.ndarray, n_entities: int):
     """One side's entity orders restricted to the entities in ``ent``.
-    Boolean indexing keeps each row's order; when no entity dropped out the
-    orders are returned as they are."""
+    One flat take of the kept positions keeps each row's order; when no
+    entity dropped out the orders are returned as they are."""
     present = np.bincount(ent, minlength=n_entities) > 0
     n_present = int(np.count_nonzero(present))
     if n_present == order.shape[1]:
         return order, vals
-    keep = present[order]
+    keep = np.flatnonzero(present[order])
     shape = (len(order), n_present)
-    return order[keep].reshape(shape), vals[keep].reshape(shape)
+    return order.take(keep).reshape(shape), vals.take(keep).reshape(shape)
 
 
 def _side_gains(order, vals, ent, r, total, min_samples_leaf):

@@ -313,18 +313,11 @@ def load_disease_dag(path: str) -> DiseaseDag:
     return dag
 
 
-def split_known_unknown(
-    am: AssociationMatrix,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def split_known_unknown(am: AssociationMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Partition the full snoRNA x disease Cartesian product, row-major.
 
-    Returns (positive pairs, negative pairs) as (snorna_index, disease_index)
-    tuples; every cell appears in exactly one of the two lists.
+    Returns (positive pairs, negative pairs) as (n, 2) int64 arrays of
+    (snorna_index, disease_index) rows; every cell is in exactly one of them.
     """
-
-    def cells(mask: np.ndarray) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(mask)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     pos_mask = am.entries == 1
-    return cells(pos_mask), cells(~pos_mask)
+    return np.argwhere(pos_mask), np.argwhere(~pos_mask)

@@ -41,9 +41,9 @@ class PreparedData:
     dss: similarity.SimilarityMatrix  # base disease similarity (may be partial)
     msfs: similarity.SimilarityMatrix
     mdss: similarity.SimilarityMatrix
-    positives: list[tuple[int, int]]
-    negatives: list[tuple[int, int]]
-    pairs: list[tuple[int, int]]  # balanced: positives then selected negatives
+    positives: np.ndarray  # (n, 2) rows (snoRNA index, disease index), row-major
+    negatives: np.ndarray  # the unknown cells, the same way
+    pairs: np.ndarray  # balanced: positives then selected negatives
     labels: np.ndarray
     k_used: int
     gamma_prime_snorna: float = 1.0
@@ -54,7 +54,7 @@ class PreparedData:
         """The pair space's left (snoRNA) and right (disease) entity tables."""
         return self.msfs.values, self.mdss.values.T
 
-    def balanced(self, selected: list[tuple[int, int]], k: int) -> PreparedData:
+    def balanced(self, selected: np.ndarray, k: int) -> PreparedData:
         """This data with the balanced set of every positive and the
         ``selected`` negatives, which were picked from ``k`` clusters."""
         n_pos = len(self.positives)
@@ -62,7 +62,7 @@ class PreparedData:
             [np.ones(n_pos, dtype=int), np.zeros(len(selected), dtype=int)]
         )
         return replace(
-            self, pairs=list(self.positives) + list(selected), labels=labels, k_used=k
+            self, pairs=np.concatenate([self.positives, selected]), labels=labels, k_used=k
         )
 
     def strict_fold_tables(self, test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,10 +71,8 @@ class PreparedData:
         known associations among the test pairs ``test_idx``, so no test
         association leaks into the kernel."""
         ap = self.am.entries.astype(np.float64)
-        for i in test_idx:
-            if self.labels[int(i)] == 1:
-                s, d = self.pairs[int(i)]
-                ap[s, d] = 0.0
+        held = self.pairs[test_idx][self.labels[test_idx] == 1]
+        ap[held[:, 0], held[:, 1]] = 0.0
         msfs, mdss = _meshed(
             ap, self.sfs, self.dss, self.gamma_prime_snorna, self.gamma_prime_disease
         )
@@ -196,7 +194,7 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
         mdss=mdss,
         positives=positives,
         negatives=negatives,
-        pairs=pairs,
+        pairs=np.array(pairs, dtype=np.int64),
         labels=np.asarray(labels, dtype=int),
         k_used=_load_k_used(os.path.join(cfg.prepared_dir, PREPARE_RECORD)),
         gamma_prime_snorna=cfg.gamma_prime_snorna,
@@ -221,9 +219,9 @@ def _load_k_used(path: str) -> int:
 def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> PreparedData:
     """Build meshed similarities and the cluster-balanced training set."""
     positives, negatives = corpus.split_known_unknown(am)
-    if not positives:
+    if len(positives) == 0:
         raise DataError("association matrix has no known associations to learn from")
-    if not negatives:
+    if len(negatives) == 0:
         raise DataError("association matrix has no unknown pairs to sample from")
     if len(positives) > len(negatives):
         raise DataError(
@@ -238,7 +236,7 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
     # no negatives chosen yet: ``balanced`` fills in the pair set
     base = PreparedData(
         am=am, sfs=sfs, dss=dss, msfs=msfs, mdss=mdss,
-        positives=positives, negatives=negatives, pairs=[],
+        positives=positives, negatives=negatives, pairs=positives[:0],
         labels=np.zeros(0, dtype=int), k_used=0,
         gamma_prime_snorna=cfg.gamma_prime_snorna,
         gamma_prime_disease=cfg.gamma_prime_disease,
@@ -277,7 +275,7 @@ def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
         float(cfg.svm_c[len(cfg.svm_c) // 2]), cfg.svm_gamma[len(cfg.svm_gamma) // 2]
     )
 
-    def evaluator(k: int, picked: list[tuple[int, int]]):
+    def evaluator(k: int, picked: np.ndarray):
         report = evaluate(base.balanced(picked, k), cfg, probe)
         return report.mean["roc_auc"], report.mean["mse"]
 
@@ -312,14 +310,13 @@ def evaluate(
     return run_cv(*prepared.tables, prepared.pairs, prepared.labels, cfg, params, fold_tables)
 
 
-def _scores_by_disease(prepared: PreparedData, model: Model) -> dict[int, dict[int, float]]:
-    """Every unknown pair's decision score, grouped by disease index and
-    then keyed by snoRNA index, in candidate order."""
-    candidates = prepared.negatives
-    by_disease: dict[int, dict[int, float]] = {}
-    for (s, d), score in zip(candidates, model.score(*prepared.tables, candidates).tolist()):
-        by_disease.setdefault(d, {})[s] = score
-    return by_disease
+def _score_grid(prepared: PreparedData, model: Model) -> np.ndarray:
+    """An (n_snornas, n_diseases) grid holding every unknown pair's decision
+    score at its cell; the known cells are never read."""
+    grid = np.zeros(prepared.am.entries.shape)
+    negatives = prepared.negatives
+    grid[negatives[:, 0], negatives[:, 1]] = model.score(*prepared.tables, negatives)
+    return grid
 
 
 def rank_candidates(
@@ -330,23 +327,25 @@ def rank_candidates(
     Unknown pairs used as balancing negatives are still scored (they remain
     candidates); only known positives are excluded. Returns the predictions
     sorted by (disease_id, rank) and the diseases with no unknown pairs left.
+    Equal scores rank by ascending snoRNA id.
     """
-    by_disease = _scores_by_disease(prepared, model)
+    am = prepared.am
+    grid = _score_grid(prepared, model)
+    by_id = np.array(sorted(range(am.n_snornas), key=am.snorna_ids.__getitem__))
+    unknown = am.entries[by_id] != 1  # rows in snoRNA id order
     predictions: list[RankedPrediction] = []
     exhausted: list[str] = []
-    for d_idx, disease_id in sorted(
-        enumerate(prepared.am.disease_ids), key=lambda t: t[1]
-    ):
-        if d_idx not in by_disease:
+    for d_idx, disease_id in sorted(enumerate(am.disease_ids), key=lambda t: t[1]):
+        candidates = by_id[unknown[:, d_idx]]
+        if len(candidates) == 0:
             exhausted.append(disease_id)
             continue
-        entries = sorted(
-            by_disease[d_idx].items(), key=lambda t: (-t[1], prepared.am.snorna_ids[t[0]])
-        )
-        for rank, (s_idx, score) in enumerate(entries[: cfg.top_k], start=1):
-            predictions.append(
-                RankedPrediction(disease_id, prepared.am.snorna_ids[s_idx], score, rank)
-            )
+        scores = grid[candidates, d_idx]
+        top = np.argsort(-scores, kind="stable")[: cfg.top_k]
+        for rank, (s_idx, score) in enumerate(
+            zip(candidates[top].tolist(), scores[top].tolist()), start=1
+        ):
+            predictions.append(RankedPrediction(disease_id, am.snorna_ids[s_idx], score, rank))
     return predictions, exhausted
 
 
@@ -364,14 +363,13 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
         )
     rng = np.random.default_rng(derive_seed(cfg.seed, "holdout"))
     held_idx = rng.choice(len(positives), size=n_hold, replace=False)
-    held = [positives[i] for i in sorted(held_idx.tolist())]
+    held = positives[np.sort(held_idx)]
 
     reduced = corpus.AssociationMatrix(am.snorna_ids, am.disease_ids, am.entries.copy())
-    for s, d in held:
-        reduced.entries[s, d] = 0
+    reduced.entries[held[:, 0], held[:, 1]] = 0
 
     excluded = sorted(
-        {am.disease_ids[d] for _, d in held if reduced.entries[:, d].sum() == 0}
+        {am.disease_ids[d] for d in held[:, 1].tolist() if reduced.entries[:, d].sum() == 0}
     )
     for disease_id in excluded:
         log.warning(
@@ -380,15 +378,15 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
 
     prepared = prepare_from_matrix(reduced, cfg)
     # the candidates, the unknown pairs of ``reduced``, include the held-out pairs
-    by_disease = _scores_by_disease(prepared, fit_model(prepared, cfg))
+    grid = _score_grid(prepared, fit_model(prepared, cfg))
 
     rows = []
-    for s, d in held:
+    for s, d in held.tolist():
         disease_id = am.disease_ids[d]
         if disease_id in excluded:
             continue
-        disease_scores = np.fromiter(by_disease[d].values(), dtype=np.float64)
-        mine = by_disease[d][s]
+        disease_scores = grid[reduced.entries[:, d] != 1, d]
+        mine = float(grid[s, d])
         below = int((disease_scores < mine).sum())
         ties = int((disease_scores == mine).sum())
         percentile = 100.0 * (below + 0.5 * ties) / len(disease_scores)
@@ -434,7 +432,7 @@ def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
         pairs_path,
         [PAIRS_HEADER]
         + [(snorna_ids[s], disease_ids[d], str(label))
-           for (s, d), label in zip(prepared.pairs, prepared.labels.tolist())],
+           for (s, d), label in zip(prepared.pairs.tolist(), prepared.labels.tolist())],
     )
     record_path = os.path.join(out_dir, PREPARE_RECORD)
     atomic_write_text(record_path, json.dumps({"k": prepared.k_used}) + "\n")

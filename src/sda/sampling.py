@@ -154,12 +154,14 @@ def largest_remainder_counts(sizes: np.ndarray, total: int) -> np.ndarray:
 
 def select_negatives(
     clustering: Clustering,
-    negatives: list[tuple[int, int]],
+    negatives,
     n_pos: int,
     seed: int = 0,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Pick exactly ``n_pos`` negative pairs, apportioned across clusters by
-    size (largest remainder) and uniform without replacement within each."""
+    size (largest remainder) and uniform without replacement within each.
+    Returns them as an (n_pos, 2) array in the order of ``negatives``."""
+    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
     if len(negatives) != len(clustering.assignments):
         raise DataError("clustering does not cover the negative pair list")
     if n_pos < 1:
@@ -177,14 +179,14 @@ def select_negatives(
         take = int(counts[c])
         if take > 0:
             selected.extend(rng.choice(members, size=take, replace=False).tolist())
-    selected.sort()
-    return [negatives[i] for i in selected]
+    selected.sort()  # a list sort: np.sort maps ~0.2 MB more code into the peak RSS
+    return negatives[selected]
 
 
 def choose_k(
     left,
     right,
-    negatives: list[tuple[int, int]],
+    negatives: np.ndarray,
     k_range,
     evaluator,
     n_pos: int,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from sda.corpus import (
     split_known_unknown,
 )
 from sda.errors import DataError
+from sda.synth import make_block_dataset
 
 
 def write(path, text):
@@ -142,22 +145,38 @@ class TestSplit:
             np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int8),
         )
         pos, neg = split_known_unknown(am)
-        assert pos == [(0, 0), (0, 2), (1, 2)]
-        assert neg == [(0, 1), (1, 0), (1, 1)]
+        assert pos.dtype == neg.dtype == np.int64
+        assert pos.tolist() == [[0, 0], [0, 2], [1, 2]]
+        assert neg.tolist() == [[0, 1], [1, 0], [1, 1]]
         assert len(pos) + len(neg) == 6
-        assert set(pos).isdisjoint(neg)
+        assert set(map(tuple, pos.tolist())).isdisjoint(map(tuple, neg.tolist()))
 
     def test_all_zero_matrix(self):
         am = AssociationMatrix(["s1"], ["d1", "d2"], np.zeros((1, 2), dtype=np.int8))
         pos, neg = split_known_unknown(am)
-        assert pos == [] and len(neg) == 2
+        assert pos.shape == (0, 2) and len(neg) == 2
 
     def test_all_one_matrix(self):
         am = AssociationMatrix(
             ["s1", "s2"], ["d1", "d2", "d3"], np.ones((2, 3), dtype=np.int8)
         )
         pos, neg = split_known_unknown(am)
-        assert neg == [] and len(pos) == 6
+        assert neg.shape == (0, 2) and len(pos) == 6
+
+    def test_pair_arrays_hold_16_bytes_per_cell(self):
+        """The two (n, 2) int64 arrays hold 16 bytes per cell between them,
+        and building them peaks at a small multiple of that."""
+        am, _ft, _dag = make_block_dataset(1000, 500, seed=3)
+        n_cells = am.entries.size
+        tracemalloc.start()
+        try:
+            pairs = split_known_unknown(am)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(p) for p in pairs) == n_cells
+        assert held < 24 * n_cells
+        assert peak < 48 * n_cells
 
     def test_descriptor_counts(self):
         am = AssociationMatrix(

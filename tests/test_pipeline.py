@@ -9,6 +9,7 @@ from sda import model, pipeline
 from sda.boost import gbdt_leaf_encode
 from sda.cli import main
 from sda.config import PipelineConfig
+from sda.corpus import AssociationMatrix
 from sda.errors import ConfigError
 from sda.svm import svm_decision
 from sda.synth import make_block_dataset, write_dataset_files
@@ -28,8 +29,8 @@ class TestPrepare:
 
     def test_selected_negatives_are_unknown_pairs(self, synth_config):
         prepared = pipeline.prepare(synth_config)
-        known = set(prepared.positives)
-        negatives = prepared.pairs[len(prepared.positives):]
+        known = set(map(tuple, prepared.positives.tolist()))
+        negatives = list(map(tuple, prepared.pairs[len(prepared.positives):].tolist()))
         assert not known & set(negatives)
         assert len(set(negatives)) == len(negatives)
 
@@ -52,7 +53,7 @@ class TestPrepare:
 
         monkeypatch.setattr(model, "svm_decision", spy)
         candidates = prepared.negatives
-        for pairs in (candidates, candidates * 10, candidates[:1], []):
+        for pairs in (candidates, np.tile(candidates, (10, 1)), candidates[:1], []):
             leaves = gbdt_leaf_encode(fitted.ens, *prepared.tables, pairs)
             want = svm_decision(fitted.svm, leaves)
             got = fitted.score(*prepared.tables, pairs)
@@ -130,6 +131,51 @@ class TestRankMemory:
         assert rc == 0
         n_candidates = int((am.entries == 0).sum())
         assert peak < n_candidates * (am.n_snornas + am.n_diseases) * 8
+
+
+class TestRankCandidates:
+    def test_ties_rank_by_snorna_id_per_disease(self):
+        """A one-split ensemble gives at most two distinct scores, so most
+        candidates tie. Against an oracle that sorts each disease's unknown
+        cells by (-score, snoRNA id): ties go to the smaller id (the ids are
+        not in matrix order), known cells never rank, a fully known disease
+        is exhausted and ``top_k`` cuts every disease."""
+        rng = np.random.default_rng(4)
+        ids = ["s7", "s2", "s9", "s0", "s5", "s1", "s8", "s3", "s6", "s4"]
+        entries = (rng.random((10, 5)) < 0.3).astype(np.int8)
+        entries[:, 3] = 1
+        am = AssociationMatrix(ids, ["d3", "d0", "d4", "d1", "d2"], entries)
+        cfg = PipelineConfig(
+            k=2, n_trees=1, max_depth=1, min_samples_leaf=1, seed=1,
+            svm_c=(10.0,), svm_gamma=(0.1,),
+        )
+        prepared = pipeline.prepare_from_matrix(am, cfg)
+        fitted = pipeline.fit_model(prepared, cfg)
+        scores = fitted.score(*prepared.tables, prepared.negatives).tolist()
+        assert len(set(scores)) < len(scores)
+        by_cell = {(s, d): x for (s, d), x in zip(prepared.negatives.tolist(), scores)}
+
+        for top_k in (3, 10):
+            predictions, exhausted = pipeline.rank_candidates(
+                prepared, replace(cfg, top_k=top_k), fitted
+            )
+            want = []
+            for d, disease_id in sorted(enumerate(am.disease_ids), key=lambda t: t[1]):
+                cells = [(-x, ids[s], x) for (s, dd), x in by_cell.items() if dd == d]
+                for rank, (_, snorna_id, x) in enumerate(sorted(cells)[:top_k], start=1):
+                    want.append((disease_id, snorna_id, x, rank))
+            got = [(p.disease_id, p.snorna_id, p.score, p.rank) for p in predictions]
+            assert got == want
+            assert exhausted == ["d1"]
+            known = {(ids[s], am.disease_ids[d]) for s, d in zip(*np.nonzero(entries))}
+            assert not known & {(p.snorna_id, p.disease_id) for p in predictions}
+            per_disease = {}
+            for p in predictions:
+                per_disease[p.disease_id] = per_disease.get(p.disease_id, 0) + 1
+            n_unknown = (entries != 1).sum(axis=0)
+            assert per_disease == {
+                am.disease_ids[d]: min(top_k, int(n)) for d, n in enumerate(n_unknown) if n
+            }
 
 
 class TestPrecomputedDiseaseSimilarity:
@@ -224,6 +270,25 @@ class TestStrictFolds:
         # every pair feature must remain a valid similarity value
         assert np.all(strict >= 0.0) and np.all(strict <= 1.0)
         assert strict.shape == assemble(*prepared.tables, prepared.pairs).shape
+
+
+    def test_strict_tables_zero_exactly_the_test_positives(self, synth_config):
+        prepared = pipeline.prepare(synth_config)
+        rng = np.random.default_rng(2)
+        test_idx = np.sort(rng.choice(len(prepared.pairs), size=25, replace=False))
+        ap = prepared.am.entries.astype(np.float64)
+        for i in test_idx:
+            if prepared.labels[i] == 1:
+                s, d = prepared.pairs[i]
+                ap[s, d] = 0.0
+        assert 0 < (ap != prepared.am.entries).sum() < 25
+        msfs, mdss = pipeline._meshed(
+            ap, prepared.sfs, prepared.dss,
+            prepared.gamma_prime_snorna, prepared.gamma_prime_disease,
+        )
+        left, right = prepared.strict_fold_tables(test_idx)
+        assert np.array_equal(left, msfs.values)
+        assert np.array_equal(right, mdss.values.T)
 
 
 class TestConfigIsInputOnly:
