@@ -1,7 +1,8 @@
 """The predictor: a tree ensemble fitted on the pair space and an RBF SVM
 trained on the ensemble's leaf indices (see ``boost`` and ``svm``). The CV
 folds, the ranking and the holdout check all fit it with ``fit`` and score
-it with ``Model.score``.
+it with ``Model.score``; ``select`` gives the SVM point ``fit`` would take,
+without training the SVM.
 """
 
 from __future__ import annotations
@@ -59,30 +60,50 @@ def single_cell(cfg) -> SvmParams | None:
     return None
 
 
-def fit(left, right, pairs, labels, cfg, params: SvmParams | None = None) -> Model:
-    """Fit the tree ensemble on ``pairs`` of the pair space of ``left`` and
-    ``right``, then the SVM on their leaf indices at ``params``. Without
-    ``params`` the SVM takes ``single_cell(cfg)``, or the pick of a grid
-    search on those leaf indices."""
-    ens, leaves = gbdt_fit(
+def _ensemble(left, right, pairs, labels, cfg):
+    """The tree ensemble fitted on ``pairs`` and their leaf indices."""
+    return gbdt_fit(
         left, right, pairs, labels, n_trees=cfg.n_trees,
         learning_rate=cfg.learning_rate, max_depth=cfg.max_depth,
         min_samples_leaf=cfg.min_samples_leaf,
     )
-    params = params or single_cell(cfg)
+
+
+def _grid_pick(ens: GbdtEnsemble, leaves, labels, cfg) -> SvmParams:
+    """The (C, gamma) a grid search over ``cfg``'s SVM grid picks on the
+    leaf indices ``leaves`` of ``ens``."""
+    gammas = sorted({gamma_value(g, ens.total_leaves) for g in cfg.svm_gamma})
+    grid = ParamGrid(c_values=sorted(set(map(float, cfg.svm_c))), gamma_values=gammas)
+    best_c, best_gamma, _scores = grid_search(
+        leaves, labels, grid, n_folds=cfg.n_folds,
+        seed=derive_seed(cfg.seed, "grid-search"), tol=cfg.svm_tol,
+        max_passes=cfg.svm_max_passes,
+    )
+    log.info("grid search chose C=%g gamma=%g", best_c, best_gamma)
+    return SvmParams(best_c, best_gamma)
+
+
+def select(left, right, pairs, labels, cfg) -> SvmParams:
+    """The SVM point ``fit`` would take on the same arguments without
+    ``params``, with no SVM trained at it: ``single_cell(cfg)``, or else
+    the pick of a grid search on the leaf indices of the ensemble fitted
+    on ``pairs``."""
+    params = single_cell(cfg)
     if params is None:
-        gammas = sorted({gamma_value(g, ens.total_leaves) for g in cfg.svm_gamma})
-        grid = ParamGrid(c_values=sorted(set(map(float, cfg.svm_c))), gamma_values=gammas)
-        best_c, best_gamma, _scores = grid_search(
-            leaves, labels, grid, n_folds=cfg.n_folds,
-            seed=derive_seed(cfg.seed, "grid-search"), tol=cfg.svm_tol,
-            max_passes=cfg.svm_max_passes,
-        )
-        log.info("grid search chose C=%g gamma=%g", best_c, best_gamma)
-        params = SvmParams(best_c, best_gamma)
+        ens, leaves = _ensemble(left, right, pairs, labels, cfg)
+        params = _grid_pick(ens, leaves, labels, cfg)
+    return params
+
+
+def fit(left, right, pairs, labels, cfg, params: SvmParams | None = None) -> Model:
+    """Fit the tree ensemble on ``pairs`` of the pair space of ``left`` and
+    ``right``, then the SVM on their leaf indices at ``params``. Without
+    ``params`` the SVM takes ``single_cell(cfg)``, or the pick of a grid
+    search on those leaf indices (as ``select`` picks it)."""
+    ens, leaves = _ensemble(left, right, pairs, labels, cfg)
+    params = params or single_cell(cfg) or _grid_pick(ens, leaves, labels, cfg)
     svm = smo_train(
         leaves, labels, C=params.c, gamma=params.gamma_for(ens.total_leaves),
         tol=cfg.svm_tol, max_passes=cfg.svm_max_passes,
     )
     return Model(ens, svm, params)
-

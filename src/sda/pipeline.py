@@ -17,7 +17,7 @@ from . import corpus, sampling, similarity
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
 from .evaluation import MetricsReport, run_cv
-from .model import Model, SvmParams, fit, single_cell
+from .model import Model, SvmParams, fit, select
 from .util import atomic_write_text, derive_seed, fmt_float
 
 log = logging.getLogger(__name__)
@@ -297,9 +297,9 @@ def fit_model(prepared: PreparedData, cfg: PipelineConfig) -> Model:
 
 
 def resolve_svm_params(prepared: PreparedData, cfg: PipelineConfig) -> SvmParams:
-    """The SVM's (C, gamma) for the CV: the configured point when the grid
-    has one cell (no model is fitted), else the point ``fit_model`` picks."""
-    return single_cell(cfg) or fit_model(prepared, cfg).params
+    """The SVM's (C, gamma) for the CV: the point ``fit_model`` would take,
+    with no SVM trained at it (with one grid cell, nothing is fitted)."""
+    return select(*prepared.tables, prepared.pairs, prepared.labels, cfg)
 
 
 def evaluate(

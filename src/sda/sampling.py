@@ -21,6 +21,10 @@ from .util import derive_seed, first_max
 
 log = logging.getLogger(__name__)
 
+# Pairs whose distances to the centroids k-means holds at once: a pass over
+# the pairs keeps memory in proportion to this, not to the pair count.
+KMEANS_BLOCK = 1024
+
 
 @dataclass
 class Clustering:
@@ -55,7 +59,9 @@ def kmeans(
     The points are never materialised: a squared distance splits into a
     ``left`` part and a ``right`` part, so norms, dot products with the
     centroids and centroid sums all come from per-entity tables gathered by
-    ``pairs``.
+    ``pairs``. Each assignment pass gathers the distances of
+    ``KMEANS_BLOCK`` pairs at a time, so beside the per-entity tables and
+    the n-vectors of assignments and distances it holds one block.
     """
     left = np.asarray(left, dtype=np.float64)
     right = np.asarray(right, dtype=np.float64)
@@ -72,14 +78,23 @@ def kmeans(
     def point(i: int) -> np.ndarray:
         return np.concatenate([left[a[i]], right[b[i]]])
 
-    def squared_distances(centroids: np.ndarray) -> np.ndarray:
+    def assign(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's nearest centroid and its squared distance to it,
+        clamped at 0, from the pairs ``KMEANS_BLOCK`` at a time."""
         # |x|^2 - 2 x.c + |c|^2, each term split into a left and a right table
         left_part = left_norms[:, None] - 2.0 * (left @ centroids[:, :split].T)
         left_part += np.sum(centroids**2, axis=1)[None, :]
         right_part = right_norms[:, None] - 2.0 * (right @ centroids[:, split:].T)
-        d2 = np.take(left_part, a, axis=0)
-        d2 += np.take(right_part, b, axis=0)
-        return np.maximum(d2, 0.0, out=d2)
+        assigned, min_d2 = np.empty(n, dtype=np.int64), np.empty(n)
+        for start in range(0, n, KMEANS_BLOCK):
+            block = slice(start, start + KMEANS_BLOCK)
+            d2 = np.take(left_part, a[block], axis=0)
+            d2 += np.take(right_part, b[block], axis=0)
+            np.maximum(d2, 0.0, out=d2)
+            closest = np.argmin(d2, axis=1)
+            assigned[block] = closest
+            min_d2[block] = np.take_along_axis(d2, closest[:, None], axis=1)[:, 0]
+        return assigned, min_d2
 
     def distances_to(i: int) -> np.ndarray:
         return (
@@ -103,11 +118,8 @@ def kmeans(
     centroids = np.array([point(i) for i in chosen])
 
     history: list[float] = []
-    assignments = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = squared_distances(centroids)
-        assignments = np.argmin(d2, axis=1)
-        min_d2 = d2[np.arange(n), assignments]
+        assignments, min_d2 = assign(centroids)
 
         # Re-seed empty clusters at the currently worst-served points.
         sizes = np.bincount(assignments, minlength=k)
@@ -132,9 +144,8 @@ def kmeans(
             break
 
     # Final assignment so every point sits with its nearest centroid.
-    d2 = squared_distances(centroids)
-    assignments = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), assignments].sum())
+    assignments, min_d2 = assign(centroids)
+    inertia = float(min_d2.sum())
     history.append(inertia)
     return Clustering(k, assignments, centroids, inertia, seed, history)
 

@@ -108,6 +108,9 @@ def _as_pm1(y) -> np.ndarray:
     return y
 
 
+# Rows scored at a time: scoring holds one SCORE_BLOCK x n_sv kernel.
+SCORE_BLOCK = 256
+
 TAU = 1e-12  # stands in for a curvature a_ij <= 0 (duplicate rows give 0)
 
 
@@ -247,20 +250,32 @@ def smo_train(
     return _fit(X, y, leaf_kernel(X, X, gamma), C, gamma, tol, max_passes)[0]
 
 
-def _decision(K: np.ndarray, model: SvmModel) -> np.ndarray:
-    """f(x) + b for each row of ``K``, the kernel of the scored rows (rows)
-    with the support vectors (columns). Each row is weighted in place and
-    summed along itself, so its value does not depend on the other rows
-    scored with it (a BLAS product's blocking would). Overwrites ``K``."""
-    K *= model.alphas * model.labels
-    return K.sum(axis=1) + model.bias
+def _decision(n: int, kernel_rows, model: SvmModel) -> np.ndarray:
+    """f(x) + b for ``n`` scored rows, ``SCORE_BLOCK`` rows at a time:
+    ``kernel_rows(block)`` gives the kernel of the rows in the slice
+    ``block`` (rows) with the support vectors (columns). Each row is
+    weighted in place and summed along itself, so its value does not depend
+    on the other rows scored with it (a BLAS product's blocking would), and
+    the blocks hold memory in proportion to ``SCORE_BLOCK``, not to ``n``."""
+    weights = model.alphas * model.labels
+    scores = np.empty(n)
+    for start in range(0, n, SCORE_BLOCK):
+        block = slice(start, start + SCORE_BLOCK)
+        K = kernel_rows(block)
+        K *= weights
+        scores[block] = K.sum(axis=1)
+        del K  # else it lives on while the next block's kernel is built
+    scores += model.bias
+    return scores
 
 
 def svm_decision(model: SvmModel, X) -> np.ndarray:
     """Raw margin f(x) = sum_i alpha_i y_i K(sv_i, x) + b; sign is the label,
     the value itself is the ranking confidence."""
     X = np.atleast_2d(np.asarray(X))
-    return _decision(leaf_kernel(X, model.support_vectors, model.gamma), model)
+    return _decision(
+        len(X), lambda block: leaf_kernel(X[block], model.support_vectors, model.gamma), model
+    )
 
 
 def grid_search(
@@ -311,7 +326,9 @@ def grid_search(
             K = table[shared]
             for C in grid.c_values:
                 model, keep = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
-                scores = _decision(table[shared_test[:, keep]], model)
+                scores = _decision(
+                    len(shared_test), lambda block: table[shared_test[block, keep]], model
+                )
                 results[(C, gamma)].append(roc_auc(scores, y01[test]))
     best = None
     for (C, gamma), scores in results.items():

@@ -342,18 +342,19 @@ class TestRunAll:
             assert a == b, name
 
     @staticmethod
-    def _count_gbdt_fits(monkeypatch) -> list:
-        """Record each GBDT fit's number of training pairs."""
+    def _count_fits(monkeypatch, name="gbdt_fit", rows_arg=2) -> list:
+        """Record each fit's number of training rows: ``model.<name>`` with
+        the rows as its positional argument ``rows_arg``."""
         from sda import model
 
         calls = []
-        real = model.gbdt_fit
+        real = getattr(model, name)
 
         def fit(*args, **kwargs):
-            calls.append(len(args[2]))
+            calls.append(len(args[rows_arg]))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(model, "gbdt_fit", fit)
+        monkeypatch.setattr(model, name, fit)
         return calls
 
     @pytest.mark.parametrize("command,expected", [("rank", 1), ("run-all", 6)])
@@ -362,7 +363,7 @@ class TestRunAll:
     ):
         # the grid search and the final model share one full-set ensemble:
         # rank fits it once, run-all once plus one fit per CV fold
-        calls = self._count_gbdt_fits(monkeypatch)
+        calls = self._count_fits(monkeypatch)
         keys = base_keys(small_dataset, str(tmp_path / "out"),
                          svm_c="1,10", svm_gamma="0.01,0.1")
         cfg = write_config_file(tmp_path / "cfg.txt", **keys)
@@ -373,13 +374,28 @@ class TestRunAll:
         self, small_dataset, tmp_path, monkeypatch
     ):
         # one fit per CV fold, on its training pairs, and none on the full set
-        calls = self._count_gbdt_fits(monkeypatch)
+        calls = self._count_fits(monkeypatch)
         out = str(tmp_path / "out")
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
         assert main(["evaluate", "--config", cfg]) == 0
         folds = json.load(open(os.path.join(out, "report.json")))["folds"]
         assert calls == [fold["n_train"] for fold in folds]
         assert len(calls) == 5
+
+    def test_grid_evaluate_trains_no_full_set_svm(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        # the grid pick needs the full-set ensemble, but no SVM at the pick:
+        # the final SVMs are the CV folds' own
+        gbdt_calls = self._count_fits(monkeypatch)
+        svm_calls = self._count_fits(monkeypatch, "smo_train", rows_arg=0)
+        out = str(tmp_path / "out")
+        keys = base_keys(small_dataset, out, svm_c="1,10", svm_gamma="0.01,0.1")
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        assert main(["evaluate", "--config", cfg]) == 0
+        folds = json.load(open(os.path.join(out, "report.json")))["folds"]
+        assert svm_calls == [fold["n_train"] for fold in folds]
+        assert len(gbdt_calls) == 6
 
 
 class TestHoldout:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sda import model, pipeline
+from sda import model, pipeline, sampling, svm
 from sda.boost import gbdt_leaf_encode
 from sda.cli import main
 from sda.config import PipelineConfig
@@ -84,6 +84,19 @@ class TestBatchIndependentScores:
         assert np.array_equal(alone, batch)
         assert np.array_equal(fitted.score(*prepared.tables, prepared.negatives), batch)
 
+    def test_score_block_size_changes_nothing(self, synth_config, monkeypatch):
+        prepared = pipeline.prepare(synth_config)
+        fitted = pipeline.fit_model(prepared, synth_config)
+        candidates = prepared.negatives
+        # the candidates' distinct leaf patterns fill whole blocks of 3, the
+        # first seven pairs' end in a partial block, and one pair is under a
+        # block
+        batches = [candidates, candidates[:7], candidates[:1]]
+        want = [fitted.score(*prepared.tables, pairs) for pairs in batches]
+        monkeypatch.setattr(svm, "SCORE_BLOCK", 3)
+        for pairs, expect in zip(batches, want):
+            assert np.array_equal(fitted.score(*prepared.tables, pairs), expect)
+
 
 def traced_peak(fn, *args):
     """``fn(*args)`` and the peak of the memory traced while it ran."""
@@ -111,6 +124,22 @@ class TestPrepareMemory:
         prepared, peak = traced_peak(pipeline.prepare_from_matrix, am, cfg)
         n_neg = len(prepared.negatives)
         assert peak < n_neg * (am.n_snornas + am.n_diseases) * 8
+
+
+class TestKmeansMemory:
+    def test_peak_independent_of_pair_count(self):
+        """k-means holds one block of pair-to-centroid distances beside its
+        n-vectors: on 50,000 pairs at k = 20 it stays under eight n-vectors
+        plus 2 MB for the entity-sized tables and the block, where the
+        distances of all pairs would take 8 MB."""
+        rng = np.random.default_rng(4)
+        n_s, n_d = 250, 200
+        left, right = rng.random((n_s, n_s)), rng.random((n_d, n_d))
+        pairs = np.stack(np.divmod(np.arange(n_s * n_d), n_d), axis=1)
+        _, peak = traced_peak(
+            lambda: sampling.kmeans(left, right, pairs, 20, seed=1, max_iter=5)
+        )
+        assert peak < 8 * len(pairs) * 8 + 2 * 2**20
 
 
 class TestRankMemory:

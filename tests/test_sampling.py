@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sda import sampling
 from sda.errors import DataError
 from sda.sampling import (
     Clustering,
@@ -340,3 +341,36 @@ class TestKmeansMatchesDenseOracle:
         pairs = [(i, j) for i in range(4) for j in range(3)]
         for seed in range(4):
             assert self.check(left, right, pairs, 8, seed) > 0
+
+
+class TestKmeansBlocks:
+    """Assignment passes walk the pairs a block at a time; the block size
+    changes no bit of the result."""
+
+    def check(self, monkeypatch, left, right, pairs, k, seed):
+        want = kmeans(left, right, pairs, k, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "KMEANS_BLOCK", 5)
+            got = kmeans(left, right, pairs, k, seed=seed)
+        assert np.array_equal(got.assignments, want.assignments)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.history == want.history
+        assert got.inertia == want.inertia
+
+    @pytest.mark.parametrize("n_pairs", [3, 20, 23], ids=["under-one", "whole", "partial"])
+    def test_block_size_changes_nothing(self, monkeypatch, n_pairs):
+        rng = np.random.default_rng(30 + n_pairs)
+        left, right, pairs = random_pair_space(rng, 7, 5, n_pairs, dim_left=4, dim_right=3)
+        for seed in range(3):
+            self.check(monkeypatch, left, right, pairs, min(3, n_pairs), seed)
+
+    def test_reseeds_across_blocks(self, monkeypatch):
+        # 12 pairs on 6 locations with k = 8: clusters are emptied and
+        # re-seeded from distances gathered over three blocks
+        rng = np.random.default_rng(24)
+        left = rng.integers(0, 10, size=(4, 2)).astype(float)
+        right = rng.integers(0, 10, size=(3, 1)).astype(float)
+        left[1] = left[0]
+        pairs = [(i, j) for i in range(4) for j in range(3)]
+        for seed in range(4):
+            self.check(monkeypatch, left, right, pairs, 8, seed)

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sda import svm
 from sda.errors import NumericError
 from sda.svm import (
     ParamGrid,
+    SvmModel,
     grid_search,
     leaf_kernel,
     smo_train,
@@ -381,17 +383,18 @@ class TestWss2Solver:
         ) == self.PINNED[case]
 
 
-class TestGridSearch:
-    def _separable(self, rng, n=40, gamma=0.8):
-        # two centre patterns; each leaf moves to a random one w.p. 0.3
-        centers = np.array([[0, 4, 8, 12], [1, 5, 9, 13]])
-        y = np.array([0, 1] * (n // 2))
-        X = np.where(rng.random((n, 4)) < 0.3, leaf_rows(rng, n), centers[y])
-        return X, y
+def separable(rng, n=40):
+    # two centre patterns; each leaf moves to a random one w.p. 0.3
+    centers = np.array([[0, 4, 8, 12], [1, 5, 9, 13]])
+    y = np.array([0, 1] * (n // 2))
+    X = np.where(rng.random((n, 4)) < 0.3, leaf_rows(rng, n), centers[y])
+    return X, y
 
+
+class TestGridSearch:
     def test_singleton_grid_returns_it(self):
         rng = np.random.default_rng(10)
-        X, y = self._separable(rng)
+        X, y = separable(rng)
         c, g, scores = grid_search(X, y, ParamGrid([2.0], [0.3]), seed=0)
         assert (c, g) == (2.0, 0.3)
         assert list(scores) == [(2.0, 0.3)]
@@ -399,7 +402,7 @@ class TestGridSearch:
 
     def test_choice_maximizes_mean_fold_auc(self):
         rng = np.random.default_rng(11)
-        X, y = self._separable(rng, n=50)
+        X, y = separable(rng, n=50)
         grid = ParamGrid([0.01, 1.0, 10.0], [0.01, 0.8])
         c, g, scores = grid_search(X, y, grid, seed=1)
         means = {cell: float(np.mean(v)) for cell, v in scores.items()}
@@ -423,7 +426,7 @@ class TestGridSearch:
         from sda.evaluation import roc_auc, stratified_kfold
 
         rng = np.random.default_rng(20)
-        X, y = self._separable(rng, n=50)
+        X, y = separable(rng, n=50)
         grid = ParamGrid([0.1, 1.0, 10.0], [0.05, 0.8])
         _, _, scores = grid_search(X, y, grid, seed=7)
         fold_index = stratified_kfold(y, 5, 7)
@@ -462,6 +465,32 @@ class TestGridSearch:
 
 
 
+class TestScoreBlocks:
+    """Scoring walks the rows a block at a time; the block size changes no
+    bit of a score."""
+
+    def test_svm_decision(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        X, y, _ = random_problem(rng, 30)
+        model = smo_train(X, y, C=1.0, gamma=0.5)
+        # empty, under one block, one whole block, a final partial block
+        probes = [leaf_rows(rng, n) for n in (0, 2, 3, 10)]
+        with monkeypatch.context() as patch:
+            patch.setattr(svm, "SCORE_BLOCK", 3)
+            got = [svm_decision(model, probe) for probe in probes]
+        for probe, scores in zip(probes, got):
+            assert np.array_equal(scores, svm_decision(model, probe))
+
+    @pytest.mark.parametrize("n", [10, 50], ids=["under-one", "partial"])
+    def test_grid_search_score_table(self, monkeypatch, n):
+        # test folds of 2 and of 10 rows
+        X, y = separable(np.random.default_rng(32), n=n)
+        grid = ParamGrid([0.1, 10.0], [0.05, 0.8])
+        want = grid_search(X, y, grid, seed=3)
+        monkeypatch.setattr(svm, "SCORE_BLOCK", 3)
+        assert grid_search(X, y, grid, seed=3) == want
+
+
 class TestMemory:
     def test_smo_peak_below_two_grams(self):
         # The Gram is the one n x n float64 array; the shared-leaf counts
@@ -477,3 +506,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * n * 8
+
+    def test_decision_peak_independent_of_row_count(self):
+        # Scoring holds one block of kernel rows beside the scores: at 200
+        # support vectors that is under 1 MB, where the kernel of all
+        # 20,000 rows would take 32 MB.
+        rng = np.random.default_rng(23)
+        n, n_sv = 20_000, 200
+        X = leaf_rows(rng, n, n_trees=10, n_leaves=8)
+        model = SvmModel(
+            support_vectors=leaf_rows(rng, n_sv, n_trees=10, n_leaves=8),
+            alphas=rng.random(n_sv), labels=np.where(rng.random(n_sv) < 0.5, 1.0, -1.0),
+            bias=0.1, gamma=0.05,
+        )
+        tracemalloc.start()
+        try:
+            svm_decision(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * 8 + 2 * 2**20
