@@ -25,8 +25,11 @@ orders and keeps each in order. A column bitwise equal to an earlier one of
 its table is never searched, since it would only repeat that column's
 gains. Among gains within a relative 1e-12 of the best, the lowest feature
 (left side first), then the lowest threshold wins, so summation order cannot
-decide a tie. Every internal node tests one column of one side, so pairs are
-routed by entity index, one depth at a time; the training rows' leaves are
+decide a tie. Every internal node tests one column of one side, so the
+pairs reaching a node are all pairs of a left set with a right set: routing
+starts from the entities present among the pairs, a node splits the set of
+the side it tests, and a leaf fills its rectangle of the grid of those
+entities, from which each pair reads its cell. The training rows' leaves are
 recorded as the tree grows, so boosting never routes its own pairs.
 """
 
@@ -47,6 +50,20 @@ def _pair_space(left, right, pairs):
     return left, np.asarray(right, dtype=np.float64), pairs[:, 0], pairs[:, 1]
 
 
+def _entity_grid(left, right, pairs):
+    """The two tables restricted to the entities present among the pairs,
+    in ascending entity order and transposed (a row per feature), and each
+    pair's cell in the row-major grid of those two entity sets."""
+    left, right, a, b = _pair_space(left, right, pairs)
+    columns, positions = [], []
+    for table, ent in zip((left, right), (a, b)):
+        present = np.zeros(len(table), dtype=bool)
+        present[ent] = True
+        columns.append(np.ascontiguousarray(table[present].T))
+        positions.append(np.cumsum(present)[ent] - 1)
+    return columns, positions[0] * columns[1].shape[1] + positions[1]
+
+
 @dataclass
 class RegressionTree:
     """Flat-array binary tree; nodes in preorder, leaf ordinals contiguous.
@@ -63,20 +80,32 @@ class RegressionTree:
 
     def apply(self, left, right, pairs) -> np.ndarray:
         """Node index of the leaf each pair routes to."""
-        left, right, a, b = _pair_space(left, right, pairs)
-        width = left.shape[1]
-        node = np.zeros(len(a), dtype=np.int32)
-        while True:
-            rows = np.flatnonzero(self.feature[node] >= 0)
-            if rows.size == 0:
-                return node
-            at = node[rows]
-            f = self.feature[at]
-            on_left = f < width
-            x = np.empty(rows.size)
-            x[on_left] = left[a[rows[on_left]], f[on_left]]
-            x[~on_left] = right[b[rows[~on_left]], f[~on_left] - width]
-            node[rows] = np.where(x <= self.threshold[at], self.left[at], self.right[at])
+        columns, cells = _entity_grid(left, right, pairs)
+        return self._rectangles(columns).take(cells)
+
+    def _rectangles(self, columns) -> np.ndarray:
+        """Node index of the leaf at every cell of the grid of the entities
+        of ``columns``, left entities along the first axis. Every
+        internal node tests one side, so the cells reaching a node are all
+        pairs of a left set with a right set: a node splits the set of the
+        side it tests, and a leaf fills its rectangle."""
+        width = len(columns[0])
+        grid = np.empty((columns[0].shape[1], columns[1].shape[1]), dtype=np.int32)
+        stack = [(0, np.arange(len(grid)), np.arange(grid.shape[1]))]
+        while stack:
+            node, *kept = stack.pop()
+            f = self.feature[node]
+            if f < 0:
+                grid[kept[0][:, None], kept[1]] = node
+                continue
+            side = int(f >= width)
+            at = kept[side]
+            go_left = columns[side][f - side * width].take(at) <= self.threshold[node]
+            for child, part in ((self.left[node], go_left), (self.right[node], ~go_left)):
+                kept[side] = at[part]
+                if kept[side].size:
+                    stack.append((child, *kept))
+        return grid
 
     def predict(self, left, right, pairs) -> np.ndarray:
         return self.value[self.apply(left, right, pairs)]
@@ -311,8 +340,9 @@ def gbdt_leaf_encode(ens: GbdtEnsemble, left, right, pairs) -> np.ndarray:
     its one in that tree's block of the one-hot encoding."""
     if not ens.trees:
         raise ValueError("ensemble has no fitted trees")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)  # once for all trees
-    return np.column_stack([
-        offset + tree.leaf_ordinal[tree.apply(left, right, pairs)]
+    columns, cells = _entity_grid(left, right, pairs)  # once for all trees
+    grid = np.stack([
+        offset + tree.leaf_ordinal[tree._rectangles(columns)]
         for offset, tree in zip(ens.leaf_offsets, ens.trees)
-    ])
+    ], axis=-1)
+    return grid.reshape(-1, len(ens.trees))[cells]

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import pipeline
-from .config import PipelineConfig, effective_config_text, load_config
+from .config import MODES, PipelineConfig, effective_config_text, load_config
 from .errors import ConfigError, DataError, NumericError
 from .util import atomic_write_text
 
@@ -49,10 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--top-k", type=int, dest="top_k", help="ranked pairs per disease")
-        p.add_argument(
-            "--mode", choices=("paper-faithful", "strict-folds"),
-            help="similarity handling across folds",
-        )
+        p.add_argument("--mode", choices=MODES, help="similarity handling across folds")
         p.add_argument("--strict", action="store_true", help="treat warnings as errors")
         p.add_argument("--output-dir", dest="output_dir", help="artifact directory")
         p.add_argument(

@@ -192,7 +192,6 @@ def run_cv(
     for f in range(config.n_folds):
         test_idx = np.flatnonzero(fold_index == f)
         train_idx = np.flatnonzero(fold_index != f)
-        assert not set(test_idx.tolist()) & set(train_idx.tolist())
 
         tables = (left, right) if fold_tables is None else fold_tables(test_idx)
         y_train, y_test = labels[train_idx], labels[test_idx]

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from sda.boost import RegressionTree
 from sda.config import PipelineConfig
 from sda.synth import make_block_dataset, write_dataset_files
 
@@ -47,6 +48,33 @@ def assemble(left, right, pairs):
     """Dense oracle: one feature row ``[left[a] | right[b]]`` per pair."""
     idx = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return np.hstack([left[idx[:, 0]], right[idx[:, 1]]])
+
+
+def random_tree(rng, left, right, depth, split=0.8):
+    """A random tree whose thresholds are exact values of the tested column,
+    so pairs sitting on a threshold exercise the ``<=``. A node shallower
+    than ``depth`` splits with probability ``split``."""
+    width = left.shape[1]
+    nodes = []
+
+    def build(d):
+        node = len(nodes)
+        nodes.append([-1, np.nan, -1, -1, float(rng.normal())])
+        if d < depth and rng.random() < split:
+            f = int(rng.integers(width + right.shape[1]))
+            column = left[:, f] if f < width else right[:, f - width]
+            nodes[node][:2] = f, float(rng.choice(column))
+            nodes[node][2] = build(d + 1)
+            nodes[node][3] = build(d + 1)
+        return node
+
+    build(0)
+    feature, threshold, lo, hi, value = (np.array(c) for c in zip(*nodes))
+    leaf = feature < 0
+    return RegressionTree(
+        feature.astype(np.int32), threshold, lo.astype(np.int32), hi.astype(np.int32),
+        value, np.where(leaf, np.cumsum(leaf) - 1, -1).astype(np.int32), int(leaf.sum()),
+    )
 
 
 def write_config_file(path, **keys):

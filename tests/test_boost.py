@@ -16,7 +16,7 @@ from sda.boost import (
 from sda.errors import NumericError
 from sda.util import sigmoid
 
-from conftest import assemble, pair_space
+from conftest import assemble, pair_space, random_tree
 
 
 class TestInit:
@@ -349,32 +349,6 @@ def dense_apply(tree, X):
         node[active] = np.where(go_left, tree.left[at], tree.right[at])
 
 
-def random_tree(rng, left, right, depth):
-    """A random tree whose thresholds are exact values of the tested column,
-    so pairs sitting on a threshold exercise the ``<=``."""
-    width = left.shape[1]
-    nodes = []
-
-    def build(d):
-        node = len(nodes)
-        nodes.append([-1, np.nan, -1, -1, float(rng.normal())])
-        if d < depth and rng.random() < 0.8:
-            f = int(rng.integers(width + right.shape[1]))
-            column = left[:, f] if f < width else right[:, f - width]
-            nodes[node][:2] = f, float(rng.choice(column))
-            nodes[node][2] = build(d + 1)
-            nodes[node][3] = build(d + 1)
-        return node
-
-    build(0)
-    feature, threshold, lo, hi, value = (np.array(c) for c in zip(*nodes))
-    leaf = feature < 0
-    return RegressionTree(
-        feature.astype(np.int32), threshold, lo.astype(np.int32), hi.astype(np.int32),
-        value, np.where(leaf, np.cumsum(leaf) - 1, -1).astype(np.int32), int(leaf.sum()),
-    )
-
-
 def tie_prone_pair_space(rng, n_pairs):
     """Entity tables on a coarse grid, with a duplicated entity row and a
     right column that copies a left column's partition, so nodes see many
@@ -387,6 +361,83 @@ def tie_prone_pair_space(rng, n_pairs):
         rng.integers(0, n_left, n_pairs), rng.integers(0, n_right, n_pairs)
     ])
     return left, right, pairs
+
+
+def descend(tree, left, right, pairs):
+    """Oracle: walk each pair from the root on its own, one node at a time."""
+    width = left.shape[1]
+    out = []
+    for a, b in np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist():
+        node = 0
+        while tree.feature[node] >= 0:
+            f = tree.feature[node]
+            x = left[a, f] if f < width else right[b, f - width]
+            node = tree.left[node] if x <= tree.threshold[node] else tree.right[node]
+        out.append(node)
+    return np.array(out, dtype=np.int64)
+
+
+def one_sided_tree(rng, left, right, side, depth):
+    """A random tree that tests only the columns of one side."""
+    if side == 0:
+        return random_tree(rng, left, np.zeros((len(right), 0)), depth)
+    tree = random_tree(rng, np.zeros((len(left), 0)), right, depth)
+    tree.feature[tree.feature >= 0] += left.shape[1]
+    return tree
+
+
+def sparse_pairs(rng, n_left, n_right):
+    """A few cells of a larger grid, some repeated, that leave the second
+    half of the left entities and the last right entity absent; or no pairs
+    at all."""
+    n = int(rng.integers(0, 12))
+    pairs = np.column_stack([
+        rng.integers(0, n_left // 2, n), rng.integers(0, n_right - 1, n)
+    ])
+    return np.vstack([pairs, pairs[: n // 3]])
+
+
+class TestRectangleRouting:
+    def _tables(self, rng):
+        left = np.round(rng.random((int(rng.integers(4, 15)), int(rng.integers(1, 4)))), 1)
+        right = np.round(rng.random((int(rng.integers(2, 8)), int(rng.integers(1, 4)))), 1)
+        return left, right
+
+    def test_apply_matches_per_pair_descent(self):
+        rng = np.random.default_rng(51)
+        single_leaf = 0
+        for trial in range(80):
+            left, right = self._tables(rng)
+            if trial % 4 == 0:
+                tree = one_sided_tree(rng, left, right, trial // 4 % 2, int(rng.integers(1, 5)))
+            else:
+                tree = random_tree(rng, left, right, depth=int(rng.integers(0, 5)))
+            single_leaf += tree.n_leaves == 1
+            every_cell = np.indices((len(left), len(right))).reshape(2, -1).T
+            for pairs in (every_cell, sparse_pairs(rng, len(left), len(right)), every_cell[:0]):
+                got = tree.apply(left, right, pairs)
+                assert got.shape == (len(pairs),)
+                np.testing.assert_array_equal(got, descend(tree, left, right, pairs))
+        assert single_leaf > 0
+
+    def test_encoding_matches_per_pair_descent(self):
+        # one set of present entities serves every tree of the ensemble
+        rng = np.random.default_rng(52)
+        for trial in range(30):
+            left, right = self._tables(rng)
+            trees = [
+                one_sided_tree(rng, left, right, 0, 3),
+                one_sided_tree(rng, left, right, 1, 3),
+                random_tree(rng, left, right, depth=0),
+                random_tree(rng, left, right, depth=4),
+            ]
+            ens = GbdtEnsemble(trees, 0.0, 0.1, len(trees))
+            pairs = sparse_pairs(rng, len(left), len(right))
+            want = np.column_stack([
+                offset + tree.leaf_ordinal[descend(tree, left, right, pairs)]
+                for offset, tree in zip(ens.leaf_offsets, trees)
+            ])
+            np.testing.assert_array_equal(gbdt_leaf_encode(ens, left, right, pairs), want)
 
 
 def tie_rule_best_split(X, r, min_samples_leaf):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sda import model, pipeline, sampling, svm
-from sda.boost import gbdt_leaf_encode
+from sda.boost import GbdtEnsemble, gbdt_leaf_encode
 from sda.cli import main
 from sda.config import PipelineConfig
 from sda.corpus import AssociationMatrix
@@ -14,7 +14,7 @@ from sda.errors import ConfigError
 from sda.svm import svm_decision
 from sda.synth import make_block_dataset, write_dataset_files
 
-from conftest import assemble, write_config_file
+from conftest import assemble, random_tree, write_config_file
 
 
 class TestPrepare:
@@ -96,6 +96,39 @@ class TestBatchIndependentScores:
         monkeypatch.setattr(svm, "SCORE_BLOCK", 3)
         for pairs, expect in zip(batches, want):
             assert np.array_equal(fitted.score(*prepared.tables, pairs), expect)
+
+
+class TestPatternKeys:
+    def test_keys_renumber_past_the_int64_span(self, monkeypatch):
+        """17 trees of 16 leaves give 16**17 > 2**62 mixed-radix keys, so the
+        keys are renumbered on the way: the SVM still scores one row per
+        distinct leaf pattern, and every pair gets its score as if alone.
+        The last 16 trees are one tree repeated, so patterns that differ
+        only in the first tree's leaf would merge if its digit overflowed."""
+        rng = np.random.default_rng(61)
+        left, right = rng.random((12, 3)), rng.random((7, 2))
+        first, rest = (random_tree(rng, left, right, depth=4, split=1.0) for _ in range(2))
+        trees = [first] + [rest] * 16
+        assert {t.n_leaves for t in trees} == {16} and 16**17 > model.KEY_SPAN
+        ens = GbdtEnsemble(trees, 0.0, 0.1, len(trees))
+        cells = np.indices((12, 7)).reshape(2, -1).T
+        pairs = np.vstack([cells, cells[::5]])
+        leaves = gbdt_leaf_encode(ens, left, right, pairs)
+        labels = (np.arange(len(pairs)) % 2).astype(float)
+        fitted = model.Model(
+            ens, svm.smo_train(leaves, labels, C=1.0, gamma=0.05), model.SvmParams(1.0, 0.05)
+        )
+        alone = [fitted.score(left, right, pairs[i : i + 1])[0] for i in range(len(pairs))]
+        scored = []
+
+        def spy(svm_model, X):
+            scored.append(len(X))
+            return svm_decision(svm_model, X)
+
+        monkeypatch.setattr(model, "svm_decision", spy)
+        assert np.array_equal(fitted.score(left, right, pairs), alone)
+        assert scored == [len(np.unique(leaves, axis=0))]
+        assert fitted.score(left, right, pairs[:0]).shape == (0,)
 
 
 def traced_peak(fn, *args):
