@@ -107,9 +107,6 @@ class RegressionTree:
                     stack.append((child, *kept))
         return grid
 
-    def predict(self, left, right, pairs) -> np.ndarray:
-        return self.value[self.apply(left, right, pairs)]
-
 
 @dataclass
 class GbdtEnsemble:

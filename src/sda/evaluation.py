@@ -1,4 +1,6 @@
-"""Cross-validation and metrics: ROC-AUC, AUPRC, accuracy/F1, curve export.
+"""Folds and metrics: stratified fold assignment, ROC-AUC, AUPRC,
+accuracy/F1, curve export, and the report the CV (``pipeline.evaluate``)
+fills in.
 
 ROC-AUC is the tie-aware rank statistic (the probability a random positive
 outscores a random negative, ties counted half), not a trapezoid over
@@ -8,16 +10,11 @@ thresholds. Curve points are still exported for plotting.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .model import SvmParams, fit
-from .util import derive_seed, sigmoid
-
-log = logging.getLogger(__name__)
 
 
 def stratified_kfold(labels, n_folds: int = 5, seed: int = 0) -> np.ndarray:
@@ -158,74 +155,3 @@ class MetricsReport:
     roc_curve: list[tuple[float, float]] = field(default_factory=list)
     pr_curve: list[tuple[float, float]] = field(default_factory=list)
 
-
-def run_cv(
-    left, right, pairs, labels, config, params: SvmParams, fold_tables=None
-) -> MetricsReport:
-    """Stratified k-fold evaluation of the boosted-trees + SVM pipeline over
-    the pair space of ``left`` and ``right`` (see ``boost``).
-
-    Each fold fits the model (``model.fit``) on its training pairs with the
-    SVM at ``params`` and scores its test pairs; pooled test scores feed the
-    exported curves.
-    Every fold uses ``left`` and ``right``, except in strict-folds mode, where
-    ``fold_tables(test_idx)`` rebuilds the two tables for each fold from
-    training-fold positives only; it is required in that mode and rejected
-    in the other.
-    """
-    if (fold_tables is not None) != (config.mode == "strict-folds"):
-        raise ValueError("fold_tables is required in strict-folds mode, and only there")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    labels = np.asarray(labels)
-    seed = config.seed
-    fold_index = stratified_kfold(labels, config.n_folds, derive_seed(seed, "cv-folds"))
-    n = len(labels)
-    pooled = np.zeros(n)
-    report = MetricsReport(
-        mode=config.mode,
-        n_folds=config.n_folds,
-        seed=seed,
-        svm_c=params.c,
-        svm_gamma=params.gamma,
-    )
-
-    for f in range(config.n_folds):
-        test_idx = np.flatnonzero(fold_index == f)
-        train_idx = np.flatnonzero(fold_index != f)
-
-        tables = (left, right) if fold_tables is None else fold_tables(test_idx)
-        y_train, y_test = labels[train_idx], labels[test_idx]
-
-        model = fit(*tables, pairs[train_idx], y_train, config, params)
-        scores = model.score(*tables, pairs[test_idx])
-        pooled[test_idx] = scores
-        probs = sigmoid(scores)
-        tm = threshold_metrics(probs, y_test)
-        report.folds.append(
-            {
-                "fold": f,
-                "n_train": int(len(train_idx)),
-                "n_test": int(len(test_idx)),
-                "roc_auc": roc_auc(scores, y_test),
-                "auprc": pr_auc(scores, y_test),
-                "accuracy": tm.accuracy,
-                "f1": tm.f1,
-                "f1_defined": tm.f1_defined,
-                "mse": float(np.mean((probs - y_test) ** 2)),
-                "svm_converged": model.svm.converged,
-            }
-        )
-        log.info(
-            "fold %d: roc_auc=%.4f auprc=%.4f acc=%.4f f1=%.4f",
-            f,
-            report.folds[-1]["roc_auc"],
-            report.folds[-1]["auprc"],
-            tm.accuracy,
-            tm.f1,
-        )
-
-    for key in ("roc_auc", "auprc", "accuracy", "f1", "mse"):
-        report.mean[key] = float(np.mean([fd[key] for fd in report.folds]))
-    report.roc_curve = roc_points(pooled, labels)
-    report.pr_curve = pr_points(pooled, labels)
-    return report

@@ -18,9 +18,6 @@ from .util import derive_seed
 
 log = logging.getLogger(__name__)
 
-# Leaf-pattern keys stay below this bound, so one more digit fits in int64.
-KEY_SPAN = 2**62
-
 
 @dataclass(frozen=True)
 class SvmParams:
@@ -43,19 +40,13 @@ class Model:
     def score(self, left, right, pairs) -> np.ndarray:
         """Decision values of ``pairs`` in the pair space of ``left`` and
         ``right``. The SVM sees only leaf indices, so it scores each distinct
-        leaf pattern once: every pattern gets one mixed-radix integer key,
-        a digit per tree, and its score is scattered back to the pairs that
-        share it. A pair's score does not depend on the others scored with it."""
-        leaves = gbdt_leaf_encode(self.ens, left, right, pairs)
-        key = np.zeros(len(leaves), dtype=np.int64)
-        span = 1  # key < span
-        for column, offset, tree in zip(leaves.T, self.ens.leaf_offsets, self.ens.trees):
-            if span * tree.n_leaves > KEY_SPAN:  # renumber the keys densely
-                distinct, key = np.unique(key, return_inverse=True)
-                span = len(distinct)
-            key = key * tree.n_leaves + (column - offset)
-            span *= tree.n_leaves
-        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        leaf pattern once: each pattern's row of leaf indices, viewed as one
+        opaque byte string, is its key, and its score is scattered back to
+        the pairs that share it. A pair's score does not depend on the
+        others scored with it."""
+        leaves = gbdt_leaf_encode(self.ens, left, right, pairs)  # C-contiguous
+        rows = leaves.view(np.dtype((np.void, leaves.itemsize * leaves.shape[1])))
+        _, first, key = np.unique(rows[:, 0], return_index=True, return_inverse=True)
         return svm_decision(self.svm, leaves[first])[key]
 
 

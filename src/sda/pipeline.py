@@ -16,9 +16,11 @@ import numpy as np
 from . import corpus, sampling, similarity
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
-from .evaluation import MetricsReport, run_cv
+from .evaluation import (
+    MetricsReport, pr_auc, pr_points, roc_auc, roc_points, stratified_kfold, threshold_metrics,
+)
 from .model import Model, SvmParams, fit, select
-from .util import atomic_write_text, derive_seed, fmt_float
+from .util import atomic_write_text, derive_seed, fmt_float, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +48,6 @@ class PreparedData:
     pairs: np.ndarray  # balanced: positives then selected negatives
     labels: np.ndarray
     k_used: int
-    gamma_prime_snorna: float = 1.0
-    gamma_prime_disease: float = 1.0
 
     @property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -65,16 +65,18 @@ class PreparedData:
             self, pairs=np.concatenate([self.positives, selected]), labels=labels, k_used=k
         )
 
-    def strict_fold_tables(self, test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def strict_fold_tables(
+        self, test_idx: np.ndarray, cfg: PipelineConfig
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``tables`` with interaction profiles rebuilt from training-fold
-        positives only: the GIP kernels are recomputed after zeroing the
-        known associations among the test pairs ``test_idx``, so no test
-        association leaks into the kernel."""
+        positives only: the GIP kernels (at ``cfg``'s bandwidth scales) are
+        recomputed after zeroing the known associations among the test
+        pairs ``test_idx``, so no test association leaks into the kernel."""
         ap = self.am.entries.astype(np.float64)
         held = self.pairs[test_idx][self.labels[test_idx] == 1]
         ap[held[:, 0], held[:, 1]] = 0.0
         msfs, mdss = _meshed(
-            ap, self.sfs, self.dss, self.gamma_prime_snorna, self.gamma_prime_disease
+            ap, self.sfs, self.dss, cfg.gamma_prime_snorna, cfg.gamma_prime_disease
         )
         return msfs.values, mdss.values.T
 
@@ -197,8 +199,6 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
         pairs=np.array(pairs, dtype=np.int64),
         labels=np.asarray(labels, dtype=int),
         k_used=_load_k_used(os.path.join(cfg.prepared_dir, PREPARE_RECORD)),
-        gamma_prime_snorna=cfg.gamma_prime_snorna,
-        gamma_prime_disease=cfg.gamma_prime_disease,
     )
 
 
@@ -238,34 +238,40 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
         am=am, sfs=sfs, dss=dss, msfs=msfs, mdss=mdss,
         positives=positives, negatives=negatives, pairs=positives[:0],
         labels=np.zeros(0, dtype=int), k_used=0,
-        gamma_prime_snorna=cfg.gamma_prime_snorna,
-        gamma_prime_disease=cfg.gamma_prime_disease,
     )
-    n_pos = len(positives)
 
     k = cfg.k
     if cfg.k_range:
         k = _choose_k(base, cfg)
         log.info("choose_k selected k=%d from %s", k, list(cfg.k_range))
-    if k > len(negatives):
-        raise DataError(f"k={k} exceeds the number of unknown pairs ({len(negatives)})")
-
-    clustering = sampling.kmeans(
-        msfs.values, mdss.values.T, negatives, k, seed=derive_seed(cfg.seed, "kmeans")
-    )
-    selected = sampling.select_negatives(
-        clustering, negatives, n_pos, seed=derive_seed(cfg.seed, "select-negatives")
-    )
+    prepared = _draw(base, k, cfg.seed, "kmeans", "select-negatives")
     log.info(
         "prepared %s: %d positives + %d sampled negatives (k=%d)",
-        cfg.dataset_name, n_pos, n_pos, k,
+        cfg.dataset_name, len(positives), len(positives), k,
+    )
+    return prepared
+
+
+def _draw(
+    base: PreparedData, k: int, seed: int, kmeans_label: str, select_label: str
+) -> PreparedData:
+    """``base`` balanced with negatives drawn from ``k`` k-means clusters of
+    its unknown pairs. The clustering is seeded by ``kmeans_label`` and the
+    per-cluster sampling by ``select_label``, each derived from ``seed``."""
+    clustering = sampling.kmeans(
+        *base.tables, base.negatives, k, seed=derive_seed(seed, kmeans_label)
+    )
+    selected = sampling.select_negatives(
+        clustering, base.negatives, len(base.positives),
+        seed=derive_seed(seed, select_label),
     )
     return base.balanced(selected, k)
 
 
 def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
-    """Candidate-k evaluation via a cheap CV on each balanced set built from
-    ``base``.
+    """The candidate k of ``cfg.k_range`` whose balanced set, drawn from
+    ``base``, scores the highest mean ROC-AUC in a cheap CV; ties fall to
+    the lower mean MSE, then to the smaller k.
 
     The probe SVM uses the middle grid entries; the full grid search (if any)
     runs after k is fixed. In strict-folds mode the probe CV rebuilds its
@@ -274,20 +280,14 @@ def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
     probe = SvmParams(
         float(cfg.svm_c[len(cfg.svm_c) // 2]), cfg.svm_gamma[len(cfg.svm_gamma) // 2]
     )
-
-    def evaluator(k: int, picked: np.ndarray):
-        report = evaluate(base.balanced(picked, k), cfg, probe)
-        return report.mean["roc_auc"], report.mean["mse"]
-
-    return sampling.choose_k(
-        base.msfs.values,
-        base.mdss.values.T,
-        base.negatives,
-        cfg.k_range,
-        evaluator,
-        len(base.positives),
-        seed=derive_seed(cfg.seed, "choose-k"),
-    )
+    seed = derive_seed(cfg.seed, "choose-k")
+    results = []
+    for k in cfg.k_range:
+        drawn = _draw(base, k, seed, f"kmeans-k{k}", f"select-k{k}")
+        mean = evaluate(drawn, cfg, probe).mean
+        log.info("choose_k: k=%d roc_auc=%.4f mse=%.4f", k, mean["roc_auc"], mean["mse"])
+        results.append((-mean["roc_auc"], mean["mse"], k))
+    return min(results)[2]
 
 
 def fit_model(prepared: PreparedData, cfg: PipelineConfig) -> Model:
@@ -305,9 +305,69 @@ def resolve_svm_params(prepared: PreparedData, cfg: PipelineConfig) -> SvmParams
 def evaluate(
     prepared: PreparedData, cfg: PipelineConfig, params: SvmParams
 ) -> MetricsReport:
-    """The stratified CV of the pipeline with the SVM at ``params``."""
-    fold_tables = prepared.strict_fold_tables if cfg.mode == "strict-folds" else None
-    return run_cv(*prepared.tables, prepared.pairs, prepared.labels, cfg, params, fold_tables)
+    """The stratified k-fold CV of the boosted-trees + SVM pipeline on the
+    balanced set, with the SVM at ``params``.
+
+    Each fold fits the model (``model.fit``) on its training pairs and
+    scores its test pairs; pooled test scores feed the exported curves.
+    Every fold uses ``prepared.tables``, except in strict-folds mode, where
+    ``strict_fold_tables`` rebuilds the two tables for each fold from
+    training-fold positives only.
+    """
+    pairs, labels = prepared.pairs, prepared.labels
+    fold_index = stratified_kfold(labels, cfg.n_folds, derive_seed(cfg.seed, "cv-folds"))
+    pooled = np.zeros(len(labels))
+    report = MetricsReport(
+        mode=cfg.mode,
+        n_folds=cfg.n_folds,
+        seed=cfg.seed,
+        svm_c=params.c,
+        svm_gamma=params.gamma,
+    )
+
+    for f in range(cfg.n_folds):
+        test_idx = np.flatnonzero(fold_index == f)
+        train_idx = np.flatnonzero(fold_index != f)
+
+        if cfg.mode == "strict-folds":
+            tables = prepared.strict_fold_tables(test_idx, cfg)
+        else:
+            tables = prepared.tables
+        y_train, y_test = labels[train_idx], labels[test_idx]
+
+        model = fit(*tables, pairs[train_idx], y_train, cfg, params)
+        scores = model.score(*tables, pairs[test_idx])
+        pooled[test_idx] = scores
+        probs = sigmoid(scores)
+        tm = threshold_metrics(probs, y_test)
+        report.folds.append(
+            {
+                "fold": f,
+                "n_train": int(len(train_idx)),
+                "n_test": int(len(test_idx)),
+                "roc_auc": roc_auc(scores, y_test),
+                "auprc": pr_auc(scores, y_test),
+                "accuracy": tm.accuracy,
+                "f1": tm.f1,
+                "f1_defined": tm.f1_defined,
+                "mse": float(np.mean((probs - y_test) ** 2)),
+                "svm_converged": model.svm.converged,
+            }
+        )
+        log.info(
+            "fold %d: roc_auc=%.4f auprc=%.4f acc=%.4f f1=%.4f",
+            f,
+            report.folds[-1]["roc_auc"],
+            report.folds[-1]["auprc"],
+            tm.accuracy,
+            tm.f1,
+        )
+
+    for key in ("roc_auc", "auprc", "accuracy", "f1", "mse"):
+        report.mean[key] = float(np.mean([fd[key] for fd in report.folds]))
+    report.roc_curve = roc_points(pooled, labels)
+    report.pr_curve = pr_points(pooled, labels)
+    return report
 
 
 def _score_grid(prepared: PreparedData, model: Model) -> np.ndarray:

@@ -11,15 +11,12 @@ and the pair list.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .util import derive_seed, first_max
-
-log = logging.getLogger(__name__)
+from .util import first_max
 
 # Pairs whose distances to the centroids k-means holds at once: a pass over
 # the pairs keeps memory in proportion to this, not to the pair count.
@@ -193,36 +190,3 @@ def select_negatives(
     selected.sort()  # a list sort: np.sort maps ~0.2 MB more code into the peak RSS
     return negatives[selected]
 
-
-def choose_k(
-    left,
-    right,
-    negatives: np.ndarray,
-    k_range,
-    evaluator,
-    n_pos: int,
-    seed: int = 0,
-) -> int:
-    """Evaluate candidate cluster counts and return the best one.
-
-    The negatives are clustered in the pair space of ``left`` and ``right``
-    (see ``kmeans``). ``evaluator(k, selected_negatives) -> (roc_auc, mse)``
-    runs a cheap CV on the balanced set built from that selection. Highest
-    mean ROC-AUC wins; ties fall to lower MSE, then to the smaller k.
-    """
-    k_range = list(k_range)
-    if not k_range:
-        raise ValueError("k_range must be nonempty")
-    results = []
-    for k in k_range:
-        clustering = kmeans(
-            left, right, negatives, k, seed=derive_seed(seed, f"kmeans-k{k}")
-        )
-        picked = select_negatives(
-            clustering, negatives, n_pos, seed=derive_seed(seed, f"select-k{k}")
-        )
-        auc, mse = evaluator(k, picked)
-        log.info("choose_k: k=%d roc_auc=%.4f mse=%.4f", k, auc, mse)
-        results.append((k, auc, mse))
-    results.sort(key=lambda t: (-t[1], t[2], t[0]))
-    return results[0][0]

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from .evaluation import roc_auc, stratified_kfold
 
 log = logging.getLogger(__name__)
 
@@ -297,8 +298,6 @@ def grid_search(
     that Gram. A cell's decision values look up the support vectors' columns
     of the test counts and are summed as ``svm_decision`` sums them.
     """
-    from .evaluation import roc_auc, stratified_kfold
-
     X = np.atleast_2d(np.asarray(X))
     y01 = np.asarray(y)
     y01 = np.where(y01 == 1, 1, 0)

@@ -35,7 +35,7 @@ def raw_score(ens, X):
     """The ensemble's additive score: init plus every tree's scaled value."""
     scores = np.full(len(X), ens.init_score)
     for tree in ens.trees:
-        scores += ens.learning_rate * tree.predict(*pair_space(X))
+        scores += ens.learning_rate * tree.value[tree.apply(*pair_space(X))]
     return scores
 
 
@@ -89,8 +89,8 @@ class TestRegressionTree:
         assert tree.n_leaves == 2
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(6.0, abs=1e-12)
-        left_val = tree.predict(*pair_space([[0.0]]))[0]
-        right_val = tree.predict(*pair_space([[11.0]]))[0]
+        left_val = tree.value[tree.apply(*pair_space([[0.0]]))][0]
+        right_val = tree.value[tree.apply(*pair_space([[11.0]]))][0]
         assert left_val == pytest.approx(-3.0 / (0.75 + 1e-6), rel=1e-9)
         assert right_val == pytest.approx(3.0 / (0.75 + 1e-6), rel=1e-9)
 
@@ -679,7 +679,7 @@ class TestSplitSearch:
             ens, _ = gbdt_fit(left, right, pairs, y, n_trees=6, min_samples_leaf=2)
             scores = np.full(len(y), ens.init_score)
             for t, tree in enumerate(ens.trees):
-                scores = scores + ens.learning_rate * tree.predict(left, right, pairs)
+                scores = scores + ens.learning_rate * tree.value[tree.apply(left, right, pairs)]
                 assert ens.loss_history[t + 1] == logistic_loss(y, scores)
 
     def test_fit_returns_training_leaves_as_encoded(self):

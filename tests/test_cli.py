@@ -166,6 +166,17 @@ class TestConfig:
             PipelineConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize("keys", ({"k": "1000"}, {"k_range": "2,1000"}))
+def test_k_above_the_unknown_pairs_exits_two(keys, small_dataset, tmp_path, caplog):
+    # 300 cells, so fewer than 1000 unknown pairs to cluster
+    base = base_keys(small_dataset, str(tmp_path / "out"))
+    del base["k"]
+    cfg = write_config_file(tmp_path / "cfg.txt", **base, **keys)
+    assert main(["prepare", "--config", cfg]) == 2
+    assert "data error: k=1000 exceeds the number of points" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 class TestDiseaseSimilarityFile:
     """A similarity file that lacks some of the matrix's diseases warns, and
     under --strict that warning is a data error, as for the feature table."""

@@ -7,13 +7,9 @@ from sda.evaluation import (
     pr_points,
     roc_auc,
     roc_points,
-    run_cv,
     stratified_kfold,
     threshold_metrics,
 )
-from sda.model import SvmParams
-
-from conftest import pair_space
 
 
 def roc_auc_oracle(scores, labels):
@@ -185,63 +181,3 @@ class TestCurvePoints:
         assert pts[0] == (0.5, 1.0)  # top score is a positive
         assert pts[-1][0] == 1.0
 
-
-class TestRunCv:
-    PARAMS = SvmParams(10.0, 0.1)
-
-    def _config(self, **kw):
-        from sda.config import PipelineConfig
-
-        return PipelineConfig(seed=5, **kw)
-
-    def _separable(self, n=60, seed=2):
-        rng = np.random.default_rng(seed)
-        y = np.array([1] * (n // 2) + [0] * (n // 2))
-        X = rng.random((n, 4)) + y[:, None] * 1.5
-        return X, y
-
-    def test_report_structure_and_fold_sizes(self):
-        X, y = self._separable()
-        report = run_cv(*pair_space(X), y, self._config(), self.PARAMS)
-        assert len(report.folds) == 5
-        assert sum(f["n_test"] for f in report.folds) == len(y)
-        for key in ("roc_auc", "auprc", "accuracy", "f1", "mse"):
-            assert key in report.mean
-        assert report.mode == "paper-faithful"
-        assert report.roc_curve[0] == (0.0, 0.0)
-        assert report.roc_curve[-1] == (1.0, 1.0)
-
-    def test_separable_data_scores_high(self):
-        X, y = self._separable()
-        report = run_cv(*pair_space(X), y, self._config(), self.PARAMS)
-        assert report.mean["roc_auc"] > 0.95
-
-    def test_fold_features_rebuilt_per_fold_in_strict_mode(self):
-        X, y = self._separable()
-        seen = []
-
-        def fold_features(test_idx):
-            seen.append(test_idx)
-            return pair_space(X)[:2]
-
-        report = run_cv(
-            *pair_space(X), y, self._config(mode="strict-folds"), self.PARAMS, fold_features
-        )
-        assert report.mode == "strict-folds"
-        assert len(seen) == 5
-        assert sorted(np.concatenate(seen).tolist()) == list(range(len(y)))
-
-    def test_fold_features_required_exactly_in_strict_mode(self):
-        X, y = self._separable()
-        with pytest.raises(ValueError, match="strict-folds"):
-            run_cv(*pair_space(X), y, self._config(mode="strict-folds"), self.PARAMS)
-        with pytest.raises(ValueError, match="strict-folds"):
-            run_cv(*pair_space(X), y, self._config(), self.PARAMS, lambda test_idx: pair_space(X)[:2])
-
-    def test_permuted_labels_near_half(self):
-        X, y = self._separable(n=200, seed=4)
-        rng = np.random.default_rng(99)
-        y_perm = y.copy()
-        rng.shuffle(y_perm)
-        report = run_cv(*pair_space(X), y_perm, self._config(), self.PARAMS)
-        assert abs(report.mean["roc_auc"] - 0.5) < 0.12

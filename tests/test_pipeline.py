@@ -37,7 +37,7 @@ class TestPrepare:
     def test_strict_fold_features_differ_on_affected_pairs(self, synth_config):
         prepared = pipeline.prepare(synth_config)
         test_idx = np.arange(10)  # first ten samples are positives
-        strict = assemble(*prepared.strict_fold_tables(test_idx), prepared.pairs)
+        strict = assemble(*prepared.strict_fold_tables(test_idx, synth_config), prepared.pairs)
         features = assemble(*prepared.tables, prepared.pairs)
         assert strict.shape == features.shape
         assert not np.array_equal(strict, features)
@@ -100,16 +100,16 @@ class TestBatchIndependentScores:
 
 class TestPatternKeys:
     def test_keys_renumber_past_the_int64_span(self, monkeypatch):
-        """17 trees of 16 leaves give 16**17 > 2**62 mixed-radix keys, so the
-        keys are renumbered on the way: the SVM still scores one row per
-        distinct leaf pattern, and every pair gets its score as if alone.
-        The last 16 trees are one tree repeated, so patterns that differ
-        only in the first tree's leaf would merge if its digit overflowed."""
+        """17 trees of 16 leaves give 16**17 > 2**63 leaf patterns, more than
+        an int64 key can number: the SVM still scores one row per distinct
+        leaf pattern, and every pair gets its score as if alone. The last
+        16 trees are one tree repeated, so patterns that differ only in the
+        first tree's leaf would merge if the key lost that tree."""
         rng = np.random.default_rng(61)
         left, right = rng.random((12, 3)), rng.random((7, 2))
         first, rest = (random_tree(rng, left, right, depth=4, split=1.0) for _ in range(2))
         trees = [first] + [rest] * 16
-        assert {t.n_leaves for t in trees} == {16} and 16**17 > model.KEY_SPAN
+        assert {t.n_leaves for t in trees} == {16}
         ens = GbdtEnsemble(trees, 0.0, 0.1, len(trees))
         cells = np.indices((12, 7)).reshape(2, -1).T
         pairs = np.vstack([cells, cells[::5]])
@@ -296,6 +296,54 @@ class TestPrecomputedDiseaseSimilarity:
         assert main(["prepare", "--config", cfg]) == 2
 
 
+class TestEvaluate:
+    PARAMS = model.SvmParams(10.0, 0.1)
+
+    def test_report_structure_and_fold_sizes(self, synth_config):
+        """Also the planted blocks are learnt (criterion 7's bound)."""
+        prepared = pipeline.prepare(synth_config)
+        report = pipeline.evaluate(prepared, synth_config, self.PARAMS)
+        assert len(report.folds) == 5
+        assert sum(f["n_test"] for f in report.folds) == len(prepared.labels)
+        assert all(f["n_train"] + f["n_test"] == len(prepared.labels) for f in report.folds)
+        for key in ("roc_auc", "auprc", "accuracy", "f1", "mse"):
+            assert key in report.mean
+        assert report.mode == "paper-faithful"
+        assert (report.svm_c, report.svm_gamma) == (10.0, 0.1)
+        assert report.roc_curve[0] == (0.0, 0.0)
+        assert report.roc_curve[-1] == (1.0, 1.0)
+        assert report.mean["roc_auc"] >= 0.90
+
+    @pytest.mark.parametrize("mode", ("paper-faithful", "strict-folds"))
+    def test_strict_mode_rebuilds_tables_per_fold(self, mode, synth_config, monkeypatch):
+        cfg = replace(synth_config, mode=mode)
+        prepared = pipeline.prepare(cfg)
+        rebuild = pipeline.PreparedData.strict_fold_tables
+        seen = []
+
+        def spy(self, test_idx, cfg):
+            seen.append(test_idx)
+            return rebuild(self, test_idx, cfg)
+
+        monkeypatch.setattr(pipeline.PreparedData, "strict_fold_tables", spy)
+        report = pipeline.evaluate(prepared, cfg, self.PARAMS)
+        assert report.mode == mode
+        if mode == "paper-faithful":
+            assert seen == []
+        else:
+            assert len(seen) == cfg.n_folds
+            assert sorted(np.concatenate(seen).tolist()) == list(range(len(prepared.labels)))
+
+    def test_permuted_labels_near_half(self, synth_config):
+        prepared = pipeline.prepare(synth_config)
+        permuted = prepared.labels.copy()
+        np.random.default_rng(99).shuffle(permuted)
+        report = pipeline.evaluate(
+            replace(prepared, labels=permuted), synth_config, self.PARAMS
+        )
+        assert abs(report.mean["roc_auc"] - 0.5) < 0.12
+
+
 class TestStrictFolds:
     def test_strict_mode_runs_and_is_deterministic(self, synth_dataset, tmp_path):
         p = synth_dataset["paths"]
@@ -327,7 +375,7 @@ class TestStrictFolds:
         prepared = pipeline.prepare(synth_config)
         n_pos = len(prepared.positives)
         test_idx = np.arange(n_pos // 5)
-        strict = assemble(*prepared.strict_fold_tables(test_idx), prepared.pairs)
+        strict = assemble(*prepared.strict_fold_tables(test_idx, synth_config), prepared.pairs)
         # rows of untouched pairs may still shift (bandwidth is global), but
         # every pair feature must remain a valid similarity value
         assert np.all(strict >= 0.0) and np.all(strict <= 1.0)
@@ -346,9 +394,9 @@ class TestStrictFolds:
         assert 0 < (ap != prepared.am.entries).sum() < 25
         msfs, mdss = pipeline._meshed(
             ap, prepared.sfs, prepared.dss,
-            prepared.gamma_prime_snorna, prepared.gamma_prime_disease,
+            synth_config.gamma_prime_snorna, synth_config.gamma_prime_disease,
         )
-        left, right = prepared.strict_fold_tables(test_idx)
+        left, right = prepared.strict_fold_tables(test_idx, synth_config)
         assert np.array_equal(left, msfs.values)
         assert np.array_equal(right, mdss.values.T)
 

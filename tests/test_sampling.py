@@ -1,13 +1,14 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sda import sampling
+from sda import pipeline, sampling
 from sda.errors import DataError
+from sda.evaluation import MetricsReport
 from sda.sampling import (
     Clustering,
-    choose_k,
     kmeans,
     largest_remainder_counts,
     select_negatives,
@@ -168,27 +169,38 @@ class TestSelectNegatives:
 
 
 class TestChooseK:
-    def test_single_candidate(self):
-        rng = np.random.default_rng(0)
-        pts = rng.random((30, 2))
-        got = choose_k(*pair_space(pts), [4], lambda k, picked: (0.9, 0.1), 10, seed=0)
-        assert got == 4
+    """``pipeline._choose_k`` with the probe CV replaced by canned mean
+    (ROC-AUC, MSE) values per k."""
 
-    def test_tiebreak_lower_mse_then_smaller_k(self):
-        rng = np.random.default_rng(1)
-        pts = rng.random((30, 2))
-        scores = {2: (0.8, 0.30), 3: (0.8, 0.10), 5: (0.8, 0.10)}
-        got = choose_k(
-            *pair_space(pts), [2, 3, 5], lambda k, picked: scores[k], 10, seed=0
-        )
-        assert got == 3  # same AUC everywhere; MSE prunes k=2, then smaller k wins
+    @staticmethod
+    def choose(synth_config, monkeypatch, means):
+        base = pipeline.prepare(synth_config)
+        probed = []
 
-    def test_highest_auc_wins(self):
-        rng = np.random.default_rng(2)
-        pts = rng.random((30, 2))
-        scores = {2: (0.7, 0.0), 4: (0.9, 0.5)}
-        got = choose_k(*pair_space(pts), [2, 4], lambda k, picked: scores[k], 10, seed=0)
-        assert got == 4
+        def evaluate(prepared, cfg, params):
+            probed.append(prepared.k_used)
+            auc, mse = means[prepared.k_used]
+            return MetricsReport(
+                cfg.mode, cfg.n_folds, cfg.seed, params.c, params.gamma,
+                mean={"roc_auc": auc, "mse": mse},
+            )
+
+        monkeypatch.setattr(pipeline, "evaluate", evaluate)
+        got = pipeline._choose_k(base, replace(synth_config, k_range=tuple(means)))
+        assert probed == list(means)  # one probe CV per candidate, in order
+        return got
+
+    def test_single_candidate(self, synth_config, monkeypatch):
+        assert self.choose(synth_config, monkeypatch, {4: (0.9, 0.1)}) == 4
+
+    def test_tiebreak_lower_mse_then_smaller_k(self, synth_config, monkeypatch):
+        means = {2: (0.8, 0.30), 3: (0.8, 0.10), 5: (0.8, 0.10)}
+        # same AUC everywhere; MSE prunes k=2, then smaller k wins
+        assert self.choose(synth_config, monkeypatch, means) == 3
+
+    def test_highest_auc_wins(self, synth_config, monkeypatch):
+        means = {2: (0.7, 0.0), 4: (0.9, 0.5)}
+        assert self.choose(synth_config, monkeypatch, means) == 4
 
 
 def dense_squared_distances(points, centroids):
