@@ -15,8 +15,9 @@ from .errors import ConfigError, DataError
 
 MODES = ("paper-faithful", "strict-folds")
 
-# keys whose values are comma-separated lists
-_LIST_KEYS = {"k_range", "svm_c", "svm_gamma"}
+# keys whose values are comma-separated lists -> the type of one entry; a
+# list of one value is used as it is, a longer one is searched by CV
+_LIST_KEYS = {"k": int, "svm_c": float, "svm_gamma": float}
 
 
 @dataclass
@@ -31,8 +32,7 @@ class PipelineConfig:
     delta: float = 0.5
     gamma_prime_snorna: float = 1.0
     gamma_prime_disease: float = 1.0
-    k: int = 20
-    k_range: tuple = ()
+    k: tuple = (20,)
     n_trees: int = 10
     learning_rate: float = 0.1
     max_depth: int = 4
@@ -48,19 +48,14 @@ class PipelineConfig:
     holdout_fraction: float = 0.1
     strict: bool = False
 
-    def validate(self, explicit: set[str] | None = None) -> None:
-        explicit = explicit or set()
+    def validate(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError(f"delta must be in (0, 1], got {self.delta}")
         gamma_primes = (self.gamma_prime_snorna, self.gamma_prime_disease)
         if not all(map(_finite_positive, gamma_primes)):
             raise ConfigError("gamma_prime values must be positive and finite")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if "k" in explicit and "k_range" in explicit and self.k_range:
-            raise ConfigError("k and k_range are mutually exclusive")
-        if any(k < 1 for k in self.k_range):
-            raise ConfigError("k_range entries must be >= 1")
+        if not self.k or any(k < 1 for k in self.k):
+            raise ConfigError("k entries must be >= 1")
         if self.n_trees < 1:
             raise ConfigError("n_trees must be >= 1")
         if not 0 <= self.learning_rate < math.inf:  # also rejects nan
@@ -104,13 +99,9 @@ CONFIG_KEYS = [f.name for f in fields(PipelineConfig)]
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key in _LIST_KEYS:
+        entry = _LIST_KEYS[key]
         items = [p.strip() for p in raw.split(",") if p.strip()]
-        if key == "k_range":
-            return tuple(int(p) for p in items)
-        out = []
-        for p in items:
-            out.append("1/d" if p == "1/d" else float(p))
-        return tuple(out)
+        return tuple("1/d" if key == "svm_gamma" and p == "1/d" else entry(p) for p in items)
     default = getattr(PipelineConfig(), key)
     if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
@@ -162,7 +153,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
             except ValueError as exc:
                 raise ConfigError(f"bad value for '{key}': {exc}") from None
     cfg = PipelineConfig(**values)
-    cfg.validate(explicit=set(values))
+    cfg.validate()
     return cfg
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode
-from .svm import ParamGrid, SvmModel, gamma_value, grid_search, smo_train, svm_decision
+from .svm import SvmModel, gamma_value, grid_search, smo_train, svm_decision
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -70,10 +70,10 @@ def _ensemble(left, right, pairs, labels, cfg):
 def _grid_pick(ens: GbdtEnsemble, leaves, labels, cfg) -> SvmParams:
     """The (C, gamma) a grid search over ``cfg``'s SVM grid picks on the
     leaf indices ``leaves`` of ``ens``."""
+    cs = sorted(set(map(float, cfg.svm_c)))
     gammas = sorted({gamma_value(g, ens.total_leaves) for g in cfg.svm_gamma})
-    grid = ParamGrid(c_values=sorted(set(map(float, cfg.svm_c))), gamma_values=gammas)
     best_c, best_gamma, _scores = grid_search(
-        leaves, labels, grid, n_folds=cfg.n_folds,
+        leaves, labels, cs, gammas, n_folds=cfg.n_folds,
         seed=derive_seed(cfg.seed, "grid-search"), tol=cfg.svm_tol,
         max_passes=cfg.svm_max_passes,
     )

@@ -217,7 +217,8 @@ def _load_k_used(path: str) -> int:
 
 
 def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> PreparedData:
-    """Build meshed similarities and the cluster-balanced training set."""
+    """Build meshed similarities and the balanced set, its negatives drawn
+    from ``cfg.k``'s one cluster count, or from the one ``_choose_k`` picks."""
     positives, negatives = corpus.split_known_unknown(am)
     if len(positives) == 0:
         raise DataError("association matrix has no known associations to learn from")
@@ -240,10 +241,10 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
         labels=np.zeros(0, dtype=int), k_used=0,
     )
 
-    k = cfg.k
-    if cfg.k_range:
+    k = cfg.k[0]
+    if len(cfg.k) > 1:
         k = _choose_k(base, cfg)
-        log.info("choose_k selected k=%d from %s", k, list(cfg.k_range))
+        log.info("choose_k selected k=%d from %s", k, list(cfg.k))
     prepared = _draw(base, k, cfg.seed, "kmeans", "select-negatives")
     log.info(
         "prepared %s: %d positives + %d sampled negatives (k=%d)",
@@ -269,20 +270,20 @@ def _draw(
 
 
 def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
-    """The candidate k of ``cfg.k_range`` whose balanced set, drawn from
-    ``base``, scores the highest mean ROC-AUC in a cheap CV; ties fall to
-    the lower mean MSE, then to the smaller k.
+    """The entry of ``cfg.k`` whose balanced set, drawn from ``base``,
+    scores the highest mean ROC-AUC in a cheap CV; ties fall to the lower
+    mean MSE, then to the smaller k.
 
-    The probe SVM uses the middle grid entries; the full grid search (if any)
-    runs after k is fixed. In strict-folds mode the probe CV rebuilds its
-    folds' tables over its own pairs.
+    The cheap CV is ``evaluate`` with the SVM at the middle grid entries;
+    the full grid search (if any) runs after k is fixed. In strict-folds
+    mode the probe CV rebuilds its folds' tables over its own pairs.
     """
     probe = SvmParams(
         float(cfg.svm_c[len(cfg.svm_c) // 2]), cfg.svm_gamma[len(cfg.svm_gamma) // 2]
     )
     seed = derive_seed(cfg.seed, "choose-k")
     results = []
-    for k in cfg.k_range:
+    for k in cfg.k:
         drawn = _draw(base, k, seed, f"kmeans-k{k}", f"select-k{k}")
         mean = evaluate(drawn, cfg, probe).mean
         log.info("choose_k: k=%d roc_auc=%.4f mse=%.4f", k, mean["roc_auc"], mean["mse"])

@@ -70,21 +70,6 @@ def gamma_value(setting, total_leaves: int) -> float:
 
 
 @dataclass
-class ParamGrid:
-    c_values: list[float]
-    gamma_values: list[float]
-
-    def __post_init__(self):
-        if not self.c_values or not self.gamma_values:
-            raise ValueError("parameter grid must be nonempty")
-        if any(c <= 0 for c in self.c_values) or any(g <= 0 for g in self.gamma_values):
-            raise ValueError("grid values must be positive")
-        # grid_search keeps one score list per (C, gamma) cell
-        if any(len(set(v)) < len(v) for v in (self.c_values, self.gamma_values)):
-            raise ValueError("grid values must be distinct")
-
-
-@dataclass
 class SvmModel:
     support_vectors: np.ndarray  # (n_sv, n_trees) leaf rows
     alphas: np.ndarray  # (n_sv,)
@@ -282,61 +267,47 @@ def svm_decision(model: SvmModel, X) -> np.ndarray:
 def grid_search(
     X,
     y,
-    grid: ParamGrid,
+    c_values,
+    gamma_values,
     n_folds: int = 5,
     seed: int = 0,
     tol: float = 1e-3,
     max_passes: int = 100,
 ):
-    """Pick (C, gamma) by mean fold ROC-AUC of the decision values.
+    """Pick (C, gamma) from ``c_values`` x ``gamma_values``, each a list of
+    distinct values, by mean fold ROC-AUC of the decision values.
 
-    Ties fall to the smaller C, then the smaller gamma. Folds whose training
-    or test part ends up single-class are skipped with a warning; a cell with
-    every fold skipped is an error. Each fold's shared-leaf counts are
-    computed once, training x training and test x training; each (fold,
-    gamma) Gram matrix once, from one kernel table, and every C is solved on
-    that Gram. A cell's decision values look up the support vectors' columns
-    of the test counts and are summed as ``svm_decision`` sums them.
+    The folds are the CV's (``stratified_kfold``), so each class needs
+    ``n_folds`` rows; with fewer it raises ``DataError`` before any fit.
+    Ties fall to the smaller C, then the smaller gamma. Each fold's
+    shared-leaf counts are computed once, training x training and test x
+    training; each (fold, gamma) Gram matrix once, from one kernel table,
+    and every C is solved on that Gram. A cell's decision values look up
+    the support vectors' columns of the test counts and are summed as
+    ``svm_decision`` sums them.
     """
     X = np.atleast_2d(np.asarray(X))
-    y01 = np.asarray(y)
-    y01 = np.where(y01 == 1, 1, 0)
-    counts = np.bincount(y01, minlength=2)
-    if counts.min() >= n_folds:
-        fold_index = stratified_kfold(y01, n_folds, seed)
-    else:
-        rng = np.random.default_rng(seed)
-        fold_index = rng.permutation(len(y01)) % n_folds
+    y01 = np.where(np.asarray(y) == 1, 1, 0)
+    fold_index = stratified_kfold(y01, n_folds, seed)
 
     results: dict[tuple[float, float], list[float]] = {
-        (C, gamma): [] for C in grid.c_values for gamma in grid.gamma_values
+        (C, gamma): [] for C in c_values for gamma in gamma_values
     }
     for f in range(n_folds):
         test = fold_index == f
-        train = ~test
-        if not all(0 < y01[part].sum() < part.sum() for part in (train, test)):
-            log.warning("grid_search: fold %d skipped (single class)", f)
-            continue
-        X_train, y_train = X[train], _as_pm1(y01[train])
+        X_train, y_train = X[~test], _as_pm1(y01[~test])
         shared = _shared_leaves(X_train, X_train)
         shared_test = _shared_leaves(X[test], X_train)
-        for gamma in grid.gamma_values:
+        for gamma in gamma_values:
             table = _kernel_table(X.shape[1], gamma)
             K = table[shared]
-            for C in grid.c_values:
+            for C in c_values:
                 model, keep = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
                 scores = _decision(
                     len(shared_test), lambda block: table[shared_test[block, keep]], model
                 )
                 results[(C, gamma)].append(roc_auc(scores, y01[test]))
-    best = None
-    for (C, gamma), scores in results.items():
-        if not scores:
-            raise NumericError(
-                f"grid_search: every fold skipped at C={C} gamma={gamma}"
-            )
-        key = (-float(np.mean(scores)), C, gamma)
-        if best is None or key < best:
-            best = key
-    return best[1], best[2], results
-
+    _, best_c, best_gamma = min(
+        (-float(np.mean(scores)), C, gamma) for (C, gamma), scores in results.items()
+    )
+    return best_c, best_gamma, results

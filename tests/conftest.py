@@ -31,7 +31,7 @@ def synth_config(synth_dataset, tmp_path):
         dag_path=p["dag"],
         dataset_name="synth-blocks",
         output_dir=str(tmp_path / "out"),
-        k=10,
+        k=(10,),
         seed=7,
         svm_c=(10.0,),
         svm_gamma=(0.1,),

@@ -276,7 +276,7 @@ class TestCriterion7PlantedSignal:
             dag_path=p["dag"],
             output_dir=str(tmp_path / "out"),
             seed=7,
-            k=10,
+            k=(10,),
         )
         prepared = pipeline.prepare(cfg)
         params = pipeline.resolve_svm_params(prepared, cfg)  # one grid search
@@ -342,7 +342,7 @@ class TestCriterion9HoldoutRecovery:
             dag_path=p["dag"],
             output_dir=str(tmp_path / "out"),
             seed=5,
-            k=10,
+            k=(10,),
             svm_c=(10.0,),
             svm_gamma=(0.1,),
             holdout_fraction=0.1,

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import sda
-from sda import pipeline
+from sda import pipeline, svm
 from sda.cli import main
 from sda.config import PipelineConfig
-from sda.corpus import load_association_matrix, load_disease_dag, load_feature_table
+from sda.corpus import (
+    AssociationMatrix, load_association_matrix, load_disease_dag, load_feature_table,
+    save_association_matrix,
+)
 from sda.errors import ConfigError, DataError
 from sda.similarity import SimilarityMatrix, load_similarity_matrix, save_similarity_matrix
 from sda.synth import make_block_dataset, write_dataset_files
@@ -96,13 +99,6 @@ class TestConfig:
             assert main(["prepare", "--config", str(path)]) == 1
         assert any(str(path) in r.message for r in caplog.records)
 
-    def test_conflicting_k_and_k_range(self, small_dataset, tmp_path):
-        cfg = write_config_file(
-            tmp_path / "cfg.txt",
-            **base_keys(small_dataset, str(tmp_path / "out"), k_range="2,4"),
-        )
-        assert main(["run-all", "--config", cfg]) == 1
-
     def test_flag_overrides_win(self, small_dataset, tmp_path):
         out = str(tmp_path / "out")
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
@@ -128,7 +124,7 @@ class TestConfig:
         assert main(["rank", "--config", cfg, "--top-k", "0"]) == 1
 
     @pytest.mark.parametrize(
-        "item", ["k=abc", "svm_c=x", "k_range=1,a", "n_folds=2.5", "seed=1e3"]
+        "item", ["k=abc", "svm_c=x", "svm_c=1/d", "k=1,a", "n_folds=2.5", "seed=1e3"]
     )
     def test_malformed_set_value_exits_one(self, item, small_dataset, tmp_path, caplog):
         cfg = write_config_file(
@@ -166,7 +162,7 @@ class TestConfig:
             PipelineConfig(**{key: value}).validate()
 
 
-@pytest.mark.parametrize("keys", ({"k": "1000"}, {"k_range": "2,1000"}))
+@pytest.mark.parametrize("keys", ({"k": "1000"}, {"k": "2,1000"}))
 def test_k_above_the_unknown_pairs_exits_two(keys, small_dataset, tmp_path, caplog):
     # 300 cells, so fewer than 1000 unknown pairs to cluster
     base = base_keys(small_dataset, str(tmp_path / "out"))
@@ -175,6 +171,32 @@ def test_k_above_the_unknown_pairs_exits_two(keys, small_dataset, tmp_path, capl
     assert main(["prepare", "--config", cfg]) == 2
     assert "data error: k=1000 exceeds the number of points" in caplog.text
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("n_pos", (2, 3, 4))
+@pytest.mark.parametrize("command", ("rank", "evaluate", "holdout", "run-all"))
+def test_grid_with_a_class_below_n_folds_exits_two(
+    command, n_pos, tmp_path, monkeypatch, caplog
+):
+    """The grid search folds as the CV does, so a balanced set with fewer
+    rows of a class than n_folds is a data error before any SMO fit."""
+    fits = []
+    monkeypatch.setattr(svm, "_fit", lambda *args: fits.append(args))
+    entries = np.zeros((8, 4), dtype=np.int8)
+    for t in range(n_pos):
+        entries[t, t % 4] = 1
+    assoc = str(tmp_path / "assoc.csv")
+    save_association_matrix(
+        AssociationMatrix([f"s{i}" for i in range(8)], [f"d{j}" for j in range(4)], entries),
+        assoc,
+    )
+    cfg = write_config_file(
+        tmp_path / "cfg.txt", association_path=assoc, output_dir=str(tmp_path / "out"),
+        svm_c="1,10", svm_gamma="0.1,1", k=2, holdout_fraction=0.5,
+    )
+    assert main([command, "--config", cfg]) == 2
+    assert "fewer than 5 folds" in caplog.text
+    assert fits == []
 
 
 class TestDiseaseSimilarityFile:
@@ -266,11 +288,9 @@ class TestEvaluate:
         # the k probe's CV must rebuild strict per-fold features over its own
         # pairs; it once reached for a method its stand-in data lacked
         out = str(tmp_path / "out")
-        keys = base_keys(small_dataset, out)
-        del keys["k"]
-        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
         argv = ["evaluate", "--config", cfg,
-                "--set", "mode=strict-folds", "--set", "k_range=5,10"]
+                "--set", "mode=strict-folds", "--set", "k=5,10"]
         assert main(argv) == 0
         assert "Traceback" not in capsys.readouterr().err
         doc = json.loads(open(os.path.join(out, "report.json")).read())
@@ -285,8 +305,6 @@ class TestRank:
         rows = open(os.path.join(out, "rankings.csv")).read().splitlines()
         assert rows[0] == "disease_id,snorna_id,score,rank"
         body = [r.split(",") for r in rows[1:]]
-
-        from sda.corpus import load_association_matrix
 
         am = load_association_matrix(small_dataset["association"])
         known = {
@@ -309,8 +327,6 @@ class TestRank:
 
     def test_fully_known_disease_gets_zero_rows(self, tmp_path, capsys):
         # disease d0 is associated with every snoRNA: nothing to rank there
-        from sda.corpus import AssociationMatrix, save_association_matrix
-
         entries = np.zeros((6, 3), dtype=np.int8)
         entries[:, 0] = 1
         entries[0, 1] = 1
@@ -341,11 +357,13 @@ class TestRunAll:
             assert main(["run-all", "--config", cfg]) == 2
         assert any("[stage: prepare]" in r.message for r in caplog.records)
 
-    def test_effective_config_reruns_identically(self, small_dataset, tmp_path):
+    @pytest.mark.parametrize("k", ("4", "2,3"))
+    def test_effective_config_reruns_identically(self, k, small_dataset, tmp_path):
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out1))
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out1, k=k))
         assert main(["run-all", "--config", cfg]) == 0
         echoed = os.path.join(out1, "effective-config.txt")
+        assert f"k = {k}" in open(echoed).read().splitlines()
         assert main(["run-all", "--config", echoed, "--output-dir", out2]) == 0
         for name in ("report.json", "rankings.csv"):
             a = open(os.path.join(out1, name), "rb").read()
@@ -438,8 +456,6 @@ class TestHoldout:
         assert main(["holdout", "--config", cfg]) == 1  # outside (0, 0.5]
 
     def test_tiny_fraction_rounds_to_zero_rejected(self, tmp_path):
-        from sda.corpus import AssociationMatrix, save_association_matrix
-
         entries = np.zeros((4, 3), dtype=np.int8)
         entries[0, 0] = 1
         am = AssociationMatrix([f"s{i}" for i in range(4)], ["d0", "d1", "d2"], entries)
@@ -575,8 +591,7 @@ MALFORMED_RECORDS = {
 class TestPrepareRecord:
     def test_reused_prepare_run_reports_its_k(self, small_dataset, tmp_path, capsys):
         prep = str(tmp_path / "prep")
-        keys = base_keys(small_dataset, prep, k_range="2,3")
-        del keys["k"]
+        keys = base_keys(small_dataset, prep, k="2,3")
         cfg = write_config_file(tmp_path / "c1.txt", **keys)
         assert main(["prepare", "--config", cfg]) == 0
         chosen = int(re.search(r"\(k=(\d+)\)", capsys.readouterr().out).group(1))
@@ -686,23 +701,22 @@ MATRIX_GRIDS = {
 
 @pytest.mark.parametrize("reuse", ("fresh", "prepared-dir"))
 @pytest.mark.parametrize("grid", sorted(MATRIX_GRIDS))
-@pytest.mark.parametrize("k_range", ("k", "k-range"))
+@pytest.mark.parametrize("ks", ("k", "k-range"))
 @pytest.mark.parametrize("mode", ("paper-faithful", "strict-folds"))
 @pytest.mark.parametrize("command", MATRIX_COMMANDS)
 def test_config_matrix_exit_codes(
-    command, mode, k_range, grid, reuse, small_dataset, prepared_dir, tmp_path, caplog
+    command, mode, ks, grid, reuse, small_dataset, prepared_dir, tmp_path, caplog
 ):
-    """Every command under every combination of mode, k_range, SVM grid and
-    prepared_dir ends in an exit code, never a traceback. Strict-folds
-    cannot reuse a prepare run (exit 1); holdout always rebuilds its data,
-    so it ignores prepared_dir."""
+    """Every command under every combination of mode, one or several k, SVM
+    grid and prepared_dir ends in an exit code, never a traceback.
+    Strict-folds cannot reuse a prepare run (exit 1); holdout always
+    rebuilds its data, so it ignores prepared_dir."""
     extra = dict(MATRIX_GRIDS[grid], mode=mode, n_folds=3)
     if reuse == "prepared-dir":
         extra["prepared_dir"] = prepared_dir
     keys = base_keys(small_dataset, str(tmp_path / "out"), **extra)
-    if k_range == "k-range":
-        del keys["k"]
-        keys["k_range"] = "2,3"
+    if ks == "k-range":
+        keys["k"] = "2,3"
     cfg = write_config_file(tmp_path / "cfg.txt", **keys)
     expected = (
         1 if mode == "strict-folds" and reuse == "prepared-dir" and command != "holdout"

@@ -30,11 +30,11 @@ GOLDEN = {
         "6e61aaa5cd41ca2811b6ce82b8430fadc4cfdfec0a201b1e4e12d05aba81ea0b",
     ),
     "evaluate-k-range": (
-        "evaluate", {"k_range": "5,10"}, "report.json",
+        "evaluate", {"k": "5,10"}, "report.json",
         "30451a498b0acd424bdc1f0d7239613ba9c1c1107235501c084243fa6ede57e2",
     ),
     "evaluate-strict-k-range": (
-        "evaluate", {"mode": "strict-folds", "k_range": "5,10"}, "report.json",
+        "evaluate", {"mode": "strict-folds", "k": "5,10"}, "report.json",
         "15c669ef97b76b63cad98a19d5956824f4a250076381feea41167a0ba9072514",
     ),
     "holdout": (

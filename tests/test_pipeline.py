@@ -141,9 +141,9 @@ def traced_peak(fn, *args):
 
 
 class TestPrepareMemory:
-    @pytest.mark.parametrize("k_range", [(), (2, 3)], ids=["k", "k-range"])
+    @pytest.mark.parametrize("k", [(3,), (2, 3)], ids=["k", "k-range"])
     @pytest.mark.parametrize("mode", ["paper-faithful", "strict-folds"])
-    def test_no_feature_matrix_over_the_negatives(self, mode, k_range):
+    def test_no_feature_matrix_over_the_negatives(self, mode, k):
         """k-means clusters the unknown pairs from per-entity tables: prepare
         never holds as much memory as one feature matrix over the negatives
         (it peaks below half of one on this sparse 120 x 40 problem)."""
@@ -151,7 +151,7 @@ class TestPrepareMemory:
             n_snornas=120, n_diseases=40, n_blocks=4, within=0.1, across=0.002, seed=3
         )
         cfg = PipelineConfig(
-            k=3, k_range=k_range, mode=mode, n_folds=3, seed=5,
+            k=k, mode=mode, n_folds=3, seed=5,
             svm_c=(10.0,), svm_gamma=(0.1,),
         )
         prepared, peak = traced_peak(pipeline.prepare_from_matrix, am, cfg)
@@ -208,7 +208,7 @@ class TestRankCandidates:
         entries[:, 3] = 1
         am = AssociationMatrix(ids, ["d3", "d0", "d4", "d1", "d2"], entries)
         cfg = PipelineConfig(
-            k=2, n_trees=1, max_depth=1, min_samples_leaf=1, seed=1,
+            k=(2,), n_trees=1, max_depth=1, min_samples_leaf=1, seed=1,
             svm_c=(10.0,), svm_gamma=(0.1,),
         )
         prepared = pipeline.prepare_from_matrix(am, cfg)
@@ -258,7 +258,7 @@ class TestPrecomputedDiseaseSimilarity:
             feature_path=p["features"],
             disease_similarity_path=sim_path,
             output_dir=str(tmp_path / "out"),
-            k=10,
+            k=(10,),
             seed=6,
             svm_c=(10.0,),
             svm_gamma=(0.1,),
@@ -354,7 +354,7 @@ class TestStrictFolds:
                 feature_path=p["features"],
                 dag_path=p["dag"],
                 output_dir=str(tmp_path / "out"),
-                k=10,
+                k=(10,),
                 seed=9,
                 svm_c=(10.0,),
                 svm_gamma=(0.1,),
@@ -421,7 +421,7 @@ class TestChooseKWiring:
             feature_path=p["features"],
             dag_path=p["dag"],
             output_dir=str(tmp_path / "out"),
-            k_range=(3, 6),
+            k=(3, 6),
             seed=2,
             svm_c=(10.0,),
             svm_gamma=(0.1,),

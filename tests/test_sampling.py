@@ -186,7 +186,7 @@ class TestChooseK:
             )
 
         monkeypatch.setattr(pipeline, "evaluate", evaluate)
-        got = pipeline._choose_k(base, replace(synth_config, k_range=tuple(means)))
+        got = pipeline._choose_k(base, replace(synth_config, k=tuple(means)))
         assert probed == list(means)  # one probe CV per candidate, in order
         return got
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from sda import svm
-from sda.errors import NumericError
+from sda.errors import DataError, NumericError
 from sda.svm import (
-    ParamGrid,
     SvmModel,
     grid_search,
     leaf_kernel,
@@ -395,7 +394,7 @@ class TestGridSearch:
     def test_singleton_grid_returns_it(self):
         rng = np.random.default_rng(10)
         X, y = separable(rng)
-        c, g, scores = grid_search(X, y, ParamGrid([2.0], [0.3]), seed=0)
+        c, g, scores = grid_search(X, y, [2.0], [0.3], seed=0)
         assert (c, g) == (2.0, 0.3)
         assert list(scores) == [(2.0, 0.3)]
         assert len(scores[(2.0, 0.3)]) == 5  # five folds by default
@@ -403,8 +402,7 @@ class TestGridSearch:
     def test_choice_maximizes_mean_fold_auc(self):
         rng = np.random.default_rng(11)
         X, y = separable(rng, n=50)
-        grid = ParamGrid([0.01, 1.0, 10.0], [0.01, 0.8])
-        c, g, scores = grid_search(X, y, grid, seed=1)
+        c, g, scores = grid_search(X, y, [0.01, 1.0, 10.0], [0.01, 0.8], seed=1)
         means = {cell: float(np.mean(v)) for cell, v in scores.items()}
         assert means[(c, g)] == max(means.values())
 
@@ -413,8 +411,7 @@ class TestGridSearch:
         rng = np.random.default_rng(12)
         y = np.array([0, 1] * 15)
         X = np.column_stack([y, 2 + y, 4 + rng.integers(0, 2, 30)])
-        grid = ParamGrid([1.0, 10.0], [0.1, 1.0])
-        c, g, scores = grid_search(X, y, grid, seed=2)
+        c, g, scores = grid_search(X, y, [1.0, 10.0], [0.1, 1.0], seed=2)
         means = {cell: round(float(np.mean(v)), 12) for cell, v in scores.items()}
         top = max(means.values())
         winners = sorted([cell for cell, m in means.items() if m == top])
@@ -427,12 +424,12 @@ class TestGridSearch:
 
         rng = np.random.default_rng(20)
         X, y = separable(rng, n=50)
-        grid = ParamGrid([0.1, 1.0, 10.0], [0.05, 0.8])
-        _, _, scores = grid_search(X, y, grid, seed=7)
+        cs, gammas = [0.1, 1.0, 10.0], [0.05, 0.8]
+        _, _, scores = grid_search(X, y, cs, gammas, seed=7)
         fold_index = stratified_kfold(y, 5, 7)
         expect = {}
-        for C in grid.c_values:
-            for gamma in grid.gamma_values:
+        for C in cs:
+            for gamma in gammas:
                 expect[(C, gamma)] = []
                 for f in range(5):
                     test = fold_index == f
@@ -442,27 +439,16 @@ class TestGridSearch:
                     )
         assert scores == expect
 
-    def test_single_class_folds_skipped_with_warning(self, caplog):
-        rng = np.random.default_rng(13)
-        X = leaf_rows(rng, 12)
+    def test_class_below_n_folds_is_data_error(self, monkeypatch):
+        # the search folds as the CV does: each class needs a row per fold,
+        # and with fewer it stops before training any cell
+        fits = []
+        monkeypatch.setattr(svm, "_fit", lambda *args: fits.append(args))
+        X = leaf_rows(np.random.default_rng(13), 12)
         y = np.array([1, 1, 1] + [0] * 9)  # 3 positives < 5 folds
-        with caplog.at_level("WARNING"):
-            c, g, scores = grid_search(X, y, ParamGrid([1.0], [0.5]), seed=3)
-        assert any("skipped" in r.message for r in caplog.records)
-        assert len(scores[(1.0, 0.5)]) < 5
-
-    def test_repeated_grid_value_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            ParamGrid([1.0, 1.0], [0.5])
-        with pytest.raises(ValueError, match="distinct"):
-            ParamGrid([1.0], [0.5, 0.5])
-
-    def test_all_folds_skipped_is_error(self):
-        X = leaf_rows(np.random.default_rng(14), 8)
-        y = np.array([1] + [0] * 7)  # the lone positive breaks every fold
-        with pytest.raises(NumericError, match="every fold skipped"):
-            grid_search(X, y, ParamGrid([1.0], [0.5]), seed=4)
-
+        with pytest.raises(DataError, match="class 1 has 3 samples, fewer than 5 folds"):
+            grid_search(X, y, [1.0, 10.0], [0.5], seed=3)
+        assert fits == []
 
 
 class TestScoreBlocks:
@@ -485,10 +471,10 @@ class TestScoreBlocks:
     def test_grid_search_score_table(self, monkeypatch, n):
         # test folds of 2 and of 10 rows
         X, y = separable(np.random.default_rng(32), n=n)
-        grid = ParamGrid([0.1, 10.0], [0.05, 0.8])
-        want = grid_search(X, y, grid, seed=3)
+        grid = [0.1, 10.0], [0.05, 0.8]
+        want = grid_search(X, y, *grid, seed=3)
         monkeypatch.setattr(svm, "SCORE_BLOCK", 3)
-        assert grid_search(X, y, grid, seed=3) == want
+        assert grid_search(X, y, *grid, seed=3) == want
 
 
 class TestMemory:
