@@ -357,8 +357,17 @@ class TestRunAll:
             assert main(["run-all", "--config", cfg]) == 2
         assert any("[stage: prepare]" in r.message for r in caplog.records)
 
-    @pytest.mark.parametrize("k", ("4", "2,3"))
-    def test_effective_config_reruns_identically(self, k, small_dataset, tmp_path):
+    def test_effective_config_reruns_identically(self, small_dataset, tmp_path):
+        self._rerun_from_echo(small_dataset, tmp_path, "4")
+
+    def test_effective_config_with_k_list_reruns_identically(
+        self, small_dataset, tmp_path
+    ):
+        self._rerun_from_echo(small_dataset, tmp_path, "2,3")
+
+    @staticmethod
+    def _rerun_from_echo(small_dataset, tmp_path, k):
+        """Run with ``k``, rerun from the echoed config, and compare outputs."""
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out1, k=k))
         assert main(["run-all", "--config", cfg]) == 0

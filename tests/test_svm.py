@@ -439,14 +439,22 @@ class TestGridSearch:
                     )
         assert scores == expect
 
+    # The search folds as the CV does: each class needs a row per fold, and
+    # with fewer it stops before training any cell.
     def test_class_below_n_folds_is_data_error(self, monkeypatch):
-        # the search folds as the CV does: each class needs a row per fold,
-        # and with fewer it stops before training any cell
+        y = np.array([1, 1, 1] + [0] * 9)  # 3 positives < 5 folds
+        self._assert_no_fit_data_error(monkeypatch, y, "class 1 has 3 samples")
+
+    def test_lone_positive_is_data_error(self, monkeypatch):
+        y = np.array([1] + [0] * 7)
+        self._assert_no_fit_data_error(monkeypatch, y, "class 1 has 1 samples")
+
+    @staticmethod
+    def _assert_no_fit_data_error(monkeypatch, y, message):
         fits = []
         monkeypatch.setattr(svm, "_fit", lambda *args: fits.append(args))
-        X = leaf_rows(np.random.default_rng(13), 12)
-        y = np.array([1, 1, 1] + [0] * 9)  # 3 positives < 5 folds
-        with pytest.raises(DataError, match="class 1 has 3 samples, fewer than 5 folds"):
+        X = leaf_rows(np.random.default_rng(13), len(y))
+        with pytest.raises(DataError, match=f"{message}, fewer than 5 folds"):
             grid_search(X, y, [1.0, 10.0], [0.5], seed=3)
         assert fits == []
 
