@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .util import first_max, sigmoid
+from .util import sigmoid
 
 
 def _pair_space(left, right, pairs):
@@ -184,7 +184,10 @@ def _side_gains(order, vals, ent, r, total, min_samples_leaf):
     np.cumsum(gain, axis=1, out=gain)
     ok = n_left >= min_samples_leaf
     ok &= n_left <= m - min_samples_leaf
-    ok[:, :-1] &= vals[:, 1:] > vals[:, :-1]
+    # Raveled, the one pair that straddles two rows lands on a last column,
+    # already False there because n_left is nan.
+    f = vals.ravel()
+    ok.ravel()[:-1] &= f[1:] > f[:-1]
     right = np.subtract(total, gain)
     np.square(right, out=right)
     np.square(gain, out=gain)
@@ -205,16 +208,18 @@ def _best_split(sides, ents, r, min_samples_leaf):
         _side_gains(order, vals, ent, r, total, min_samples_leaf)
         for (_, order, vals), ent in zip(sides, ents)
     ]
-    gains = np.concatenate([t.ravel() for t in tables])
-    top = gains.max() if gains.size else -np.inf
+    tops = [t.max(initial=-np.inf) for t in tables]
+    top = max(tops)
     if top == -np.inf:
         return None
     # The tables run side by side, each column-major and then in threshold
     # order: the first gain within a relative 1e-12 of the best has the
-    # lowest column, then threshold.
-    best = first_max(gains, top)
-    side = int(best >= tables[0].size)
-    row, q = divmod(best - side * tables[0].size, tables[side].shape[1])
+    # lowest column, then threshold, as ``first_max`` finds it on the
+    # concatenated tables.
+    floor = top - 1e-12 * top
+    side = int(tops[0] < floor)
+    table = tables[side]
+    row, q = divmod(int(np.argmax(table.ravel() >= floor)), table.shape[1])
     cols, _, vals = sides[side]
     below, above = vals[row, q : q + 2]
     # Between adjacent floats the midpoint can round up to ``above``, which
