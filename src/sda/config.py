@@ -75,6 +75,10 @@ class PipelineConfig:
                 raise ConfigError(
                     f"svm_gamma entry must be positive and finite or '1/d', got {g!r}"
                 )
+        for key in _LIST_KEYS:
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} repeats an entry: {_format_value(values)}")
         if not self.svm_tol > 0:  # also rejects nan
             raise ConfigError("svm_tol must be positive")
         if self.svm_max_passes < 1:

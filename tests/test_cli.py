@@ -151,6 +151,17 @@ class TestConfig:
         assert "Traceback" not in caplog.text
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("item", ["k=3,3", "svm_c=10,10", "svm_gamma=1/d,1/d"])
+    def test_repeated_list_entry_exits_one(self, item, small_dataset, tmp_path, caplog):
+        # a repeat would run the k probe's CV twice on one k, or a grid
+        # search over a single cell
+        out = tmp_path / "out"
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, str(out)))
+        assert main(["evaluate", "--config", cfg, "--set", item]) == 1
+        assert f"{item.split('=', 1)[0]} repeats an entry" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("svm_tol", -1.0), ("svm_tol", 0.0), ("svm_tol", float("nan")),
