@@ -10,6 +10,7 @@ thresholds. Curve points are still exported for plotting.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,20 +21,21 @@ from .errors import DataError, NumericError
 def stratified_kfold(labels, n_folds: int = 5, seed: int = 0) -> np.ndarray:
     """The fold of each sample: shuffle each class and deal round-robin, so
     per-fold class counts differ from perfect proportionality by at most one
-    sample."""
+    sample. The classes are shuffled in ascending order by one
+    ``random.Random(seed)``; ``seed`` is a Python int."""
     y = np.asarray(labels)
     if n_folds < 2:
         raise ValueError("n_folds must be >= 2")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     fold_index = np.empty(len(y), dtype=np.int64)
     for cls in sorted(set(y.tolist())):  # ascending: the order of the RNG draws
-        idx = np.flatnonzero(y == cls)
-        if idx.size < n_folds:
+        idx = np.flatnonzero(y == cls).tolist()
+        if len(idx) < n_folds:
             raise DataError(
-                f"class {cls} has {idx.size} samples, fewer than {n_folds} folds"
+                f"class {cls} has {len(idx)} samples, fewer than {n_folds} folds"
             )
         rng.shuffle(idx)
-        fold_index[idx] = np.arange(idx.size) % n_folds
+        fold_index[idx] = np.arange(len(idx)) % n_folds
     return fold_index
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -422,9 +423,8 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
         raise ConfigError(
             f"holdout of {cfg.holdout_fraction:.2%} of {len(positives)} positives is empty"
         )
-    rng = np.random.default_rng(derive_seed(cfg.seed, "holdout"))
-    held_idx = rng.choice(len(positives), size=n_hold, replace=False)
-    held = positives[np.sort(held_idx)]
+    rng = random.Random(derive_seed(cfg.seed, "holdout"))
+    held = positives[sorted(rng.sample(range(len(positives)), n_hold))]
 
     reduced = corpus.AssociationMatrix(am.snorna_ids, am.disease_ids, am.entries.copy())
     reduced.entries[held[:, 0], held[:, 1]] = 0

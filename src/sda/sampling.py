@@ -11,6 +11,7 @@ and the pair list.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +47,10 @@ def kmeans(
     space whose point i is ``[left[a_i] | right[b_i]]`` for ``pairs[i] =
     (a_i, b_i)``.
 
-    The first centroid is a seeded random point; each further centroid is the
-    point farthest from the ones chosen so far. An emptied cluster is
-    re-seeded at the point farthest from its nearest centroid. Both picks take
+    The first centroid is the point ``random.Random(seed).randrange(n)``
+    (``seed`` a Python int); each further centroid is the point farthest
+    from the ones chosen so far. An emptied cluster is re-seeded at the
+    point farthest from its nearest centroid. Both picks take
     the lowest index among the points within a relative 1e-12 of the
     farthest, so ties that are exact in real arithmetic do not fall to
     rounding. Deterministic for a given seed.
@@ -104,8 +106,7 @@ def kmeans(
         counts = np.bincount(assignments * m + entity, minlength=k * m)
         return counts.reshape(k, m).astype(np.float64) @ table
 
-    rng = np.random.default_rng(seed)
-    first = int(rng.integers(n))
+    first = random.Random(seed).randrange(n)
     chosen = [first]
     nearest = distances_to(first)
     while len(chosen) < k:
@@ -167,8 +168,10 @@ def select_negatives(
     seed: int = 0,
 ) -> np.ndarray:
     """Pick exactly ``n_pos`` negative pairs, apportioned across clusters by
-    size (largest remainder) and uniform without replacement within each.
-    Returns them as an (n_pos, 2) array in the order of ``negatives``."""
+    size (largest remainder) and uniform without replacement within each:
+    one ``random.Random(seed)`` (``seed`` a Python int) samples the clusters
+    in turn. Returns them as an (n_pos, 2) array in the order of
+    ``negatives``."""
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
     if len(negatives) != len(clustering.assignments):
         raise DataError("clustering does not cover the negative pair list")
@@ -180,13 +183,13 @@ def select_negatives(
         )
     sizes = np.bincount(clustering.assignments, minlength=clustering.k)
     counts = largest_remainder_counts(sizes, n_pos)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     selected: list[int] = []
     for c in range(clustering.k):
         members = np.flatnonzero(clustering.assignments == c)
         take = int(counts[c])
         if take > 0:
-            selected.extend(rng.choice(members, size=take, replace=False).tolist())
+            selected.extend(rng.sample(members.tolist(), take))
     selected.sort()  # a list sort: np.sort maps ~0.2 MB more code into the peak RSS
     return negatives[selected]
 

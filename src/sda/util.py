@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
+import random
 import tempfile
 
 import numpy as np
@@ -13,10 +13,12 @@ def derive_seed(master: int, label: str) -> int:
     """Deterministic per-stage seed derived from the master seed and a label.
 
     Keeps every stochastic stage independently seeded while a single
-    master seed governs the whole run.
+    master seed governs the whole run. The seed is the first 32 bits of
+    ``random.Random`` seeded with the string ``"{master}:{label}"``, which
+    the interpreter hashes with its built-in SHA-512 (never ``hash()``), so
+    it is the same in every run and needs neither ``hashlib`` nor OpenSSL.
     """
-    digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+    return random.Random(f"{master}:{label}").getrandbits(32)
 
 
 def sigmoid(z):

@@ -23,40 +23,40 @@ from conftest import write_config_file
 GOLDEN = {
     "evaluate": (
         "evaluate", {}, "report.json",
-        "f89a365f1f5794e97d1a76b8550955bfb5138f1da66e1ebb563f0350d72f04e9",
+        "244dff6ab1d7fb4c129ac94898b2c921a33ac1e2aea7ed47255600850f284b4a",
     ),
     "evaluate-strict-folds": (
         "evaluate", {"mode": "strict-folds"}, "report.json",
-        "6e61aaa5cd41ca2811b6ce82b8430fadc4cfdfec0a201b1e4e12d05aba81ea0b",
+        "60869e1d4dbe961809af5a2d52fb0408e26a3f5fcbe53e7bf653998db1509a78",
     ),
     "evaluate-k-range": (
         "evaluate", {"k": "5,10"}, "report.json",
-        "30451a498b0acd424bdc1f0d7239613ba9c1c1107235501c084243fa6ede57e2",
+        "39e404fcc7ad7b56b36991a69849f28f0e32b8f873428cc0835fa2de7c0693f5",
     ),
     "evaluate-strict-k-range": (
         "evaluate", {"mode": "strict-folds", "k": "5,10"}, "report.json",
-        "15c669ef97b76b63cad98a19d5956824f4a250076381feea41167a0ba9072514",
+        "1c1d1a9818214731fe45d4380f3ed4e806cf47a63fe44895d0689be4577d2f64",
     ),
     "holdout": (
         "holdout", {}, "holdout_report.json",
-        "e8885804d605367b235597514ee53e204aae97010c79c50bc26263dffd78e4fe",
+        "56e822edd0248878cf64656f9e5007b3cd540464115b1edc2f6101cb197d789d",
     ),
     "rank": (
         "rank", {}, "rankings.csv",
-        "e5ba4acad7204ea21b41da642593488ae0c4746438f306893a6e2197798872d9",
+        "92cc4364ab27a780dfe6be1d5178b4d381c1f80d4affb5820e7d543f77e5e950",
     ),
     "rank-grid": (
         "rank", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "0aa7b46a304fbcfc526f220fc835fefdb09a2ed0fa2f6423337c4c5698650264",
+        "dc8289dcd3e0c62b15e35c869dd29e6542d4e8a30833e692e5dd50db59e79ee5",
     ),
     # run-all: evaluate and rank share one grid search's pick
     "run-all-grid-report": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "report.json",
-        "6a7e903872b60e576182e1314c97754c0995a5faf5da43e0a0593e8bb5e41a31",
+        "72b48299ab39eb5fd10166dd82d757ebd7161bc5174790a3fb2fff315fef8bf1",
     ),
     "run-all-grid-rankings": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "0aa7b46a304fbcfc526f220fc835fefdb09a2ed0fa2f6423337c4c5698650264",
+        "dc8289dcd3e0c62b15e35c869dd29e6542d4e8a30833e692e5dd50db59e79ee5",
     ),
 }
 
@@ -69,12 +69,12 @@ ARTIFACTS = {
         "MSFS.mask.csv": "8cd89ee5472230d80290c82b015b443f90306e1c7ff5768ce546ed5f83687de3",
         "MDSS.csv": "e2e6ab8ac43e03fe5e1a8e26b18bc4a19086fa9f65516c5e0891b30b4f1857c9",
         "MDSS.mask.csv": "8dc02b7ebbf2edbb5f93141f1bf3cbfcc3f401f94820a66bb46df786f746933d",
-        "balanced_pairs.csv": "b50564d506eabc075683e4d38ab338e0920dbe25a5fd95b4c191fd75345b2dea",
+        "balanced_pairs.csv": "145f3a56c2e5234e23573a52ba7e8bbba9b9f18b8631f89f7ef1594b2d51b9a0",
         "prepare.json": "2d478659a9015b9efd0a9d9cb33c5beb0799c2ee4862a86a3605861db43641ac",
     },
     "evaluate": {
-        "roc_points.csv": "7bb153cf1cdaefad38174dfb025d67c8b926ef44041375eb53ebe6aebcdad560",
-        "pr_points.csv": "90133eaf18626b58aa0397e3614b3fcff1b8fc948164b7828964d4ce5ffc0084",
+        "roc_points.csv": "08d2ad56142353afb2df22019bcfbdf1538bd3c52b1ca25b799844d2b7a360b8",
+        "pr_points.csv": "d81b06bc47904ed36643f3bb8ca173cbe45349c616caf75f0b4319824ebe809e",
     },
 }
 
