@@ -22,6 +22,13 @@ is every KKT condition holding within ``tol``. Every step raises the dual
 and the selection is deterministic, so no seed is needed and the last
 iterate is the best one.
 
+The steps update ``v`` in place, which accumulates rounding, so the stop
+test is passed only on a ``v`` computed from scratch: when the running
+``v`` passes it, ``g`` is summed anew from the alphas and the test is taken
+again on ``y - g``. That ``g`` stands until the next step moves the alphas;
+the fit's bias and dual objective are read from it, as they are from the
+one computed at the step cap.
+
 I_up and I_low are held as penalty vectors, 0 inside the set and -inf
 outside, so that a masked maximum is one addition and one ``argmax``, and a
 step rewrites only the two entries it moved. The same vector m - v plus the
@@ -118,15 +125,21 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
     """WSS2 SMO on the leaf-kernel Gram matrix ``K`` for labels ``y`` in
     {-1, +1}. The diagonal of ``K`` is exactly 1, so a_ij = 2 - 2 K_ij.
 
-    Runs at most ``max_passes * n`` steps. Returns ``(alphas, up, low,
-    steps, converged)``, with ``up`` and ``low`` the masks of I_up and I_low.
+    Runs at most ``max_passes * n`` steps. Returns ``(alphas, g, up, low,
+    steps, converged)``: ``g`` is the decision value without bias at
+    ``alphas``, computed from scratch, and ``up`` and ``low`` are the masks
+    of I_up and I_low.
     """
     n = len(y)
     C = float(C)
     # A step reads and writes two entries of alphas and labels: Python floats
     # cost less there than numpy scalars, and round the same.
     alphas, labels = [0.0] * n, y.tolist()
-    v = y.copy()  # g == 0 at alphas == 0
+    g = np.zeros(n)
+    v = y - g
+    # True while v is y - g for a g computed from scratch, that is until a
+    # step moves the alphas and updates v in place.
+    fresh = True
     up_pen = np.where(y > 0, 0.0, -np.inf)
     low_pen = np.where(y > 0, -np.inf, 0.0)
     # Every step reuses these buffers.
@@ -142,14 +155,17 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
         b += low_pen
         gap = b.max()
         if gap < tol or gap <= 0.0:  # gap <= 0: exactly optimal, even at tol <= 0
-            # Confirm on a fresh v: the updates below accumulate rounding.
-            fresh = y - (np.array(alphas) * y) @ K
-            if np.array_equal(fresh, v):
-                return np.array(alphas), up_pen == 0.0, low_pen == 0.0, steps, True
-            v = fresh
+            if fresh:
+                return np.array(alphas), g, up_pen == 0.0, low_pen == 0.0, steps, True
+            # Test again on a v from scratch: the updates below accumulate
+            # rounding.
+            g = (np.array(alphas) * y) @ K
+            v, fresh = y - g, True
             continue
         if steps == max_passes * n:
-            return np.array(alphas), up_pen == 0.0, low_pen == 0.0, steps, False
+            if not fresh:
+                g = (np.array(alphas) * y) @ K
+            return np.array(alphas), g, up_pen == 0.0, low_pen == 0.0, steps, False
         Ki = K[i]
         np.subtract(2.0, np.multiply(2.0, Ki, out=a), out=a)
         a[np.less_equal(a, 0.0, out=pick)] = TAU
@@ -181,6 +197,7 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
         np.multiply(yi * (ai - alpha_i), Ki, out=a)
         a += np.multiply(yj * (aj - alpha_j), Kj, out=b)
         v -= a
+        fresh = False
         alphas[i], alphas[j] = ai, aj
         for k, y_k, alpha in ((i, yi, ai), (j, yj, aj)):
             below_c = 0.0 if alpha < C else -np.inf
@@ -197,11 +214,9 @@ def _fit(
     """Train on leaf rows ``X`` with labels ``y`` in {-1, +1} and their Gram ``K``.
     Returns the model and the mask of its support vectors among the rows."""
     n = len(y)
-    alphas, up, low, steps, converged = _solve(K, y, C, tol, max_passes)
+    alphas, g, up, low, steps, converged = _solve(K, y, C, tol, max_passes)
     if not converged:
         log.warning("SMO did not converge within %d sweeps (n=%d)", max_passes, n)
-    ay = alphas * y
-    g = ay @ K
     keep = alphas > 0
     return SvmModel(
         support_vectors=X[keep].copy(),
@@ -211,7 +226,7 @@ def _fit(
         gamma=gamma,
         converged=converged,
         n_sweeps=-(-steps // n),
-        dual_objective=float(alphas.sum() - 0.5 * g @ ay),
+        dual_objective=float(alphas.sum() - 0.5 * g @ (alphas * y)),
     ), keep
 
 
