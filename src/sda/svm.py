@@ -159,12 +159,12 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
                 return np.array(alphas), g, up_pen == 0.0, low_pen == 0.0, steps, True
             # Test again on a v from scratch: the updates below accumulate
             # rounding.
-            g = (np.array(alphas) * y) @ K
+            g = _decision(n, lambda block: K[block], np.array(alphas) * y)
             v, fresh = y - g, True
             continue
         if steps == max_passes * n:
             if not fresh:
-                g = (np.array(alphas) * y) @ K
+                g = _decision(n, lambda block: K[block], np.array(alphas) * y)
             return np.array(alphas), g, up_pen == 0.0, low_pen == 0.0, steps, False
         Ki = K[i]
         np.subtract(2.0, np.multiply(2.0, Ki, out=a), out=a)
@@ -226,7 +226,7 @@ def _fit(
         gamma=gamma,
         converged=converged,
         n_sweeps=-(-steps // n),
-        dual_objective=float(alphas.sum() - 0.5 * g @ (alphas * y)),
+        dual_objective=float(alphas.sum() - 0.5 * (g * (alphas * y)).sum()),
     ), keep
 
 
@@ -251,23 +251,22 @@ def smo_train(
     return _fit(X, y, leaf_kernel(X, X, gamma), C, gamma, tol, max_passes)[0]
 
 
-def _decision(n: int, kernel_rows, model: SvmModel) -> np.ndarray:
-    """f(x) + b for ``n`` scored rows, ``SCORE_BLOCK`` rows at a time:
-    ``kernel_rows(block)`` gives the kernel of the rows in the slice
-    ``block`` (rows) with the support vectors (columns). Each row is
-    weighted in place and summed along itself, so its value does not depend
-    on the other rows scored with it (a BLAS product's blocking would), and
-    the blocks hold memory in proportion to ``SCORE_BLOCK``, not to ``n``."""
-    weights = model.alphas * model.labels
-    scores = np.empty(n)
+def _decision(n: int, kernel_rows, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j K_rj for ``n`` rows r, ``SCORE_BLOCK`` rows at a
+    time: ``kernel_rows(block)`` gives the kernel of the rows in the slice
+    ``block`` (rows) with the weighted points (columns). With the weights
+    alpha * y this is a decision value without bias, of a scored row or, on
+    the rows of the Gram, of a training row: the solver's gradient.
+
+    Each row is weighted and summed along itself, so its value does not
+    depend on the other rows summed with it, nor on a BLAS library's
+    blocking or thread count (a matrix-vector product's would), and the
+    blocks hold memory in proportion to ``SCORE_BLOCK``, not to ``n``."""
+    sums = np.empty(n)
     for start in range(0, n, SCORE_BLOCK):
         block = slice(start, start + SCORE_BLOCK)
-        K = kernel_rows(block)
-        K *= weights
-        scores[block] = K.sum(axis=1)
-        del K  # else it lives on while the next block's kernel is built
-    scores += model.bias
-    return scores
+        sums[block] = np.multiply(kernel_rows(block), weights).sum(axis=1)
+    return sums
 
 
 def svm_decision(model: SvmModel, X) -> np.ndarray:
@@ -275,8 +274,9 @@ def svm_decision(model: SvmModel, X) -> np.ndarray:
     the value itself is the ranking confidence."""
     X = np.atleast_2d(np.asarray(X))
     return _decision(
-        len(X), lambda block: leaf_kernel(X[block], model.support_vectors, model.gamma), model
-    )
+        len(X), lambda block: leaf_kernel(X[block], model.support_vectors, model.gamma),
+        model.alphas * model.labels,
+    ) + model.bias
 
 
 def grid_search(
@@ -319,8 +319,9 @@ def grid_search(
             for C in c_values:
                 model, keep = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
                 scores = _decision(
-                    len(shared_test), lambda block: table[shared_test[block, keep]], model
-                )
+                    len(shared_test), lambda block: table[shared_test[block, keep]],
+                    model.alphas * model.labels,
+                ) + model.bias
                 results[(C, gamma)].append(roc_auc(scores, y01[test]))
     _, best_c, best_gamma = min(
         (-float(np.mean(scores)), C, gamma) for (C, gamma), scores in results.items()

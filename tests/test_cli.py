@@ -653,15 +653,16 @@ class TestPrepareRecord:
         assert path in caplog.text
 
 
-def run_fresh(argv):
-    """``main(argv)`` in a fresh interpreter: its exit code, its standard
-    error, and the names of the modules it imported by the end."""
+def run_fresh(argv, **env_vars):
+    """``main(argv)`` in a fresh interpreter, with ``env_vars`` added to the
+    environment: its exit code, its standard error, and the names of the
+    modules it imported by the end."""
     code = (
         "import sys; from sda.cli import main; rc = main(sys.argv[1:]); "
         "print(*sys.modules, sep='\\n'); sys.exit(rc)"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(sda.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_vars)
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
     )
@@ -679,6 +680,33 @@ def test_command_does_not_import_numpy_ma(command, small_dataset, tmp_path):
     assert rc == 0, err
     assert "numpy" in modules
     assert "numpy.ma" not in modules
+
+
+def test_rankings_do_not_depend_on_blas_threads(tmp_path):
+    # A threaded BLAS matrix-vector product rounds differently by thread
+    # count at some sizes (1,860 rows among them, the final fit here); the
+    # SVM sums its kernel rows without BLAS, so the scores keep their bits.
+    threads = min(4, os.cpu_count() or 1)
+    if threads < 2:
+        pytest.skip("one CPU: no second BLAS thread count to compare")
+    am, ft, dag = make_block_dataset(n_snornas=200, n_diseases=60, seed=3)
+    paths = write_dataset_files(str(tmp_path / "data"), am, ft, dag)
+    rankings = []
+    for n in (1, threads):
+        out = tmp_path / f"out-{n}"
+        cfg = write_config_file(
+            tmp_path / f"cfg-{n}.txt", association_path=paths["association"],
+            feature_path=paths["features"], dag_path=paths["dag"],
+            output_dir=str(out), svm_c="10", svm_gamma="0.1",
+        )
+        count = str(n)
+        rc, err, _ = run_fresh(
+            ["rank", "--config", cfg],
+            OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count, MKL_NUM_THREADS=count,
+        )
+        assert rc == 0, err
+        rankings.append((out / "rankings.csv").read_bytes())
+    assert rankings[0] == rankings[1]
 
 
 @pytest.mark.parametrize(

@@ -23,19 +23,19 @@ from conftest import write_config_file
 GOLDEN = {
     "evaluate": (
         "evaluate", {}, "report.json",
-        "244dff6ab1d7fb4c129ac94898b2c921a33ac1e2aea7ed47255600850f284b4a",
+        "e468f3ae22d45ce27a1b82ad05643de7dedbd07104f498c9300a6fdd388ae35c",
     ),
     "evaluate-strict-folds": (
         "evaluate", {"mode": "strict-folds"}, "report.json",
-        "60869e1d4dbe961809af5a2d52fb0408e26a3f5fcbe53e7bf653998db1509a78",
+        "32e4e097ea287d3b5a9171c87d3a14f8e241fedae9b529778f2d92f00b69e60d",
     ),
     "evaluate-k-range": (
         "evaluate", {"k": "5,10"}, "report.json",
-        "39e404fcc7ad7b56b36991a69849f28f0e32b8f873428cc0835fa2de7c0693f5",
+        "fce542db0b405cf6fc66ef3cb0541a48e230535c6dae2d0df60439d16d24ad6b",
     ),
     "evaluate-strict-k-range": (
         "evaluate", {"mode": "strict-folds", "k": "5,10"}, "report.json",
-        "1c1d1a9818214731fe45d4380f3ed4e806cf47a63fe44895d0689be4577d2f64",
+        "27b35af442aeec970a1ebb1a2699dd7188c2f9f090041de7006ad300ef46c73f",
     ),
     "holdout": (
         "holdout", {}, "holdout_report.json",
@@ -43,20 +43,20 @@ GOLDEN = {
     ),
     "rank": (
         "rank", {}, "rankings.csv",
-        "92cc4364ab27a780dfe6be1d5178b4d381c1f80d4affb5820e7d543f77e5e950",
+        "10db18b22818076b02aafa68d42fe3a8e0ea8f9a5b5950fdf5fdc36cbf2c513c",
     ),
     "rank-grid": (
         "rank", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "dc8289dcd3e0c62b15e35c869dd29e6542d4e8a30833e692e5dd50db59e79ee5",
+        "bee501c2ef15f8b669ab7025f000fcf07202cf929ef98eb0bf12222fb794ca0d",
     ),
     # run-all: evaluate and rank share one grid search's pick
     "run-all-grid-report": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "report.json",
-        "72b48299ab39eb5fd10166dd82d757ebd7161bc5174790a3fb2fff315fef8bf1",
+        "ba52d6d0f6fef08950cde1320c06fcb3f6226b3e197b750b1d1c769b6bb1f371",
     ),
     "run-all-grid-rankings": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
-        "dc8289dcd3e0c62b15e35c869dd29e6542d4e8a30833e692e5dd50db59e79ee5",
+        "bee501c2ef15f8b669ab7025f000fcf07202cf929ef98eb0bf12222fb794ca0d",
     ),
 }
 

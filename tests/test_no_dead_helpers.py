@@ -1,6 +1,7 @@
 """Guards on the package's structure: no helper that only tests use, one
 module that fits and scores the model, metrics that do not pull in the
-model, and commands that load neither ``numpy.random`` nor OpenSSL.
+model, an SVM that takes no matrix product, and commands that load neither
+``numpy.random`` nor OpenSSL.
 
 Every public module-level function and class of ``src/sda``, and every
 public method of a public class, must be named somewhere in ``src/sda``
@@ -82,6 +83,26 @@ def test_only_the_model_module_fits_and_scores():
                 if name in MODEL_STEPS:
                     callers.append(f"{module}.py:{node.lineno}: {name}")
     assert not callers, f"fit or score steps outside model.py: {callers}"
+
+
+# numpy's matrix products, which hand the sum to a BLAS library
+MATRIX_PRODUCTS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+
+
+def test_svm_takes_no_matrix_product():
+    # A BLAS product's blocking and thread count change its last bits; the
+    # SVM sums every kernel row along itself (``svm._decision``) instead.
+    tree = dict(_modules())["svm"]
+    products = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            products.append(f"svm.py:{node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in MATRIX_PRODUCTS:
+                products.append(f"svm.py:{node.lineno}: {name}")
+    assert not products, f"matrix products in svm.py: {products}"
 
 
 def test_metrics_do_not_import_the_model():

@@ -323,6 +323,22 @@ class TestWss2Solver:
         assert violating_pair_gap(alphas, v, y, C) < tol
         assert kkt_excess(alphas, v, y, model.bias, C, tol) <= 1e-9
 
+    def test_one_gradient_from_scratch_per_converged_fit(self, monkeypatch):
+        # The stop test reads a gradient summed from scratch over every
+        # training row, and the bias and dual objective reuse it.
+        X, y, _ = random_problem(np.random.default_rng(31), 60)
+        sums = []
+        row_sums = svm._decision
+
+        def counted(n, kernel_rows, weights):
+            sums.append(n)
+            return row_sums(n, kernel_rows, weights)
+
+        monkeypatch.setattr(svm, "_decision", counted)
+        model = smo_train(X, y, C=10.0, gamma=0.3)
+        assert model.converged and model.n_sweeps > 0
+        assert sums == [len(y)]
+
     def test_step_cap_reports_unconverged_feasible_duals(self, caplog):
         rng = np.random.default_rng(21)
         X, y, _ = random_problem(rng, 20)
@@ -337,25 +353,26 @@ class TestWss2Solver:
 
     # (n_sweeps, converged, sha256 of alphas, sha256 of support vectors,
     # bias.hex(), dual_objective.hex()): a rewrite of the step loop must keep
-    # every iterate, so these must not move.
+    # every iterate, so these must not move. The bias and dual were re-pinned
+    # once, when the gradient came to be summed as the decision values are.
     PINNED = {
         "random-60": (
             4, True,
             "eff5f25ce3bdbef5950e6dfe3ab7102cc78aed89f6dd5b933153fa2ee936b22d",
             "ad74987fa76514bcd46b4a8f7526fab67d73006a2a6d676acaa424911ae84a46",
-            "0x1.73afe683a534ap-4", "0x1.08cd98ac16126p+6",
+            "0x1.73afe683a5346p-4", "0x1.08cd98ac16126p+6",
         ),
         "conflicting-repeats": (
             2, True,
             "a7e017d983cbf32682e35efbd905526332c24eff8e481345eea37e4b4f049588",
             "bb118ea0cf75adb01f20856220c77e7713c926230297021cf8c8453523842e9c",
-            "-0x1.311734eac49a7p-6", "0x1.5e88158db9bd6p+5",
+            "-0x1.311734eac498ap-6", "0x1.5e88158db9bd6p+5",
         ),
         "capped": (
             1, False,
             "bab6a1e498508345b56b460c46d374530abf6ec30dc920595371da3880644c91",
             "2816aba44d0f7ce6326d0d8d6683c75d0ded15a8eb9758a81fc3ab026d158f85",
-            "0x1.9d283b700ad2ap-4", "0x1.3bcb9bfae4a29p+4",
+            "0x1.9d283b700ad2ap-4", "0x1.3bcb9bfae4a2ap+4",
         ),
     }
 
@@ -460,8 +477,8 @@ class TestGridSearch:
 
 
 class TestScoreBlocks:
-    """Scoring walks the rows a block at a time; the block size changes no
-    bit of a score."""
+    """Scoring, and the solver's gradient, walk the rows a block at a time;
+    the block size changes no bit of a score or a fit."""
 
     def test_svm_decision(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -474,6 +491,17 @@ class TestScoreBlocks:
             got = [svm_decision(model, probe) for probe in probes]
         for probe, scores in zip(probes, got):
             assert np.array_equal(scores, svm_decision(model, probe))
+
+    def test_smo_train(self, monkeypatch):
+        # the solver's gradient is summed over the Gram's rows the same way
+        X, y, _ = random_problem(np.random.default_rng(33), 40)
+        want = smo_train(X, y, C=10.0, gamma=0.3)
+        monkeypatch.setattr(svm, "SCORE_BLOCK", 3)
+        got = smo_train(X, y, C=10.0, gamma=0.3)
+        assert np.array_equal(got.alphas, want.alphas)
+        assert (got.bias.hex(), got.dual_objective.hex()) == (
+            want.bias.hex(), want.dual_objective.hex()
+        )
 
     @pytest.mark.parametrize("n", [10, 50], ids=["under-one", "partial"])
     def test_grid_search_score_table(self, monkeypatch, n):
