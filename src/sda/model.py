@@ -69,9 +69,12 @@ def _ensemble(left, right, pairs, labels, cfg):
 
 def _grid_pick(ens: GbdtEnsemble, leaves, labels, cfg) -> SvmParams:
     """The (C, gamma) a grid search over ``cfg``'s SVM grid picks on the
-    leaf indices ``leaves`` of ``ens``."""
+    leaf indices ``leaves`` of ``ens``. A grid whose "1/d" resolves to
+    another listed gamma can leave one cell, which is taken unsearched."""
     cs = sorted(set(map(float, cfg.svm_c)))
     gammas = sorted({gamma_value(g, ens.total_leaves) for g in cfg.svm_gamma})
+    if len(cs) == len(gammas) == 1:
+        return SvmParams(cs[0], gammas[0])
     best_c, best_gamma, _scores = grid_search(
         leaves, labels, cs, gammas, n_folds=cfg.n_folds,
         seed=derive_seed(cfg.seed, "grid-search"), tol=cfg.svm_tol,

@@ -154,7 +154,9 @@ def prepare(cfg: PipelineConfig) -> PreparedData:
 
 
 def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> PreparedData:
-    """Rebuild PreparedData from a prepare run's artifacts."""
+    """Rebuild PreparedData from a prepare run's artifacts. Every balanced
+    pair must be listed once, with its cell's label in ``am``: a prepare run
+    made before the association file changed would train on stale labels."""
     if cfg.mode == "strict-folds":
         raise ConfigError(
             "prepared_dir reuse supports paper-faithful mode only; strict-folds "
@@ -170,6 +172,7 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
     d_index = {d: i for i, d in enumerate(am.disease_ids)}
     pairs: list[tuple[int, int]] = []
     labels: list[int] = []
+    listed: set[tuple[int, int]] = set()
     (line, header), *body = corpus.read_rows(pairs_path)
     if tuple(c.strip() for c in header) != PAIRS_HEADER:
         raise DataError(
@@ -183,7 +186,16 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
             raise DataError(f"{pairs_path}:{line}: unknown id in pair")
         if label not in ("0", "1"):
             raise DataError(f"{pairs_path}:{line}: label must be 0 or 1, got '{label}'")
-        pairs.append((s_index[snorna_id], d_index[disease_id]))
+        pair = (s_index[snorna_id], d_index[disease_id])
+        if pair in listed:
+            raise DataError(f"{pairs_path}:{line}: pair {snorna_id},{disease_id} listed twice")
+        if int(label) != am.entries[pair]:
+            raise DataError(
+                f"{pairs_path}:{line}: pair {snorna_id},{disease_id} is labelled {label}, "
+                f"but the association matrix has {am.entries[pair]} there"
+            )
+        listed.add(pair)
+        pairs.append(pair)
         labels.append(int(label))
     if set(labels) != {0, 1}:
         raise DataError(f"{pairs_path}: needs rows of both labels, 0 and 1")

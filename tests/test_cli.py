@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sda
-from sda import pipeline, svm
+from sda import model, pipeline, svm
 from sda.cli import main
 from sda.config import PipelineConfig
 from sda.corpus import (
@@ -336,6 +336,28 @@ class TestRank:
         keys = [(d, int(r)) for d, _, _, r in body]
         assert keys == sorted(keys)
 
+    def test_lone_resolved_cell_takes_no_search(self, small_dataset, tmp_path, monkeypatch):
+        # "1/d" resolving to the other listed gamma leaves one (C, gamma)
+        # cell, which is the single-cell run at that gamma, with no search
+        cfg = PipelineConfig(
+            association_path=small_dataset["association"],
+            feature_path=small_dataset["features"], dag_path=small_dataset["dag"],
+            k=(4,), seed=11, svm_c=(10.0,), svm_gamma=(0.1,),
+        )
+        prepared = pipeline.prepare(cfg)
+        gamma = repr(1.0 / pipeline.fit_model(prepared, cfg).ens.total_leaves)
+        searches = []
+        monkeypatch.setattr(model, "grid_search", lambda *a, **kw: searches.append(a))
+        rankings = []
+        for name, gammas in (("lone", f"1/d,{gamma}"), ("single", gamma)):
+            out = tmp_path / name
+            keys = base_keys(small_dataset, str(out), svm_gamma=gammas)
+            cfg_path = write_config_file(tmp_path / f"{name}.txt", **keys)
+            assert main(["rank", "--config", cfg_path]) == 0
+            rankings.append((out / "rankings.csv").read_bytes())
+        assert searches == []
+        assert rankings[0] == rankings[1]
+
     def test_fully_known_disease_gets_zero_rows(self, tmp_path, capsys):
         # disease d0 is associated with every snoRNA: nothing to rank there
         entries = np.zeros((6, 3), dtype=np.int8)
@@ -505,8 +527,8 @@ def load_prepared(paths, prepared):
 
 
 # case -> (the rows under balanced_pairs.csv's header, written over the ids of
-# its first row, a positive; what the error names after the path). None
-# empties the file.
+# its first row "{s},{d}", a positive, and of its last row "{ns},{nd}", a
+# negative; what the error names after the path). None empties the file.
 MALFORMED_PAIRS = {
     "two-fields": (["{s},{d}"], ":2:"),
     "non-integer-label": (["{s},{d},yes"], ":2:"),
@@ -514,6 +536,9 @@ MALFORMED_PAIRS = {
     "empty-file": (None, ":1:"),
     "header-only": ([], ": needs rows of both labels"),
     "one-label": (["{s},{d},1"], ": needs rows of both labels"),
+    "known-cell-labelled-0": (["{ns},{nd},0", "{s},{d},0"], ":3:"),
+    "unknown-cell-labelled-1": (["{s},{d},1", "{ns},{nd},1"], ":3:"),
+    "pair-listed-twice": (["{s},{d},1", "{ns},{nd},0", "{s},{d},1"], ":4:"),
 }
 
 
@@ -524,11 +549,13 @@ class TestMalformedPairsFile:
         shutil.copytree(prepared_dir, broken)
         path = os.path.join(broken, "balanced_pairs.csv")
         with open(path, encoding="utf-8") as fh:
-            header, first = fh.read().splitlines()[:2]
+            header, first, *_, last = fh.read().splitlines()
         s, d, _label = first.split(",")
+        ns, nd, _label = last.split(",")
         with open(path, "w", encoding="utf-8") as fh:
             if rows is not None:
-                fh.write("\n".join([header] + [r.format(s=s, d=d) for r in rows]) + "\n")
+                ids = dict(s=s, d=d, ns=ns, nd=nd)
+                fh.write("\n".join([header] + [r.format(**ids) for r in rows]) + "\n")
         return broken, path + where
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
