@@ -48,15 +48,14 @@ def _check_binary(labels) -> np.ndarray:
 def _tie_groups(s: np.ndarray, y: np.ndarray):
     """Runs of equal scores in descending order.
 
-    Returns ``(order, ends, tp)``: the stable descending sort order of ``s``,
-    one past the last sorted position of each run, and the positives of
-    ``y`` among the sorted rows up to each run's end.
+    Returns ``(ends, tp)``: one past the last sorted position of each run,
+    and the positives of ``y`` among the sorted rows up to each run's end.
     """
     order = np.argsort(-s, kind="mergesort")
     s_sorted = s[order]
     ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], len(s) > 0)) + 1
     tp = np.cumsum(y[order])[ends - 1]
-    return order, ends, tp
+    return ends, tp
 
 
 def roc_auc(scores, labels) -> float:
@@ -69,15 +68,14 @@ def roc_auc(scores, labels) -> float:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise NumericError("roc_auc needs both classes present")
-    order, ends, _ = _tie_groups(s, y)
-    starts = np.append(0, ends[:-1])
-    # A run at descending positions [start, end) holds ascending positions
-    # n - end .. n - start - 1; its rows share their average 1-based rank.
-    run_rank = (2 * n - ends - starts - 1) / 2.0 + 1.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(run_rank, ends - starts)
-    pos_rank_sum = float(ranks[y == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    ends, tp = _tie_groups(s, y)
+    # The Mann-Whitney U: each run's negatives count the positives above
+    # the run and half of those in it. Every term and partial sum is a
+    # multiple of 0.5 below 2^53, so U is exact whatever the summation order.
+    pos_run = np.diff(tp, prepend=0)
+    neg_run = np.diff(ends - tp, prepend=0)
+    u = float(np.sum(neg_run * (tp - 0.5 * pos_run)))
+    return u / (n_pos * n_neg)
 
 
 def pr_auc(scores, labels) -> float:
@@ -88,7 +86,7 @@ def pr_auc(scores, labels) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NumericError("pr_auc needs at least one positive")
-    _, ends, tp = _tie_groups(s, y)
+    ends, tp = _tie_groups(s, y)
     recall = tp / n_pos
     terms = np.diff(recall, prepend=0.0) * (tp / ends)
     # Summed in threshold order (cumsum adds left to right; np.sum would
@@ -126,7 +124,7 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
     y = _check_binary(labels)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
-    _, ends, tp = _tie_groups(s, y)
+    ends, tp = _tie_groups(s, y)
     far = (ends - tp) / n_neg if n_neg else np.zeros(len(ends))
     tar = tp / n_pos if n_pos else np.zeros(len(ends))
     points = [(0.0, 0.0)] + list(zip(far.tolist(), tar.tolist()))
@@ -140,7 +138,7 @@ def pr_points(scores, labels) -> list[tuple[float, float]]:
     s = np.asarray(scores, dtype=np.float64)
     y = _check_binary(labels)
     n_pos = int(y.sum())
-    _, ends, tp = _tie_groups(s, y)
+    ends, tp = _tie_groups(s, y)
     recall = tp / n_pos if n_pos else np.zeros(len(ends))
     return list(zip(recall.tolist(), (tp / ends).tolist()))
 
