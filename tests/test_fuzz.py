@@ -112,9 +112,8 @@ def run_case(root, files, name, mutation, rep, tmp_path):
     case = tmp_path / f"{mutation}-{rep}"
     case.mkdir()
     shutil.copytree(root / "prepared", case / "prepared")
-    for key in ("association", "features-csv", "features-tsv", "dag"):
-        shutil.copy(root / files[key], case / files[key])
-    for key in ("disease-similarity", "disease-similarity-mask"):
+    for key in ("association", "features-csv", "features-tsv", "dag", "disease-similarity",
+                "disease-similarity-mask"):
         shutil.copy(root / files[key], case / files[key])
     keys = dict(
         association_path=str(case / files["association"]),
@@ -137,8 +136,10 @@ def run_case(root, files, name, mutation, rep, tmp_path):
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 @pytest.mark.parametrize("name", sorted(INPUTS))
-def test_mutated_input_exits_cleanly(name, mutation, pristine, tmp_path, caplog):
+def test_mutated_input_exits_cleanly(name, mutation, pristine, tmp_path, caplog, monkeypatch):
     root, files = pristine
+    # a mutated config can name a relative output directory, or none
+    monkeypatch.chdir(tmp_path)
     for rep in range(MUTATIONS[mutation]):
         caplog.clear()
         try:

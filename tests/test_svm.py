@@ -353,8 +353,7 @@ class TestWss2Solver:
 
     # (n_sweeps, converged, sha256 of alphas, sha256 of support vectors,
     # bias.hex(), dual_objective.hex()): a rewrite of the step loop must keep
-    # every iterate, so these must not move. The bias and dual were re-pinned
-    # once, when the gradient came to be summed as the decision values are.
+    # every iterate, so these must not move.
     PINNED = {
         "random-60": (
             4, True,
