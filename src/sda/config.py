@@ -49,6 +49,8 @@ class PipelineConfig:
     strict: bool = False
 
     def validate(self) -> None:
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError(f"delta must be in (0, 1], got {self.delta}")
         gamma_primes = (self.gamma_prime_snorna, self.gamma_prime_disease)

@@ -33,6 +33,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -190,67 +191,29 @@ class FeatureTable:
 
 @dataclass
 class DiseaseDag:
-    """Directed acyclic graph of disease terms; edges point child -> parent."""
+    """Directed acyclic graph of disease terms; edges point child -> parent,
+    and ``order`` lists every node, each child before its parents."""
 
     nodes: list[str]
     edges: list[tuple[str, str]]
     _parents: dict[str, list[str]] = field(default_factory=dict, repr=False)
-    _children: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    order: list[str] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._parents = {n: [] for n in self.nodes}
-        self._children = {n: [] for n in self.nodes}
         for child, parent in self.edges:
             self._parents[child].append(parent)
-            self._children[parent].append(child)
+        try:  # the sorter puts parents first; reversed, children come first
+            self.order = [*TopologicalSorter(self._parents).static_order()][::-1]
+        except CycleError as exc:
+            cycle = exc.args[1][::-1]  # the sorter lists it parent -> child
+            raise DataError("disease DAG contains a cycle: " + " -> ".join(cycle)) from None
 
     def __contains__(self, node: str) -> bool:
         return node in self._parents
 
     def parents(self, node: str) -> list[str]:
         return self._parents[node]
-
-    def children(self, node: str) -> list[str]:
-        return self._children[node]
-
-    def ancestors(self, node: str) -> set[str]:
-        """All nodes reachable upward from ``node``, including itself."""
-        if node not in self._parents:
-            raise DataError(f"unknown disease id '{node}'")
-        seen = {node}
-        stack = [node]
-        while stack:
-            for p in self._parents[stack.pop()]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return seen
-
-    def assert_acyclic(self) -> None:
-        """Topological sort; on failure names one cycle."""
-        indeg = {n: 0 for n in self.nodes}
-        for child, _parent in self.edges:
-            indeg[child] += 1  # orient child <- parent for Kahn over "children" edges
-        queue = [n for n, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            node = queue.pop()
-            seen += 1
-            for c in self._children[node]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if seen == len(self.nodes):
-            return
-        # Walk parent links from any unresolved node until one repeats.
-        node = next(n for n, d in indeg.items() if d > 0)
-        trail, pos = [], {}
-        while node not in pos:
-            pos[node] = len(trail)
-            trail.append(node)
-            node = next(p for p in self._parents[node] if indeg.get(p, 0) > 0)
-        cycle = trail[pos[node]:] + [node]
-        raise DataError("disease DAG contains a cycle: " + " -> ".join(cycle))
 
 
 def load_association_matrix(path: str, strict: bool = False) -> AssociationMatrix:
@@ -308,7 +271,6 @@ def load_disease_dag(path: str) -> DiseaseDag:
         edges.append((row[0].strip(), row[1].strip()))
     nodes = list(dict.fromkeys(endpoint for edge in edges for endpoint in edge))
     dag = DiseaseDag(nodes, edges)
-    dag.assert_acyclic()
     log.info("loaded disease DAG %s: %d nodes, %d edges", path, len(dag.nodes), len(edges))
     return dag
 

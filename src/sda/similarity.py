@@ -6,8 +6,8 @@ profile (GIP) kernels over association-matrix rows/columns. Meshing averages
 each base similarity with its GIP counterpart where the base is defined and
 falls back to GIP alone elsewhere, so the fused matrices are fully available.
 
-Every constructor evaluates the upper triangle and mirrors it, so outputs are
-bitwise symmetric.
+Every output is bitwise symmetric: the semantic similarity by construction,
+the other constructors by mirroring the upper triangle.
 """
 
 from __future__ import annotations
@@ -95,26 +95,19 @@ def snorna_functional_similarity(
 
 
 def semantic_contribution(dag: DiseaseDag, d_x: str, delta: float = 0.5) -> dict[str, float]:
-    """Per-ancestor contribution to ``d_x``: 1 for itself, then decayed by
-    ``delta`` per step via the max over children inside the ancestor closure.
-
-    Evaluated bottom-up in topological order (a node is ready once all its
-    in-closure children are), so arbitrarily deep chains are fine.
-    """
+    """Per-ancestor contribution to ``d_x``, keyed by its ancestor closure:
+    1 for itself, then ``delta`` times the largest contribution among an
+    ancestor's children. Contributions are pushed up the one topological
+    order ``dag.order``, so each node is final before it passes its own on."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    closure = dag.ancestors(d_x)  # raises DataError on unknown id
-    children_in = {a: [c for c in dag.children(a) if c in closure] for a in closure}
-    remaining = {a: len(children_in[a]) for a in closure}
-    sc: dict[str, float] = {}
-    stack = [d_x]  # the only closure node with no in-closure children
-    while stack:
-        node = stack.pop()
-        sc[node] = 1.0 if node == d_x else delta * max(sc[c] for c in children_in[node])
-        for parent in dag.parents(node):
-            remaining[parent] -= 1
-            if remaining[parent] == 0:
-                stack.append(parent)
+    if d_x not in dag:
+        raise DataError(f"unknown disease id '{d_x}'")
+    sc = {d_x: 1.0}
+    for node in dag.order[dag.order.index(d_x):]:  # no ancestor comes before d_x
+        if node in sc:
+            for parent in dag.parents(node):
+                sc[parent] = max(sc.get(parent, 0.0), delta * sc[node])
     return sc
 
 
@@ -123,40 +116,33 @@ def disease_semantic_similarity(
 ) -> SimilarityMatrix:
     """Shared-ancestor contribution ratio between every disease pair.
 
+    A pair's shared ancestors are the nodes in both ancestor closures (so a
+    contribution that underflows to 0 still counts); each node adds its
+    contributions to the pairs of the diseases in whose closure it is. At the
+    default ``delta = 0.5`` every contribution is a power of two, so every
+    sum is exact (while depth + log2(nodes) < 53): no summation order matters.
     Pairs with no common ancestor score 0 but stay available; ids missing
     from the DAG are marked unavailable.
     """
     out_ids = list(ids) if ids is not None else list(dag.nodes)
-    n = len(out_ids)
-    contributions: list[dict[str, float] | None] = []
-    totals = np.zeros(n)
-    for i, did in enumerate(out_ids):
-        if did in dag:
-            sc = semantic_contribution(dag, did, delta)
-            contributions.append(sc)
-            totals[i] = sum(sc.values())
-        else:
-            contributions.append(None)
+    present = [d for d in out_ids if d in dag]
+    row = {node: r for r, node in enumerate(dag.nodes)}
+    contributions = np.zeros((len(dag.nodes), len(present)))
+    member = np.zeros(contributions.shape, dtype=bool)
+    for j, did in enumerate(present):
+        sc = semantic_contribution(dag, did, delta)
+        rows = [row[a] for a in sc]
+        contributions[rows, j] = list(sc.values())
+        member[rows, j] = True
 
-    values = np.zeros((n, n), dtype=np.float64)
-    available = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        sc_i = contributions[i]
-        if sc_i is None:
-            continue
-        values[i, i] = 1.0
-        available[i, i] = True
-        for j in range(i + 1, n):
-            sc_j = contributions[j]
-            if sc_j is None:
-                continue
-            shared = sc_i.keys() & sc_j.keys()
-            num = sum(sc_i[a] + sc_j[a] for a in sorted(shared))
-            values[i, j] = num / (totals[i] + totals[j])
-            available[i, j] = True
-    values = _mirror_upper(values)
-    available = available | available.T
-    return SimilarityMatrix(out_ids, values, available)
+    shared = np.zeros((len(present), len(present)))
+    for c, m in zip(contributions, member):
+        m = np.flatnonzero(m)
+        shared[np.ix_(m, m)] += c[m, None] + c[m]
+    totals = contributions.sum(axis=0)
+    values = shared / (totals[:, None] + totals)
+    np.fill_diagonal(values, 1.0)
+    return reindex(SimilarityMatrix(present, values, np.ones(values.shape, bool)), out_ids)
 
 
 def gip_bandwidth(profiles, gamma_prime: float = 1.0) -> GipBandwidth:

@@ -8,6 +8,8 @@ import tempfile
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def derive_seed(master: int, label: str) -> int:
     """Deterministic per-stage seed derived from the master seed and a label.
@@ -40,18 +42,21 @@ def first_max(values: np.ndarray, scale: float) -> int:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write a file via temp-then-rename so readers never see partial output."""
+    """Write a file via temp-then-rename so readers never see partial output;
+    a path that cannot be written is a ConfigError that names it."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def fmt_float(x: float) -> str:

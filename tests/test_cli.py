@@ -210,6 +210,37 @@ def test_grid_with_a_class_below_n_folds_exits_two(
     assert fits == []
 
 
+class TestOutputLocation:
+    """An output location that cannot be written is a config error (exit 1):
+    no traceback, no temporary file left, nothing written to the working
+    directory."""
+
+    @pytest.mark.parametrize("case", ("file", "under-file", "rankings-dir", "empty"))
+    def test_unwritable_output_exits_one(
+        self, case, small_dataset, tmp_path, monkeypatch, caplog
+    ):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        out = {
+            "file": blocker, "under-file": blocker / "out",
+            "rankings-dir": tmp_path / "out", "empty": "",
+        }[case]
+        if case == "rankings-dir":
+            (out / "rankings.csv").mkdir(parents=True)
+        keys = base_keys(small_dataset, str(out))
+        args = [f"--set={k}={v}" for k, v in keys.items() if k != "output_dir"]
+        with caplog.at_level("ERROR"):
+            assert main(["rank", *args, "--output-dir", str(out)]) == 1
+        assert list(cwd.iterdir()) == []
+        assert not list(tmp_path.rglob(".tmp-*"))
+        if case != "empty":
+            assert any("cannot write" in r.message and str(out) in r.message
+                       for r in caplog.records)
+
+
 class TestDiseaseSimilarityFile:
     """A similarity file that lacks some of the matrix's diseases warns, and
     under --strict that warning is a data error, as for the feature table."""

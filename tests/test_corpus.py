@@ -5,6 +5,7 @@ import pytest
 
 from sda.corpus import (
     AssociationMatrix,
+    DiseaseDag,
     check_feature_alignment,
     load_association_matrix,
     load_disease_dag,
@@ -115,27 +116,25 @@ class TestFeatureTable:
 
 
 class TestDiseaseDag:
-    def test_two_leaf_toy_ancestors(self, tmp_path):
-        p = write(tmp_path / "dag.csv", "A,R\nB,R\n")
-        dag = load_disease_dag(p)
-        assert dag.ancestors("A") == {"A", "R"}
-        assert dag.ancestors("R") == {"R"}
-
     def test_cycle_named(self, tmp_path):
-        p = write(tmp_path / "dag.csv", "A,B\nB,A\n")
+        # the message names each node of the cycle once, and no other node
+        for text, nodes in [
+            ("A,B\nB,A\n", {"A", "B"}),
+            ("A,A\n", {"A"}),
+            ("X,A\nA,B\nB,C\nC,A\n", {"A", "B", "C"}),  # a cycle behind a tail
+        ]:
+            p = write(tmp_path / "dag.csv", text)
+            with pytest.raises(DataError, match="cycle") as info:
+                load_disease_dag(p)
+            cycle = str(info.value).split("cycle: ")[1].split(" -> ")
+            assert cycle[0] == cycle[-1] and len(cycle) == len(nodes) + 1
+            assert set(cycle) == nodes
+            edges = {tuple(row.split(",")) for row in text.split()}
+            assert all(step in edges for step in zip(cycle, cycle[1:]))  # child -> parent
+
+    def test_cycle_in_constructor_raises(self):
         with pytest.raises(DataError, match="cycle"):
-            load_disease_dag(p)
-
-    def test_diamond_ancestors(self, tmp_path):
-        # reachability by hand: D -> {B, C} -> A
-        p = write(tmp_path / "dag.csv", "D,B\nD,C\nB,A\nC,A\n")
-        dag = load_disease_dag(p)
-        assert dag.ancestors("D") == {"D", "B", "C", "A"}
-
-    def test_unknown_id_ancestors_raises(self, tmp_path):
-        dag = load_disease_dag(write(tmp_path / "dag.csv", "A,R\n"))
-        with pytest.raises(DataError, match="unknown disease id"):
-            dag.ancestors("Z")
+            DiseaseDag(["A", "B"], [("A", "B"), ("B", "A")])
 
 
 class TestSplit:

@@ -96,9 +96,16 @@ class TestSemanticContribution:
             assert sc[f"n{i}"] == pytest.approx(0.5**i, abs=1e-15)
 
     def test_defined_exactly_on_ancestor_closure(self):
-        dag = DiseaseDag(["A", "B", "R"], [("A", "R"), ("B", "R")])
-        sc = semantic_contribution(dag, "A", 0.5)
-        assert set(sc) == {"A", "R"}
+        two_leaves = [("A", "R"), ("B", "R")]
+        diamond = [("D", "B"), ("D", "C"), ("B", "A"), ("C", "A")]  # D -> {B, C} -> A
+        for edges, node, closure in [
+            (two_leaves, "A", {"A", "R"}),
+            (two_leaves, "R", {"R"}),
+            (diamond, "D", {"D", "B", "C", "A"}),
+        ]:
+            nodes = list(dict.fromkeys(n for edge in edges for n in edge))
+            sc = semantic_contribution(DiseaseDag(nodes, edges), node, 0.5)
+            assert set(sc) == closure
 
     def test_unknown_disease(self):
         with pytest.raises(DataError):
@@ -169,6 +176,9 @@ class TestDiseaseSemanticSimilarity:
         rng = np.random.default_rng(42)
         for trial in range(100):
             dag = random_dag(rng)
+            position = {node: i for i, node in enumerate(dag.order)}
+            assert sorted(position) == sorted(dag.nodes) == sorted(dag.order)
+            assert all(position[c] < position[p] for c, p in dag.edges)
             delta = float(rng.uniform(0.2, 1.0))
             sm = disease_semantic_similarity(dag, delta)
             for i, d1 in enumerate(dag.nodes):
@@ -181,6 +191,14 @@ class TestDiseaseSemanticSimilarity:
         dag = random_dag(rng)
         sm = disease_semantic_similarity(dag, 0.5)
         assert np.array_equal(sm.values, sm.values.T)
+
+    def test_underflowed_contribution_still_shared(self):
+        # r contributes 1e-600 -> 0.0 to a, yet is a shared ancestor of a
+        # and b: (0.0 + 1e-300) / (1.0 + 1.0)
+        dag = DiseaseDag(["a", "m", "r", "b"], [("a", "m"), ("m", "r"), ("b", "r")])
+        sm = disease_semantic_similarity(dag, 1e-300)
+        assert semantic_contribution(dag, "a", 1e-300)["r"] == 0.0
+        assert sm.values[0, 3] == 5e-301
 
 
 class TestGip:
