@@ -14,6 +14,7 @@ from sda.corpus import (
     split_known_unknown,
 )
 from sda.errors import DataError
+from sda.similarity import semantic_contribution
 from sda.synth import make_block_dataset
 
 
@@ -115,7 +116,18 @@ class TestFeatureTable:
             check_feature_alignment(ft, am, strict=True)
 
 
+def ancestors(dag, node):
+    # the ancestor closure is the key set of the node's semantic contribution
+    return set(semantic_contribution(dag, node))
+
+
 class TestDiseaseDag:
+    def test_two_leaf_toy_ancestors(self, tmp_path):
+        p = write(tmp_path / "dag.csv", "A,R\nB,R\n")
+        dag = load_disease_dag(p)
+        assert ancestors(dag, "A") == {"A", "R"}
+        assert ancestors(dag, "R") == {"R"}
+
     def test_cycle_named(self, tmp_path):
         # the message names each node of the cycle once, and no other node
         for text, nodes in [
@@ -131,6 +143,12 @@ class TestDiseaseDag:
             assert set(cycle) == nodes
             edges = {tuple(row.split(",")) for row in text.split()}
             assert all(step in edges for step in zip(cycle, cycle[1:]))  # child -> parent
+
+    def test_diamond_ancestors(self, tmp_path):
+        # reachability by hand: D -> {B, C} -> A
+        p = write(tmp_path / "dag.csv", "D,B\nD,C\nB,A\nC,A\n")
+        dag = load_disease_dag(p)
+        assert ancestors(dag, "D") == {"D", "B", "C", "A"}
 
     def test_cycle_in_constructor_raises(self):
         with pytest.raises(DataError, match="cycle"):
