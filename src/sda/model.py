@@ -2,7 +2,8 @@
 trained on the ensemble's leaf indices (see ``boost`` and ``svm``). The CV
 folds, the ranking and the holdout check all fit it with ``fit`` and score
 it with ``Model.score``; ``select`` gives the SVM point ``fit`` would take,
-without training the SVM.
+without training the SVM. The (C, gamma) grid search is here too: every SVM
+fit, a grid cell's included, is one ``svm.smo_train`` call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode
-from .svm import SvmModel, gamma_value, grid_search, smo_train, svm_decision
+from .evaluation import roc_auc, stratified_kfold
+from .svm import SvmModel, gamma_value, kernel_table, shared_leaves, smo_train, svm_decision
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -26,9 +28,6 @@ class SvmParams:
 
     c: float
     gamma: float | str
-
-    def gamma_for(self, total_leaves: int) -> float:
-        return gamma_value(self.gamma, total_leaves)
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,43 @@ def _ensemble(left, right, pairs, labels, cfg):
         learning_rate=cfg.learning_rate, max_depth=cfg.max_depth,
         min_samples_leaf=cfg.min_samples_leaf,
     )
+
+
+def grid_search(
+    X, y, c_values, gamma_values, n_folds: int = 5, seed: int = 0, tol: float = 1e-3,
+    max_passes: int = 100,
+):
+    """Pick (C, gamma) from ``c_values`` x ``gamma_values``, each a list of
+    distinct values, by mean fold ROC-AUC of the SVM's decision values on
+    the leaf rows ``X``.
+
+    The folds are the CV's (``stratified_kfold``), so each class needs
+    ``n_folds`` rows; with fewer it raises ``DataError`` before any fit.
+    Ties fall to the smaller C, then the smaller gamma. Each fold's
+    shared-leaf counts are computed once, training x training and test x
+    training; each (fold, gamma) Gram matrix once, from one kernel table,
+    and every C is solved on that Gram. A cell's test rows are scored from
+    the support vectors' columns of the test counts.
+    """
+    X = np.atleast_2d(np.asarray(X))
+    y01 = np.where(np.asarray(y) == 1, 1, 0)
+    fold_index = stratified_kfold(y01, n_folds, seed)
+    results = {(C, gamma): [] for C in c_values for gamma in gamma_values}
+    for f in range(n_folds):
+        test = fold_index == f
+        X_train, y_train, X_test = X[~test], y01[~test], X[test]
+        shared = shared_leaves(X_train, X_train)
+        shared_test = shared_leaves(X_test, X_train)
+        for gamma in gamma_values:
+            K = kernel_table(X.shape[1], gamma)[shared]
+            for C in c_values:
+                svm = smo_train(X_train, y_train, C, gamma, tol, max_passes, gram=K)
+                scores = svm_decision(svm, X_test, shared_test[:, svm.support])
+                results[(C, gamma)].append(roc_auc(scores, y01[test]))
+    _, best_c, best_gamma = min(
+        (-float(np.mean(scores)), C, gamma) for (C, gamma), scores in results.items()
+    )
+    return best_c, best_gamma, results
 
 
 def _grid_pick(ens: GbdtEnsemble, leaves, labels, cfg) -> SvmParams:
@@ -104,7 +140,7 @@ def fit(left, right, pairs, labels, cfg, params: SvmParams | None = None) -> Mod
     ens, leaves = _ensemble(left, right, pairs, labels, cfg)
     params = params or single_cell(cfg) or _grid_pick(ens, leaves, labels, cfg)
     svm = smo_train(
-        leaves, labels, C=params.c, gamma=params.gamma_for(ens.total_leaves),
+        leaves, labels, C=params.c, gamma=gamma_value(params.gamma, ens.total_leaves),
         tol=cfg.svm_tol, max_passes=cfg.svm_max_passes,
     )
     return Model(ens, svm, params)

@@ -1,6 +1,8 @@
 """Soft-margin SVM with an RBF kernel, trained on the boosted-tree leaf
 encodings by sequential minimal optimization with LIBSVM's second-order
-working-set selection (WSS2; Fan, Chen & Lin, JMLR 6, 2005).
+working-set selection (WSS2; Fan, Chen & Lin, JMLR 6, 2005). This module
+holds the kernel, the solver (``smo_train``, every SVM fit's one entry) and
+the decision sums; ``model`` fits, scores and picks (C, gamma) with them.
 
 A row is a pair's leaf index in each of T trees (``boost.gbdt_leaf_encode``).
 Its one-hot encoding has one 1 per tree, so two rows sharing s leaves lie
@@ -44,12 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .evaluation import roc_auc, stratified_kfold
 
 log = logging.getLogger(__name__)
 
 
-def _shared_leaves(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def shared_leaves(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """S[i, j] = the number of trees in which leaf rows A_i and B_j share a
     leaf, summed tree by tree in the smallest unsigned dtype that holds it."""
     S = np.zeros((len(A), len(B)), dtype=np.min_scalar_type(A.shape[1]))
@@ -58,7 +59,7 @@ def _shared_leaves(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return S
 
 
-def _kernel_table(n_trees: int, gamma: float) -> np.ndarray:
+def kernel_table(n_trees: int, gamma: float) -> np.ndarray:
     """The kernel value for each shared-leaf count s = 0..T."""
     return np.exp(-gamma * (2.0 * (n_trees - np.arange(n_trees + 1))))
 
@@ -66,7 +67,7 @@ def _kernel_table(n_trees: int, gamma: float) -> np.ndarray:
 def leaf_kernel(A, B, gamma: float) -> np.ndarray:
     """K[i, j] = exp(-gamma * ||x_i - y_j||^2) between the one-hot encodings
     of leaf rows A_i and B_j."""
-    return _kernel_table(A.shape[1], gamma)[_shared_leaves(A, B)]
+    return kernel_table(A.shape[1], gamma)[shared_leaves(A, B)]
 
 
 def gamma_value(setting, total_leaves: int) -> float:
@@ -79,6 +80,7 @@ def gamma_value(setting, total_leaves: int) -> float:
 @dataclass
 class SvmModel:
     support_vectors: np.ndarray  # (n_sv, n_trees) leaf rows
+    support: np.ndarray  # (n_sv,) their row indices among the training rows
     alphas: np.ndarray  # (n_sv,)
     labels: np.ndarray  # (n_sv,), values in {-1, +1}
     bias: float
@@ -207,29 +209,6 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
         steps += 1
 
 
-def _fit(
-    X: np.ndarray, y: np.ndarray, K: np.ndarray, C: float, gamma: float,
-    tol: float, max_passes: int,
-) -> tuple[SvmModel, np.ndarray]:
-    """Train on leaf rows ``X`` with labels ``y`` in {-1, +1} and their Gram ``K``.
-    Returns the model and the mask of its support vectors among the rows."""
-    n = len(y)
-    alphas, g, up, low, steps, converged = _solve(K, y, C, tol, max_passes)
-    if not converged:
-        log.warning("SMO did not converge within %d sweeps (n=%d)", max_passes, n)
-    keep = alphas > 0
-    return SvmModel(
-        support_vectors=X[keep].copy(),
-        alphas=alphas[keep].copy(),
-        labels=y[keep].copy(),
-        bias=_optimal_bias(y - g, up, low),
-        gamma=gamma,
-        converged=converged,
-        n_sweeps=-(-steps // n),
-        dual_objective=float(alphas.sum() - 0.5 * (g * (alphas * y)).sum()),
-    ), keep
-
-
 def smo_train(
     X,
     y,
@@ -237,9 +216,11 @@ def smo_train(
     gamma: float = 0.1,
     tol: float = 1e-3,
     max_passes: int = 100,
+    gram: np.ndarray | None = None,
 ) -> SvmModel:
     """Fit the dual soft-margin problem on leaf rows ``X`` (n, n_trees) by
-    WSS2 pairwise steps.
+    WSS2 pairwise steps. ``gram``, when given, is the Gram matrix
+    ``leaf_kernel(X, X, gamma)``, computed once for several fits.
 
     Converged means the maximal violating pair is closer than ``tol``.
     ``max_passes`` caps the steps at ``max_passes * n``; ``n_sweeps`` counts
@@ -248,7 +229,23 @@ def smo_train(
     """
     X = np.atleast_2d(np.asarray(X))
     y = _as_pm1(y)
-    return _fit(X, y, leaf_kernel(X, X, gamma), C, gamma, tol, max_passes)[0]
+    n = len(y)
+    K = leaf_kernel(X, X, gamma) if gram is None else gram
+    alphas, g, up, low, steps, converged = _solve(K, y, C, tol, max_passes)
+    if not converged:
+        log.warning("SMO did not converge within %d sweeps (n=%d)", max_passes, n)
+    support = np.flatnonzero(alphas > 0)
+    return SvmModel(
+        support_vectors=X[support],
+        support=support,
+        alphas=alphas[support],
+        labels=y[support],
+        bias=_optimal_bias(y - g, up, low),
+        gamma=gamma,
+        converged=converged,
+        n_sweeps=-(-steps // n),
+        dual_objective=float(alphas.sum() - 0.5 * (g * (alphas * y)).sum()),
+    )
 
 
 def _decision(n: int, kernel_rows, weights: np.ndarray) -> np.ndarray:
@@ -269,61 +266,17 @@ def _decision(n: int, kernel_rows, weights: np.ndarray) -> np.ndarray:
     return sums
 
 
-def svm_decision(model: SvmModel, X) -> np.ndarray:
+def svm_decision(model: SvmModel, X, shared: np.ndarray | None = None) -> np.ndarray:
     """Raw margin f(x) = sum_i alpha_i y_i K(sv_i, x) + b; sign is the label,
-    the value itself is the ranking confidence."""
+    the value itself is the ranking confidence. ``shared``, when given, is
+    ``shared_leaves(X, model.support_vectors)``, computed once for several
+    models."""
     X = np.atleast_2d(np.asarray(X))
-    return _decision(
-        len(X), lambda block: leaf_kernel(X[block], model.support_vectors, model.gamma),
-        model.alphas * model.labels,
-    ) + model.bias
+    table = kernel_table(X.shape[1], model.gamma)
 
+    def kernel_rows(block):
+        if shared is None:
+            return table[shared_leaves(X[block], model.support_vectors)]
+        return table[shared[block]]
 
-def grid_search(
-    X,
-    y,
-    c_values,
-    gamma_values,
-    n_folds: int = 5,
-    seed: int = 0,
-    tol: float = 1e-3,
-    max_passes: int = 100,
-):
-    """Pick (C, gamma) from ``c_values`` x ``gamma_values``, each a list of
-    distinct values, by mean fold ROC-AUC of the decision values.
-
-    The folds are the CV's (``stratified_kfold``), so each class needs
-    ``n_folds`` rows; with fewer it raises ``DataError`` before any fit.
-    Ties fall to the smaller C, then the smaller gamma. Each fold's
-    shared-leaf counts are computed once, training x training and test x
-    training; each (fold, gamma) Gram matrix once, from one kernel table,
-    and every C is solved on that Gram. A cell's decision values look up
-    the support vectors' columns of the test counts and are summed as
-    ``svm_decision`` sums them.
-    """
-    X = np.atleast_2d(np.asarray(X))
-    y01 = np.where(np.asarray(y) == 1, 1, 0)
-    fold_index = stratified_kfold(y01, n_folds, seed)
-
-    results: dict[tuple[float, float], list[float]] = {
-        (C, gamma): [] for C in c_values for gamma in gamma_values
-    }
-    for f in range(n_folds):
-        test = fold_index == f
-        X_train, y_train = X[~test], _as_pm1(y01[~test])
-        shared = _shared_leaves(X_train, X_train)
-        shared_test = _shared_leaves(X[test], X_train)
-        for gamma in gamma_values:
-            table = _kernel_table(X.shape[1], gamma)
-            K = table[shared]
-            for C in c_values:
-                model, keep = _fit(X_train, y_train, K, C, gamma, tol, max_passes)
-                scores = _decision(
-                    len(shared_test), lambda block: table[shared_test[block, keep]],
-                    model.alphas * model.labels,
-                ) + model.bias
-                results[(C, gamma)].append(roc_auc(scores, y01[test]))
-    _, best_c, best_gamma = min(
-        (-float(np.mean(scores)), C, gamma) for (C, gamma), scores in results.items()
-    )
-    return best_c, best_gamma, results
+    return _decision(len(X), kernel_rows, model.alphas * model.labels) + model.bias

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sda
-from sda import model, pipeline, svm
+from sda import model, pipeline
 from sda.cli import main
 from sda.config import PipelineConfig
 from sda.corpus import (
@@ -192,7 +192,7 @@ def test_grid_with_a_class_below_n_folds_exits_two(
     """The grid search folds as the CV does, so a balanced set with fewer
     rows of a class than n_folds is a data error before any SMO fit."""
     fits = []
-    monkeypatch.setattr(svm, "_fit", lambda *args: fits.append(args))
+    monkeypatch.setattr(model, "smo_train", lambda *args, **kwargs: fits.append(args))
     entries = np.zeros((8, 4), dtype=np.int8)
     for t in range(n_pos):
         entries[t, t % 4] = 1
@@ -496,8 +496,26 @@ class TestRunAll:
         cfg = write_config_file(tmp_path / "cfg.txt", **keys)
         assert main(["evaluate", "--config", cfg]) == 0
         folds = json.load(open(os.path.join(out, "report.json")))["folds"]
-        assert svm_calls == [fold["n_train"] for fold in folds]
+        # 5 folds x 4 cells of the grid, then the CV folds' own
+        assert len(svm_calls) == 5 * 4 + 5
+        assert svm_calls[-5:] == [fold["n_train"] for fold in folds]
+        n_balanced = folds[0]["n_train"] + folds[0]["n_test"]
+        assert max(svm_calls) < n_balanced
         assert len(gbdt_calls) == 6
+
+    def test_grid_rank_fits_every_svm_through_smo_train(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        # one fit per grid cell and fold, then the ranking model's on the
+        # full balanced set
+        svm_calls = self._count_fits(monkeypatch, "smo_train", rows_arg=0)
+        keys = base_keys(small_dataset, str(tmp_path / "out"),
+                         svm_c="1,10", svm_gamma="0.01,0.1")
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        assert main(["rank", "--config", cfg]) == 0
+        n_folds = PipelineConfig().n_folds
+        assert len(svm_calls) == n_folds * 4 + 1
+        assert svm_calls[-1] > max(svm_calls[:-1])
 
 
 class TestHoldout:

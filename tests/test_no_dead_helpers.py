@@ -1,7 +1,7 @@
 """Guards on the package's structure: no helper that only tests use, one
 module that fits and scores the model, metrics that do not pull in the
-model, an SVM that takes no matrix product, and commands that load neither
-``numpy.random`` nor OpenSSL.
+model, an SVM module that pulls in neither, an SVM that takes no matrix
+product, and commands that load neither ``numpy.random`` nor OpenSSL.
 
 Every public module-level function and class of ``src/sda``, and every
 public method of a public class, must be named somewhere in ``src/sda``
@@ -105,18 +105,31 @@ def test_svm_takes_no_matrix_product():
     assert not products, f"matrix products in svm.py: {products}"
 
 
-def test_metrics_do_not_import_the_model():
-    # the CV loop lives in ``pipeline``; ``svm`` imports the metrics at
-    # module top, so a metrics import of the model would be a cycle
-    code = "import sys, sda.evaluation; print(*sys.modules, sep='\\n')"
-    src = os.path.dirname(SRC)
-    env = dict(os.environ, PYTHONPATH=src)
+def _modules_loaded_by(module: str) -> set[str]:
+    """The modules a fresh interpreter holds after importing ``module``."""
+    code = f"import sys, {module}; print(*sys.modules, sep='\\n')"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    modules = set(proc.stdout.splitlines())
+    return set(proc.stdout.splitlines())
+
+
+def test_metrics_do_not_import_the_model():
+    # the CV loop lives in ``pipeline``; ``model`` imports the metrics at
+    # module top for the grid search, so a metrics import of the model
+    # would be a cycle
+    modules = _modules_loaded_by("sda.evaluation")
     assert "sda.evaluation" in modules
     assert "sda.model" not in modules
+
+
+def test_svm_imports_neither_the_metrics_nor_the_model():
+    # ``svm`` is the kernel, the solver and the decision sums; the grid
+    # search that scores its fits by ROC-AUC lives in ``model``
+    modules = _modules_loaded_by("sda.svm")
+    assert "sda.svm" in modules
+    assert not {"sda.evaluation", "sda.model"} & modules
 
 
 def test_run_loads_neither_numpy_random_nor_openssl(tmp_path):

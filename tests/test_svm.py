@@ -8,9 +8,9 @@ import pytest
 
 from sda import svm
 from sda.errors import DataError, NumericError
+from sda.model import grid_search
 from sda.svm import (
     SvmModel,
-    grid_search,
     leaf_kernel,
     smo_train,
     svm_decision,
@@ -468,7 +468,7 @@ class TestGridSearch:
     @staticmethod
     def _assert_no_fit_data_error(monkeypatch, y, message):
         fits = []
-        monkeypatch.setattr(svm, "_fit", lambda *args: fits.append(args))
+        monkeypatch.setattr("sda.model.smo_train", lambda *args, **kwargs: fits.append(args))
         X = leaf_rows(np.random.default_rng(13), len(y))
         with pytest.raises(DataError, match=f"{message}, fewer than 5 folds"):
             grid_search(X, y, [1.0, 10.0], [0.5], seed=3)
@@ -537,6 +537,7 @@ class TestMemory:
         X = leaf_rows(rng, n, n_trees=10, n_leaves=8)
         model = SvmModel(
             support_vectors=leaf_rows(rng, n_sv, n_trees=10, n_leaves=8),
+            support=np.arange(n_sv),
             alphas=rng.random(n_sv), labels=np.where(rng.random(n_sv) < 0.5, 1.0, -1.0),
             bias=0.1, gamma=0.05,
         )
