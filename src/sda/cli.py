@@ -6,13 +6,17 @@
     sda run-all   --config cfg.txt            prepare + evaluate + rank
     sda holdout   --config cfg.txt            held-out positive recovery check
 
+Every command is built from three stages, prepare, evaluate and rank; each
+stage prints its lines and returns the paths it wrote. ``main`` checks the
+command's targets (``pipeline.ARTIFACTS``) before any stage runs, writes
+``effective-config.txt`` and prints one ``wrote <path>`` line per path.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -20,6 +24,7 @@ import sys
 from . import pipeline
 from .config import MODES, PipelineConfig, effective_config_text, load_config
 from .errors import ConfigError, DataError, NumericError
+from .model import Model, SvmParams
 from .util import atomic_write_text
 
 log = logging.getLogger(__name__)
@@ -79,99 +84,72 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config, overrides)
 
 
-def _echo_config(cfg: PipelineConfig) -> str:
-    path = os.path.join(cfg.output_dir, "effective-config.txt")
-    atomic_write_text(path, effective_config_text(cfg))
-    return path
+# The three stages. Each prints its lines and returns the paths it wrote.
 
 
-def _print_descriptor(prepared: pipeline.PreparedData, cfg: PipelineConfig) -> None:
+def _prepare(cfg: PipelineConfig, write: bool) -> tuple[pipeline.PreparedData, list[str]]:
+    prepared = pipeline.prepare(cfg)
+    paths = pipeline.write_prepared(prepared, cfg.output_dir) if write else []
     am = prepared.am
     print(
         f"dataset {cfg.dataset_name}: {am.n_snornas} snoRNAs x {am.n_diseases} diseases, "
         f"{am.n_known} known associations, balanced set {len(prepared.pairs)} pairs "
         f"(k={prepared.k_used})"
     )
+    return prepared, paths
 
 
-def cmd_prepare(cfg: PipelineConfig) -> int:
-    _echo_config(cfg)
-    prepared = pipeline.prepare(cfg)
-    paths = pipeline.write_prepared(prepared, cfg.output_dir)
-    _print_descriptor(prepared, cfg)
-    for p in paths:
-        print(f"wrote {p}")
-    return 0
-
-
-def cmd_evaluate(cfg: PipelineConfig) -> int:
-    _echo_config(cfg)
-    prepared = pipeline.prepare(cfg)
-    params = pipeline.resolve_svm_params(prepared, cfg)
+def _evaluate(
+    prepared: pipeline.PreparedData, cfg: PipelineConfig, params: SvmParams
+) -> list[str]:
     report = pipeline.evaluate(prepared, cfg, params)
-    paths = pipeline.write_report(report, cfg.output_dir)
-    _print_descriptor(prepared, cfg)
     print(
         f"mode={report.mode} mean roc_auc={report.mean['roc_auc']:.4f} "
         f"auprc={report.mean['auprc']:.4f} accuracy={report.mean['accuracy']:.4f} "
         f"f1={report.mean['f1']:.4f}"
     )
-    for p in paths:
-        print(f"wrote {p}")
-    return 0
+    return pipeline.write_report(report, cfg.output_dir)
 
 
-def _rank_and_write(prepared, cfg: PipelineConfig, model) -> tuple[int, list[str]]:
+def _rank(prepared: pipeline.PreparedData, cfg: PipelineConfig, model: Model) -> list[str]:
     predictions, exhausted = pipeline.rank_candidates(prepared, cfg, model)
-    pipeline.write_rankings(predictions, cfg.output_dir)
-    return len(predictions), exhausted
-
-
-def cmd_rank(cfg: PipelineConfig) -> int:
-    _echo_config(cfg)
-    prepared = pipeline.prepare(cfg)
-    n_rows, exhausted = _rank_and_write(prepared, cfg, pipeline.fit_model(prepared, cfg))
-    _print_descriptor(prepared, cfg)
     for disease_id in exhausted:
         print(f"disease '{disease_id}' has no unknown pairs; zero rows ranked")
-    print(f"ranked top {cfg.top_k} per disease: {n_rows} rows")
-    print(f"wrote {os.path.join(cfg.output_dir, 'rankings.csv')}")
-    return 0
+    print(f"ranked top {cfg.top_k} per disease: {len(predictions)} rows")
+    return pipeline.write_rankings(predictions, cfg.output_dir)
 
 
-def cmd_run_all(cfg: PipelineConfig) -> int:
-    _echo_config(cfg)
+def cmd_prepare(cfg: PipelineConfig) -> list[str]:
+    return _prepare(cfg, write=True)[1]
+
+
+def cmd_evaluate(cfg: PipelineConfig) -> list[str]:
+    prepared, _ = _prepare(cfg, write=False)
+    return _evaluate(prepared, cfg, pipeline.resolve_svm_params(prepared, cfg))
+
+
+def cmd_rank(cfg: PipelineConfig) -> list[str]:
+    prepared, _ = _prepare(cfg, write=False)
+    return _rank(prepared, cfg, pipeline.fit_model(prepared, cfg))
+
+
+def cmd_run_all(cfg: PipelineConfig) -> list[str]:
     stage = "prepare"
     try:
-        prepared = pipeline.prepare(cfg)
-        pipeline.write_prepared(prepared, cfg.output_dir)
-        _print_descriptor(prepared, cfg)
-
+        prepared, paths = _prepare(cfg, write=True)
         stage = "evaluate"
         # the ranking model's (C, gamma) also serves the CV
         model = pipeline.fit_model(prepared, cfg)
-        report = pipeline.evaluate(prepared, cfg, model.params)
-        pipeline.write_report(report, cfg.output_dir)
-        print(
-            f"mode={report.mode} mean roc_auc={report.mean['roc_auc']:.4f} "
-            f"auprc={report.mean['auprc']:.4f}"
-        )
-
+        paths += _evaluate(prepared, cfg, model.params)
         stage = "rank"
-        n_rows, exhausted = _rank_and_write(prepared, cfg, model)
-        for disease_id in exhausted:
-            print(f"disease '{disease_id}' has no unknown pairs; zero rows ranked")
-        print(f"ranked top {cfg.top_k} per disease: {n_rows} rows")
+        paths += _rank(prepared, cfg, model)
     except (ConfigError, DataError, NumericError) as exc:
         raise type(exc)(f"[stage: {stage}] {exc}") from exc
-    return 0
+    return paths
 
 
-def cmd_holdout(cfg: PipelineConfig) -> int:
-    _echo_config(cfg)
+def cmd_holdout(cfg: PipelineConfig) -> list[str]:
     result = pipeline.holdout_inference_check(cfg)
-    path = os.path.join(cfg.output_dir, "holdout_report.json")
-    atomic_write_text(path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(
         f"held out {result['n_held_out']} positives: mean percentile "
         f"{result['mean_percentile']:.2f}, {result['fraction_in_top_k']:.2%} in top "
@@ -179,16 +157,16 @@ def cmd_holdout(cfg: PipelineConfig) -> int:
     )
     if result["excluded_diseases"]:
         print(f"excluded diseases: {', '.join(result['excluded_diseases'])}")
-    print(f"wrote {path}")
-    return 0
+    return pipeline.write_holdout(result, cfg.output_dir)
 
 
+# each command, and the stages whose artifacts (``pipeline.ARTIFACTS``) it writes
 _COMMANDS = {
-    "prepare": cmd_prepare,
-    "evaluate": cmd_evaluate,
-    "rank": cmd_rank,
-    "run-all": cmd_run_all,
-    "holdout": cmd_holdout,
+    "prepare": (cmd_prepare, ("prepare",)),
+    "evaluate": (cmd_evaluate, ("evaluate",)),
+    "rank": (cmd_rank, ("rank",)),
+    "run-all": (cmd_run_all, ("prepare", "evaluate", "rank")),
+    "holdout": (cmd_holdout, ("holdout",)),
 }
 
 
@@ -201,7 +179,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        command, stages = _COMMANDS[args.command]
+        # a target that is a directory fails before any stage runs
+        for stage in stages:
+            for name in pipeline.ARTIFACTS[stage]:
+                path = os.path.join(cfg.output_dir, name)
+                if os.path.isdir(path):
+                    raise ConfigError(f"cannot write {path}: Is a directory")
+        atomic_write_text(
+            os.path.join(cfg.output_dir, "effective-config.txt"), effective_config_text(cfg)
+        )
+        for path in command(cfg):
+            print(f"wrote {path}")
+        return 0
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 1

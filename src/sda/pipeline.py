@@ -27,7 +27,24 @@ log = logging.getLogger(__name__)
 
 
 PAIRS_HEADER = ("snorna_id", "disease_id", "label")  # balanced_pairs.csv
-PREPARE_RECORD = "prepare.json"  # the k a prepare run clustered with
+
+# The files each stage writes into the output directory. The writers below
+# and the loader of a prepare run's files take their paths from here, and
+# the CLI checks these targets before a command starts. ``prepare.json``
+# records the k a prepare run clustered with.
+ARTIFACTS = {
+    "prepare": (
+        "MSFS.csv", "MSFS.mask.csv", "MDSS.csv", "MDSS.mask.csv",
+        "balanced_pairs.csv", "prepare.json",
+    ),
+    "evaluate": ("report.json", "roc_points.csv", "pr_points.csv"),
+    "rank": ("rankings.csv",),
+    "holdout": ("holdout_report.json",),
+}
+
+
+def _artifact_paths(stage: str, out_dir: str) -> list[str]:
+    return [os.path.join(out_dir, name) for name in ARTIFACTS[stage]]
 
 
 @dataclass
@@ -162,12 +179,14 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
             "prepared_dir reuse supports paper-faithful mode only; strict-folds "
             "needs the base similarities to rebuild kernels per fold"
         )
-    msfs = similarity.load_similarity_matrix(os.path.join(cfg.prepared_dir, "MSFS.csv"))
-    mdss = similarity.load_similarity_matrix(os.path.join(cfg.prepared_dir, "MDSS.csv"))
+    msfs_path, _, mdss_path, _, pairs_path, record_path = _artifact_paths(
+        "prepare", cfg.prepared_dir
+    )
+    msfs = similarity.load_similarity_matrix(msfs_path)
+    mdss = similarity.load_similarity_matrix(mdss_path)
     if msfs.ids != am.snorna_ids or mdss.ids != am.disease_ids:
         raise DataError("prepared similarity matrices do not match the association matrix ids")
 
-    pairs_path = os.path.join(cfg.prepared_dir, "balanced_pairs.csv")
     s_index = {s: i for i, s in enumerate(am.snorna_ids)}
     d_index = {d: i for i, d in enumerate(am.disease_ids)}
     pairs: list[tuple[int, int]] = []
@@ -211,7 +230,7 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
         negatives=negatives,
         pairs=np.array(pairs, dtype=np.int64),
         labels=np.asarray(labels, dtype=int),
-        k_used=_load_k_used(os.path.join(cfg.prepared_dir, PREPARE_RECORD)),
+        k_used=_load_k_used(record_path),
     )
 
 
@@ -495,9 +514,9 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
 
 
 def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
-    msfs_path = os.path.join(out_dir, "MSFS.csv")
-    mdss_path = os.path.join(out_dir, "MDSS.csv")
-    pairs_path = os.path.join(out_dir, "balanced_pairs.csv")
+    paths = _artifact_paths("prepare", out_dir)
+    msfs_path, _, mdss_path, _, pairs_path, record_path = paths
+    # each matrix's mask goes to the ``.mask.csv`` beside it
     similarity.save_similarity_matrix(prepared.msfs, msfs_path)
     similarity.save_similarity_matrix(prepared.mdss, mdss_path)
     snorna_ids, disease_ids = prepared.am.snorna_ids, prepared.am.disease_ids
@@ -507,31 +526,38 @@ def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
         + [(snorna_ids[s], disease_ids[d], str(label))
            for (s, d), label in zip(prepared.pairs.tolist(), prepared.labels.tolist())],
     )
-    record_path = os.path.join(out_dir, PREPARE_RECORD)
     atomic_write_text(record_path, json.dumps({"k": prepared.k_used}) + "\n")
-    return [msfs_path, mdss_path, pairs_path, record_path]
+    return paths
+
+
+def _write_json(path: str, obj) -> None:
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_report(report: MetricsReport, out_dir: str) -> list[str]:
-    report_path = os.path.join(out_dir, "report.json")
+    paths = _artifact_paths("evaluate", out_dir)
+    report_path, roc_path, pr_path = paths
     # A shallow dict: json writes the curves' tuples as arrays, with no copy.
-    shallow = {f.name: getattr(report, f.name) for f in fields(report)}
-    atomic_write_text(report_path, json.dumps(shallow, indent=2, sort_keys=True) + "\n")
-    roc_path = os.path.join(out_dir, "roc_points.csv")
-    pr_path = os.path.join(out_dir, "pr_points.csv")
+    _write_json(report_path, {f.name: getattr(report, f.name) for f in fields(report)})
     for path, header, curve in (
         (roc_path, ("far", "tar"), report.roc_curve),
         (pr_path, ("recall", "precision"), report.pr_curve),
     ):
         corpus.write_rows(path, [header] + [tuple(map(fmt_float, point)) for point in curve])
-    return [report_path, roc_path, pr_path]
+    return paths
 
 
-def write_rankings(predictions: list[RankedPrediction], out_dir: str) -> str:
-    path = os.path.join(out_dir, "rankings.csv")
+def write_rankings(predictions: list[RankedPrediction], out_dir: str) -> list[str]:
+    paths = _artifact_paths("rank", out_dir)
     corpus.write_rows(
-        path,
+        paths[0],
         [("disease_id", "snorna_id", "score", "rank")]
         + [(p.disease_id, p.snorna_id, fmt_float(p.score), str(p.rank)) for p in predictions],
     )
-    return path
+    return paths
+
+
+def write_holdout(result: dict, out_dir: str) -> list[str]:
+    paths = _artifact_paths("holdout", out_dir)
+    _write_json(paths[0], result)
+    return paths

@@ -50,14 +50,6 @@ class SimilarityMatrix:
             raise DataError("similarity matrix holds non-finite available values")
 
 
-@dataclass
-class GipBandwidth:
-    """Kernel bandwidth: gamma = gamma_prime / mean squared profile norm."""
-
-    gamma: float
-    gamma_prime: float = 1.0
-
-
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
     """Copy the upper triangle onto the lower one for bitwise symmetry."""
     upper = np.triu(values)
@@ -145,18 +137,18 @@ def disease_semantic_similarity(
     return reindex(SimilarityMatrix(present, values, np.ones(values.shape, bool)), out_ids)
 
 
-def gip_bandwidth(profiles, gamma_prime: float = 1.0) -> GipBandwidth:
-    """Bandwidth normalized by the mean squared profile norm."""
+def gip_bandwidth(profiles, gamma_prime: float = 1.0) -> float:
+    """The GIP kernel's gamma: ``gamma_prime`` over the mean squared profile norm."""
     profiles = np.asarray(profiles, dtype=np.float64)
     if profiles.ndim != 2 or profiles.shape[0] == 0:
         raise ValueError("profiles must be a nonempty 2-D array")
     mean_sq = float(np.mean(np.sum(profiles**2, axis=1)))
     if mean_sq == 0.0:
         raise NumericError("degenerate interaction profiles: all profiles are zero")
-    return GipBandwidth(gamma=gamma_prime / mean_sq, gamma_prime=gamma_prime)
+    return gamma_prime / mean_sq
 
 
-def gip_similarity(profiles, bw: GipBandwidth, ids: list[str]) -> SimilarityMatrix:
+def gip_similarity(profiles, gamma: float, ids: list[str]) -> SimilarityMatrix:
     """Gaussian kernel over interaction profiles: exp(-gamma * ||p_i - p_j||^2)."""
     profiles = np.asarray(profiles, dtype=np.float64)
     if profiles.shape[0] != len(ids):
@@ -164,7 +156,7 @@ def gip_similarity(profiles, bw: GipBandwidth, ids: list[str]) -> SimilarityMatr
     sq = np.sum(profiles**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (profiles @ profiles.T)
     np.maximum(d2, 0.0, out=d2)
-    values = _mirror_upper(np.exp(-bw.gamma * d2))
+    values = _mirror_upper(np.exp(-gamma * d2))
     np.fill_diagonal(values, 1.0)
     available = np.ones((len(ids), len(ids)), dtype=bool)
     return SimilarityMatrix(list(ids), values, available)

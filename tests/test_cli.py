@@ -241,6 +241,23 @@ class TestOutputLocation:
                        for r in caplog.records)
 
 
+    @pytest.mark.parametrize("command, target", (
+        ("rank", "rankings.csv"), ("evaluate", "report.json"),
+    ))
+    def test_directory_target_fails_before_the_pipeline(
+        self, command, target, small_dataset, tmp_path, monkeypatch, caplog
+    ):
+        out = tmp_path / "out"
+        (out / target).mkdir(parents=True)
+        prepares = []
+        monkeypatch.setattr(pipeline, "prepare", lambda cfg: prepares.append(cfg))
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, str(out)))
+        with caplog.at_level("ERROR"):
+            assert main([command, "--config", cfg]) == 1
+        assert prepares == []
+        assert any(f"cannot write {out / target}" in r.message for r in caplog.records)
+
+
 class TestDiseaseSimilarityFile:
     """A similarity file that lacks some of the matrix's diseases warns, and
     under --strict that warning is a data error, as for the feature table."""
@@ -420,6 +437,17 @@ class TestRunAll:
         with caplog.at_level("ERROR"):
             assert main(["run-all", "--config", cfg]) == 2
         assert any("[stage: prepare]" in r.message for r in caplog.records)
+
+    def test_wrote_lines_name_every_output(self, small_dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, str(out)))
+        assert main(["run-all", "--config", cfg]) == 0
+        wrote = [line[len("wrote "):] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert all(os.path.isfile(path) for path in wrote)
+        assert len(set(wrote)) == len(wrote)
+        names = {os.path.relpath(path, out) for path in wrote} | {"effective-config.txt"}
+        assert names == set(os.listdir(out))
 
     def test_effective_config_reruns_identically(self, small_dataset, tmp_path):
         self._rerun_from_echo(small_dataset, tmp_path, "4")

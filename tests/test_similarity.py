@@ -203,13 +203,13 @@ class TestDiseaseSemanticSimilarity:
 
 class TestGip:
     def test_bandwidth_basis_profiles(self):
-        bw = gip_bandwidth(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
-        assert bw.gamma == pytest.approx(1.0, abs=1e-15)
+        gamma = gip_bandwidth(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+        assert gamma == pytest.approx(1.0, abs=1e-15)
 
     def test_bandwidth_linear_in_gamma_prime(self):
         profiles = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert gip_bandwidth(profiles, 2.0).gamma == pytest.approx(
-            2.0 * gip_bandwidth(profiles, 1.0).gamma, rel=1e-15
+        assert gip_bandwidth(profiles, 2.0) == pytest.approx(
+            2.0 * gip_bandwidth(profiles, 1.0), rel=1e-15
         )
 
     def test_all_zero_profiles_degenerate(self):
@@ -240,10 +240,8 @@ class TestGip:
         rng = np.random.default_rng(3)
         profiles = (rng.random((5, 7)) < 0.5).astype(float)
         ids = [f"i{k}" for k in range(5)]
-        from sda.similarity import GipBandwidth
-
-        lo = gip_similarity(profiles, GipBandwidth(0.3), ids).values
-        hi = gip_similarity(profiles, GipBandwidth(0.9), ids).values
+        lo = gip_similarity(profiles, 0.3, ids).values
+        hi = gip_similarity(profiles, 0.9, ids).values
         off = ~np.eye(5, dtype=bool)
         assert np.all(hi[off] <= lo[off] + 1e-15)
 
