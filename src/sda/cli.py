@@ -11,12 +11,19 @@ stage prints its lines and returns the paths it wrote. ``main`` checks the
 command's targets (``pipeline.ARTIFACTS``) before any stage runs, writes
 ``effective-config.txt`` and prints one ``wrote <path>`` line per path.
 
+``main`` freezes the heap (``gc.freeze()``) once it has parsed its
+arguments, so the garbage collector, at interpreter exit too, skips numpy
+and the ``sda`` modules. A program that calls ``main`` in-process and keeps
+running should call ``gc.unfreeze()`` afterwards, as ``tests/conftest.py``
+does.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -177,6 +184,10 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    # Everything alive here (numpy, the sda modules, argparse) lives until the
+    # process ends: the collector need not walk it again, neither during the
+    # run nor in the collections at exit, which walked all of it.
+    gc.freeze()
     try:
         cfg = _config_from_args(args)
         command, stages = _COMMANDS[args.command]

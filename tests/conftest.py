@@ -1,3 +1,4 @@
+import gc
 import os
 
 import numpy as np
@@ -10,6 +11,14 @@ from sda.synth import make_block_dataset, write_dataset_files
 # Generator settings shared by the pipeline-level tests: strong planted
 # blocks so the signal is comfortably learnable at default capacity.
 BLOCK_KW = dict(within=0.8, across=0.001, n_blocks=5, feature_noise=0.08, seed=21)
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_heap():
+    """``cli.main`` freezes the heap; thaw it so that what a test leaves
+    behind stays collectable."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

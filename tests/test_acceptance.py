@@ -11,6 +11,7 @@ import math
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ class TestCriterion8Determinism:
             outputs.append(out)
         same = True
         for name in ("report.json", "rankings.csv", "roc_points.csv", "pr_points.csv"):
-            a = open(os.path.join(outputs[0], name), "rb").read()
-            b = open(os.path.join(outputs[1], name), "rb").read()
+            a = Path(outputs[0], name).read_bytes()
+            b = Path(outputs[1], name).read_bytes()
             same = same and a == b
         report("8", same, "report.json and rankings.csv byte-identical across reruns")
 

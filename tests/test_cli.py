@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestPrepare:
         out = str(tmp_path / "out")
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
         assert main(["prepare", "--config", cfg]) == 0
-        lines = open(os.path.join(out, "balanced_pairs.csv")).read().splitlines()
+        lines = Path(out, "balanced_pairs.csv").read_text().splitlines()
         body = lines[1:]
         labels = [int(row.rsplit(",", 1)[1]) for row in body]
         assert sum(labels) * 2 == len(labels)  # exactly 50% positives
@@ -71,8 +72,8 @@ class TestPrepare:
         assert main(["prepare", "--config", cfg1]) == 0
         assert main(["prepare", "--config", cfg2]) == 0
         for name in ("MSFS.csv", "MDSS.csv", "balanced_pairs.csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out1, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             assert a == b, name
 
     def test_missing_file_is_data_error(self, small_dataset, tmp_path):
@@ -103,7 +104,7 @@ class TestConfig:
         out = str(tmp_path / "out")
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
         assert main(["prepare", "--config", cfg, "--seed", "99"]) == 0
-        echoed = open(os.path.join(out, "effective-config.txt")).read()
+        echoed = Path(out, "effective-config.txt").read_text()
         assert "seed = 99" in echoed
 
     def test_empty_config_defaults_echoed(self, tmp_path):
@@ -112,7 +113,7 @@ class TestConfig:
         out = str(tmp_path / "out")
         rc = main(["run-all", "--config", str(cfg), "--output-dir", out])
         assert rc == 2  # no association path: data error after the echo
-        echoed = open(os.path.join(out, "effective-config.txt")).read()
+        echoed = Path(out, "effective-config.txt").read_text()
         assert "n_trees = 10" in echoed
         assert "n_folds = 5" in echoed
         assert "delta = 0.5" in echoed
@@ -325,8 +326,8 @@ class TestEvaluate:
         cfg2 = write_config_file(tmp_path / "c2.txt", **base_keys(small_dataset, out2))
         assert main(["evaluate", "--config", cfg1, "--seed", "7"]) == 0
         assert main(["evaluate", "--config", cfg2, "--seed", "7"]) == 0
-        r1 = open(os.path.join(out1, "report.json"), "rb").read()
-        r2 = open(os.path.join(out2, "report.json"), "rb").read()
+        r1 = Path(out1, "report.json").read_bytes()
+        r2 = Path(out2, "report.json").read_bytes()
         assert r1 == r2
         doc = json.loads(r1)
         assert doc["mode"] == "paper-faithful"
@@ -340,7 +341,7 @@ class TestEvaluate:
         out = str(tmp_path / "out")
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
         assert main(["evaluate", "--config", cfg, "--mode", "strict-folds"]) == 0
-        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        doc = json.loads(Path(out, "report.json").read_text())
         assert doc["mode"] == "strict-folds"
 
     def test_strict_folds_with_k_range(self, small_dataset, tmp_path, capsys):
@@ -352,7 +353,7 @@ class TestEvaluate:
                 "--set", "mode=strict-folds", "--set", "k=5,10"]
         assert main(argv) == 0
         assert "Traceback" not in capsys.readouterr().err
-        doc = json.loads(open(os.path.join(out, "report.json")).read())
+        doc = json.loads(Path(out, "report.json").read_text())
         assert doc["mode"] == "strict-folds"
 
 
@@ -361,7 +362,7 @@ class TestRank:
         out = str(tmp_path / "out")
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
         assert main(["rank", "--config", cfg]) == 0
-        rows = open(os.path.join(out, "rankings.csv")).read().splitlines()
+        rows = Path(out, "rankings.csv").read_text().splitlines()
         assert rows[0] == "disease_id,snorna_id,score,rank"
         body = [r.split(",") for r in rows[1:]]
 
@@ -425,7 +426,7 @@ class TestRank:
         assert main(["rank", "--config", cfg]) == 0
         stdout = capsys.readouterr().out
         assert "'d0' has no unknown pairs" in stdout
-        rows = open(os.path.join(out, "rankings.csv")).read().splitlines()[1:]
+        rows = Path(out, "rankings.csv").read_text().splitlines()[1:]
         assert all(not r.startswith("d0,") for r in rows)
 
 
@@ -464,11 +465,11 @@ class TestRunAll:
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out1, k=k))
         assert main(["run-all", "--config", cfg]) == 0
         echoed = os.path.join(out1, "effective-config.txt")
-        assert f"k = {k}" in open(echoed).read().splitlines()
+        assert f"k = {k}" in Path(echoed).read_text().splitlines()
         assert main(["run-all", "--config", echoed, "--output-dir", out2]) == 0
         for name in ("report.json", "rankings.csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out1, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             assert a == b, name
 
     @staticmethod
@@ -508,7 +509,7 @@ class TestRunAll:
         out = str(tmp_path / "out")
         cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, out))
         assert main(["evaluate", "--config", cfg]) == 0
-        folds = json.load(open(os.path.join(out, "report.json")))["folds"]
+        folds = json.loads(Path(out, "report.json").read_text())["folds"]
         assert calls == [fold["n_train"] for fold in folds]
         assert len(calls) == 5
 
@@ -523,7 +524,7 @@ class TestRunAll:
         keys = base_keys(small_dataset, out, svm_c="1,10", svm_gamma="0.01,0.1")
         cfg = write_config_file(tmp_path / "cfg.txt", **keys)
         assert main(["evaluate", "--config", cfg]) == 0
-        folds = json.load(open(os.path.join(out, "report.json")))["folds"]
+        folds = json.loads(Path(out, "report.json").read_text())["folds"]
         # 5 folds x 4 cells of the grid, then the CV folds' own
         assert len(svm_calls) == 5 * 4 + 5
         assert svm_calls[-5:] == [fold["n_train"] for fold in folds]
@@ -559,8 +560,8 @@ class TestHoldout:
         )
         assert main(["holdout", "--config", c1]) == 0
         assert main(["holdout", "--config", c2]) == 0
-        r1 = open(os.path.join(out1, "holdout_report.json"), "rb").read()
-        r2 = open(os.path.join(out2, "holdout_report.json"), "rb").read()
+        r1 = Path(out1, "holdout_report.json").read_bytes()
+        r2 = Path(out2, "holdout_report.json").read_bytes()
         assert r1 == r2
         doc = json.loads(r1)
         for key in ("mean_percentile", "fraction_in_top_k", "n_held_out", "pairs"):
@@ -811,6 +812,32 @@ def test_rankings_do_not_depend_on_blas_threads(tmp_path):
         assert rc == 0, err
         rankings.append((out / "rankings.csv").read_bytes())
     assert rankings[0] == rankings[1]
+
+
+def test_command_freezes_the_startup_heap(tmp_path):
+    # The collections at exit walked the ~22k objects that importing numpy
+    # and sda makes, most of the exit time; main freezes those objects so
+    # that the collector skips them.
+    paths = write_dataset_files(str(tmp_path / "data"), *make_block_dataset(40, 12, seed=0))
+    cfg = write_config_file(
+        tmp_path / "cfg.txt", association_path=paths["association"],
+        feature_path=paths["features"], dag_path=paths["dag"], k="4",
+        output_dir=str(tmp_path / "out"), svm_c="10", svm_gamma="0.1",
+    )
+    code = (
+        "import gc, sys; import numpy; from sda import cli; "
+        "imported = len(gc.get_objects()); rc = cli.main(['rank', '--config', sys.argv[1]]); "
+        "print(rc, imported, gc.get_freeze_count())"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sda.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, imported, frozen = map(int, proc.stdout.splitlines()[-1].split())
+    assert rc == 0, proc.stderr
+    assert frozen >= imported > 0
 
 
 @pytest.mark.parametrize(

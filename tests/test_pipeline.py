@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,8 +458,8 @@ class TestPreparedReuse:
         )
         assert main(["evaluate", "--config", cfg3]) == 0
 
-        a = open(os.path.join(direct_out, "report.json"), "rb").read()
-        b = open(os.path.join(reuse_out, "report.json"), "rb").read()
+        a = Path(direct_out, "report.json").read_bytes()
+        b = Path(reuse_out, "report.json").read_bytes()
         assert a == b
 
     def test_reuse_rejects_strict_folds(self, synth_dataset, tmp_path):
