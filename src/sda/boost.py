@@ -35,7 +35,7 @@ recorded as the tree grows, so boosting never routes its own pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def _entity_grid(left, right, pairs):
     return columns, positions[0] * columns[1].shape[1] + positions[1]
 
 
-@dataclass
-class RegressionTree:
+class RegressionTree(NamedTuple):
     """Flat-array binary tree; nodes in preorder, leaf ordinals contiguous.
     Feature j tests ``left[:, j]`` below the left table's width w, else
     ``right[:, j - w]``."""
@@ -108,13 +107,12 @@ class RegressionTree:
         return grid
 
 
-@dataclass
-class GbdtEnsemble:
+class GbdtEnsemble(NamedTuple):
     trees: list[RegressionTree]
     init_score: float
     learning_rate: float
     n_trees: int
-    loss_history: list[float] = field(default_factory=list)
+    loss_history: list[float]
 
     @property
     def total_leaves(self) -> int:
@@ -319,20 +317,20 @@ def gbdt_fit(
         raise ValueError("n_trees must be at least 1")
     init = gbdt_init(y)
     scores = np.full(len(y), init)
-    ens = GbdtEnsemble([], init, learning_rate, n_trees)
-    ens.loss_history.append(logistic_loss(y, scores))
+    trees, loss_history = [], [logistic_loss(y, scores)]
     leaves, offset = [], 0
     for _ in range(n_trees):
         p = sigmoid(scores)
         tree, leaf_of_row = _grow_tree(
             tables, ents, sides, y - p, p * (1.0 - p), max_depth, min_samples_leaf, lam
         )
-        ens.trees.append(tree)
+        trees.append(tree)
         # Each training row's leaf is known from the growth: no re-routing.
         scores = scores + learning_rate * tree.value[leaf_of_row]
-        ens.loss_history.append(logistic_loss(y, scores))
+        loss_history.append(logistic_loss(y, scores))
         leaves.append(offset + tree.leaf_ordinal[leaf_of_row])
         offset += tree.n_leaves
+    ens = GbdtEnsemble(trees, init, learning_rate, n_trees, loss_history)
     return ens, np.column_stack(leaves)
 
 

@@ -6,6 +6,11 @@
     sda run-all   --config cfg.txt            prepare + evaluate + rank
     sda holdout   --config cfg.txt            held-out positive recovery check
 
+One parser serves every command: the command word and the options
+``-v``, ``--config``, ``--seed``, ``--top-k``, ``--mode``, ``--strict``,
+``--output-dir`` and ``--set KEY=VALUE`` (repeatable) are accepted in any
+order, options before the command word too.
+
 Every command is built from three stages, prepare, evaluate and rank; each
 stage prints its lines and returns the paths it wrote. ``main`` checks the
 command's targets (``pipeline.ARTIFACTS``) before any stage runs, writes
@@ -46,28 +51,27 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="sda", description="snoRNA-disease association prediction pipeline"
+        prog="sda",
+        description="snoRNA-disease association prediction pipeline",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<10}{help_text}" for name, (_, _, help_text) in _COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("prepare", "build similarity matrices and the balanced pair set"),
-        ("evaluate", "run stratified cross-validation and write the report"),
-        ("rank", "train on the full balanced set and rank unknown pairs"),
-        ("run-all", "prepare, evaluate, and rank in one run"),
-        ("holdout", "hold out known positives and check their recovery"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--top-k", type=int, dest="top_k", help="ranked pairs per disease")
-        p.add_argument("--mode", choices=MODES, help="similarity handling across folds")
-        p.add_argument("--strict", action="store_true", help="treat warnings as errors")
-        p.add_argument("--output-dir", dest="output_dir", help="artifact directory")
-        p.add_argument(
-            "--set", action="append", default=[], metavar="KEY=VALUE",
-            help="override any config key (repeatable)",
-        )
+    parser.add_argument("--config", help="flat key = value config file")
+    parser.add_argument("--seed", type=int, help="master seed (overrides config)")
+    parser.add_argument("--top-k", type=int, dest="top_k", help="ranked pairs per disease")
+    parser.add_argument("--mode", choices=MODES, help="similarity handling across folds")
+    parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
+    parser.add_argument("--output-dir", dest="output_dir", help="artifact directory")
+    parser.add_argument(
+        "--set", action="append", default=[], metavar="KEY=VALUE",
+        help="override any config key (repeatable)",
+    )
     return parser
 
 
@@ -167,13 +171,22 @@ def cmd_holdout(cfg: PipelineConfig) -> list[str]:
     return pipeline.write_holdout(result, cfg.output_dir)
 
 
-# each command, and the stages whose artifacts (``pipeline.ARTIFACTS``) it writes
+# each command, the stages whose artifacts (``pipeline.ARTIFACTS``) it
+# writes, and its line in ``--help``
 _COMMANDS = {
-    "prepare": (cmd_prepare, ("prepare",)),
-    "evaluate": (cmd_evaluate, ("evaluate",)),
-    "rank": (cmd_rank, ("rank",)),
-    "run-all": (cmd_run_all, ("prepare", "evaluate", "rank")),
-    "holdout": (cmd_holdout, ("holdout",)),
+    "prepare": (
+        cmd_prepare, ("prepare",), "build similarity matrices and the balanced pair set"
+    ),
+    "evaluate": (
+        cmd_evaluate, ("evaluate",), "run stratified cross-validation and write the report"
+    ),
+    "rank": (cmd_rank, ("rank",), "train on the full balanced set and rank unknown pairs"),
+    "run-all": (
+        cmd_run_all, ("prepare", "evaluate", "rank"), "prepare, evaluate, and rank in one run"
+    ),
+    "holdout": (
+        cmd_holdout, ("holdout",), "hold out known positives and check their recovery"
+    ),
 }
 
 
@@ -190,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.freeze()
     try:
         cfg = _config_from_args(args)
-        command, stages = _COMMANDS[args.command]
+        command, stages, _ = _COMMANDS[args.command]
         # a target that is a directory fails before any stage runs
         for stage in stages:
             for name in pipeline.ARTIFACTS[stage]:

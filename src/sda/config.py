@@ -8,7 +8,7 @@ echo alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .corpus import read_text
 from .errors import ConfigError, DataError
@@ -20,8 +20,10 @@ MODES = ("paper-faithful", "strict-folds")
 _LIST_KEYS = {"k": int, "svm_c": float, "svm_gamma": float}
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
+    """Every setting of a run. Input only: a run derives no values into it,
+    and a changed config is a new one (``_replace``)."""
+
     association_path: str = ""
     feature_path: str = ""
     dag_path: str = ""
@@ -99,7 +101,7 @@ def _finite_positive(x) -> bool:
     return 0 < x < math.inf  # false for nan
 
 
-CONFIG_KEYS = [f.name for f in fields(PipelineConfig)]
+CONFIG_KEYS = PipelineConfig._fields
 
 
 def _parse_value(key: str, raw: str):
@@ -108,7 +110,7 @@ def _parse_value(key: str, raw: str):
         entry = _LIST_KEYS[key]
         items = [p.strip() for p in raw.split(",") if p.strip()]
         return tuple("1/d" if key == "svm_gamma" and p == "1/d" else entry(p) for p in items)
-    default = getattr(PipelineConfig(), key)
+    default = PipelineConfig._field_defaults[key]
     if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True

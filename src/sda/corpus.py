@@ -9,8 +9,8 @@ with a newline (``write_rows``). The formats:
     one cell per column. A repeated row or column id is a data error.
   * association matrix: labelled table, snoRNA rows x disease columns,
     cells "0"/"1"
-  * feature table: labelled table, CSV or TSV (picked by extension),
-    snoRNA rows x feature names, finite float cells
+  * feature table: labelled table, CSV or TSV (picked by extension, in
+    any case), snoRNA rows x at least one feature name, finite float cells
   * similarity matrix (``similarity``): square labelled table, the same ids
     in the same order on both axes, float cells; its optional sibling
     ``<name>.mask.csv`` has the same ids and "0"/"1" cells
@@ -32,8 +32,8 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,8 +156,7 @@ def write_table(path: str, row_ids, col_ids, values, fmt=str) -> None:
     )
 
 
-@dataclass
-class AssociationMatrix:
+class AssociationMatrix(NamedTuple):
     """Binary snoRNA x disease matrix of known associations."""
 
     snorna_ids: list[str]
@@ -177,8 +176,7 @@ class AssociationMatrix:
         return int(self.entries.sum())
 
 
-@dataclass
-class FeatureTable:
+class FeatureTable(NamedTuple):
     """Per-snoRNA real-valued feature rows."""
 
     snorna_ids: list[str]
@@ -189,19 +187,15 @@ class FeatureTable:
         return self.features.shape[1]
 
 
-@dataclass
 class DiseaseDag:
     """Directed acyclic graph of disease terms; edges point child -> parent,
     and ``order`` lists every node, each child before its parents."""
 
-    nodes: list[str]
-    edges: list[tuple[str, str]]
-    _parents: dict[str, list[str]] = field(default_factory=dict, repr=False)
-    order: list[str] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._parents = {n: [] for n in self.nodes}
-        for child, parent in self.edges:
+    def __init__(self, nodes: list[str], edges: list[tuple[str, str]]):
+        self.nodes = nodes
+        self.edges = edges
+        self._parents: dict[str, list[str]] = {n: [] for n in nodes}
+        for child, parent in edges:
             self._parents[child].append(parent)
         try:  # the sorter puts parents first; reversed, children come first
             self.order = [*TopologicalSorter(self._parents).static_order()][::-1]
@@ -234,11 +228,14 @@ def save_association_matrix(am: AssociationMatrix, path: str) -> None:
 
 
 def load_feature_table(path: str) -> FeatureTable:
-    """Load a snoRNA feature table; feature count is inferred from the header."""
-    delimiter = "\t" if path.endswith(".tsv") else ","
+    """Load a snoRNA feature table; feature count is inferred from the header,
+    which must name at least one feature."""
+    delimiter = "\t" if path.lower().endswith(".tsv") else ","
     snorna_ids, names, features = read_table(
         path, "finite", axes=("snoRNA", "feature"), delimiter=delimiter
     )
+    if not names:
+        raise DataError(f"{path}: the header names no feature columns")
     log.info(
         "loaded feature table %s: %d rows x %d features", path, len(snorna_ids), len(names)
     )

@@ -1,6 +1,6 @@
 """Folds and metrics: stratified fold assignment, ROC-AUC, AUPRC,
 accuracy/F1, curve export, and the report the CV (``pipeline.evaluate``)
-fills in.
+builds.
 
 ROC-AUC is the tie-aware rank statistic (the probability a random positive
 outscores a random negative, ties counted half), not a trapezoid over
@@ -11,7 +11,7 @@ thresholds. Curve points are still exported for plotting.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def pr_auc(scores, labels) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-@dataclass
-class ThresholdMetrics:
+class ThresholdMetrics(NamedTuple):
     accuracy: float
     f1: float
     f1_defined: bool = True
@@ -143,15 +142,14 @@ def pr_points(scores, labels) -> list[tuple[float, float]]:
     return list(zip(recall.tolist(), (tp / ends).tolist()))
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     mode: str
     n_folds: int
     seed: int
     svm_c: float
     svm_gamma: float | str  # a number, or the literal "1/d"
-    folds: list[dict] = field(default_factory=list)
-    mean: dict = field(default_factory=dict)
-    roc_curve: list[tuple[float, float]] = field(default_factory=list)
-    pr_curve: list[tuple[float, float]] = field(default_factory=list)
+    folds: list[dict]
+    mean: dict
+    roc_curve: list[tuple[float, float]]
+    pr_curve: list[tuple[float, float]]
 

@@ -9,7 +9,7 @@ fit, a grid cell's included, is one ``svm.smo_train`` call.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .util import derive_seed
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SvmParams:
+class SvmParams(NamedTuple):
     """One (C, gamma) point. ``gamma`` is a number or the literal "1/d",
     which resolves only once the tree ensemble fixes its leaf count."""
 
@@ -30,8 +29,7 @@ class SvmParams:
     gamma: float | str
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     ens: GbdtEnsemble
     svm: SvmModel
     params: SvmParams

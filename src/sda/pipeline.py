@@ -10,7 +10,7 @@ import json
 import logging
 import os
 import random
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def _artifact_paths(stage: str, out_dir: str) -> list[str]:
     return [os.path.join(out_dir, name) for name in ARTIFACTS[stage]]
 
 
-@dataclass
-class PreparedData:
+class PreparedData(NamedTuple):
     """Everything the evaluation and ranking stages need.
 
     The pair features are never assembled: pair (a, b) stands for the
@@ -79,8 +78,8 @@ class PreparedData:
         labels = np.concatenate(
             [np.ones(n_pos, dtype=int), np.zeros(len(selected), dtype=int)]
         )
-        return replace(
-            self, pairs=np.concatenate([self.positives, selected]), labels=labels, k_used=k
+        return self._replace(
+            pairs=np.concatenate([self.positives, selected]), labels=labels, k_used=k
         )
 
     def strict_fold_tables(
@@ -112,8 +111,7 @@ def _meshed(ap, sfs, dss, gamma_prime_s, gamma_prime_d):
     return similarity.mesh_similarity(sfs, gip_s), similarity.mesh_similarity(dss, gip_d)
 
 
-@dataclass
-class RankedPrediction:
+class RankedPrediction(NamedTuple):
     disease_id: str
     snorna_id: str
     score: float
@@ -350,13 +348,7 @@ def evaluate(
     pairs, labels = prepared.pairs, prepared.labels
     fold_index = stratified_kfold(labels, cfg.n_folds, derive_seed(cfg.seed, "cv-folds"))
     pooled = np.zeros(len(labels))
-    report = MetricsReport(
-        mode=cfg.mode,
-        n_folds=cfg.n_folds,
-        seed=cfg.seed,
-        svm_c=params.c,
-        svm_gamma=params.gamma,
-    )
+    folds: list[dict] = []
 
     for f in range(cfg.n_folds):
         test_idx = np.flatnonzero(fold_index == f)
@@ -373,7 +365,7 @@ def evaluate(
         pooled[test_idx] = scores
         probs = sigmoid(scores)
         tm = threshold_metrics(probs, y_test)
-        report.folds.append(
+        folds.append(
             {
                 "fold": f,
                 "n_train": int(len(train_idx)),
@@ -390,17 +382,26 @@ def evaluate(
         log.info(
             "fold %d: roc_auc=%.4f auprc=%.4f acc=%.4f f1=%.4f",
             f,
-            report.folds[-1]["roc_auc"],
-            report.folds[-1]["auprc"],
+            folds[-1]["roc_auc"],
+            folds[-1]["auprc"],
             tm.accuracy,
             tm.f1,
         )
 
-    for key in ("roc_auc", "auprc", "accuracy", "f1", "mse"):
-        report.mean[key] = float(np.mean([fd[key] for fd in report.folds]))
-    report.roc_curve = roc_points(pooled, labels)
-    report.pr_curve = pr_points(pooled, labels)
-    return report
+    return MetricsReport(
+        mode=cfg.mode,
+        n_folds=cfg.n_folds,
+        seed=cfg.seed,
+        svm_c=params.c,
+        svm_gamma=params.gamma,
+        folds=folds,
+        mean={
+            key: float(np.mean([fd[key] for fd in folds]))
+            for key in ("roc_auc", "auprc", "accuracy", "f1", "mse")
+        },
+        roc_curve=roc_points(pooled, labels),
+        pr_curve=pr_points(pooled, labels),
+    )
 
 
 def _score_grid(prepared: PreparedData, model: Model) -> np.ndarray:
@@ -538,7 +539,7 @@ def write_report(report: MetricsReport, out_dir: str) -> list[str]:
     paths = _artifact_paths("evaluate", out_dir)
     report_path, roc_path, pr_path = paths
     # A shallow dict: json writes the curves' tuples as arrays, with no copy.
-    _write_json(report_path, {f.name: getattr(report, f.name) for f in fields(report)})
+    _write_json(report_path, report._asdict())
     for path, header, curve in (
         (roc_path, ("far", "tar"), report.roc_curve),
         (pr_path, ("recall", "precision"), report.pr_curve),

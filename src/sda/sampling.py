@@ -12,7 +12,7 @@ and the pair list.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +24,13 @@ from .util import first_max
 KMEANS_BLOCK = 1024
 
 
-@dataclass
-class Clustering:
+class Clustering(NamedTuple):
     k: int
     assignments: np.ndarray  # (n,) int
     centroids: np.ndarray  # (k, f)
     inertia: float
     seed: int
-    history: list[float] = field(default_factory=list)  # inertia per iteration
+    history: list[float]  # inertia per iteration
 
 
 def kmeans(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .util import fmt_float
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class SimilarityMatrix:
+class SimilarityMatrix(NamedTuple):
     """Square, symmetric similarity over one entity set, with availability mask."""
 
     ids: list[str]

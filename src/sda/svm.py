@@ -41,7 +41,7 @@ gains.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def gamma_value(setting, total_leaves: int) -> float:
     return 1.0 / total_leaves if setting == "1/d" else float(setting)
 
 
-@dataclass
-class SvmModel:
+class SvmModel(NamedTuple):
     support_vectors: np.ndarray  # (n_sv, n_trees) leaf rows
     support: np.ndarray  # (n_sv,) their row indices among the training rows
     alphas: np.ndarray  # (n_sv,)

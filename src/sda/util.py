@@ -43,13 +43,18 @@ def first_max(values: np.ndarray, scale: float) -> int:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write a file via temp-then-rename so readers never see partial output;
-    a path that cannot be written is a ConfigError that names it."""
+    a path that cannot be written is a ConfigError that names it. The file
+    gets the mode a plain ``open(path, "w")`` would, 0666 less the umask,
+    not the temp file's owner-only 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
+    umask = os.umask(0)  # reading the umask sets it: put it straight back
+    os.umask(umask)
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:

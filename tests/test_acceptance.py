@@ -10,7 +10,6 @@ explicit message; everything else runs unconditionally.
 import math
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +50,13 @@ def dataset_config(directory: str, out_dir: str, name: str) -> PipelineConfig:
     )
     features = os.path.join(directory, "features.csv")
     if os.path.exists(features):
-        cfg.feature_path = features
+        cfg = cfg._replace(feature_path=features)
     disease_sim = os.path.join(directory, "disease_similarity.csv")
     dag = os.path.join(directory, "dag.csv")
     if os.path.exists(disease_sim):
-        cfg.disease_similarity_path = disease_sim
+        cfg = cfg._replace(disease_similarity_path=disease_sim)
     elif os.path.exists(dag):
-        cfg.dag_path = dag
+        cfg = cfg._replace(dag_path=dag)
     return cfg
 
 
@@ -288,7 +287,7 @@ class TestCriterion7PlantedSignal:
         permuted = prepared.labels.copy()
         rng.shuffle(permuted)
 
-        null = pipeline.evaluate(replace(prepared, labels=permuted), cfg, params)
+        null = pipeline.evaluate(prepared._replace(labels=permuted), cfg, params)
         null_auc = null.mean["roc_auc"]
         ok = auc >= 0.90 and abs(null_auc - 0.5) <= 0.05
         report(
@@ -326,7 +325,7 @@ class TestCriterion9HoldoutRecovery:
     def test_mdrf_holdout_percentile(self, tmp_path):
         directory = require_dataset("mdrf")
         cfg = dataset_config(directory, str(tmp_path / "out"), "MDRF")
-        cfg.holdout_fraction = 0.1
+        cfg = cfg._replace(holdout_fraction=0.1)
         result = pipeline.holdout_inference_check(cfg)
         report(
             "9", result["mean_percentile"] >= 85.0,

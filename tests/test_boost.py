@@ -291,7 +291,7 @@ class TestLeafEncoding:
         assert ens.total_leaves == sum(t.n_leaves for t in ens.trees) <= 80
 
     def test_unfitted_rejected(self):
-        empty = GbdtEnsemble([], 0.0, 0.1, 10)
+        empty = GbdtEnsemble([], 0.0, 0.1, 10, [])
         with pytest.raises(ValueError, match="no fitted trees"):
             gbdt_leaf_encode(empty, *pair_space(np.zeros((1, 3))))
 
@@ -431,7 +431,7 @@ class TestRectangleRouting:
                 random_tree(rng, left, right, depth=0),
                 random_tree(rng, left, right, depth=4),
             ]
-            ens = GbdtEnsemble(trees, 0.0, 0.1, len(trees))
+            ens = GbdtEnsemble(trees, 0.0, 0.1, len(trees), [])
             pairs = sparse_pairs(rng, len(left), len(right))
             want = np.column_stack([
                 offset + tree.leaf_ordinal[descend(tree, left, right, pairs)]

@@ -90,9 +90,13 @@ class TestFeatureTable:
         assert np.allclose(ft.features, [[0.5, 1.0, 2.5]])
 
     def test_tsv_delimiter_by_extension(self, tmp_path):
-        p = write(tmp_path / "ft.tsv", "\tf1\tf2\ns1\t1.0\t2.0\ns2\t3.0\t4.0\n")
-        ft = load_feature_table(p)
-        assert ft.features.shape == (2, 2)
+        text = "\tf1\tf2\ns1\t1.0\t2.0\ns2\t3.0\t4.0\n"
+        for name in ("ft.tsv", "ft.TSV"):
+            ft = load_feature_table(write(tmp_path / name, text))
+            assert ft.features.shape == (2, 2)
+        # read as CSV, each line is one cell: snoRNA ids and no feature column
+        with pytest.raises(DataError, match="no feature columns"):
+            load_feature_table(write(tmp_path / "ft.csv", text))
 
     def test_text_in_numeric_field_rejected(self, tmp_path):
         p = write(tmp_path / "ft.csv", ",f1,f2\ns1,1.0,oops\n")

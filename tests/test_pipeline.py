@@ -1,12 +1,11 @@
 import os
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sda import model, pipeline, sampling, svm
+from sda import cli, model, pipeline, sampling, svm
 from sda.boost import GbdtEnsemble, gbdt_leaf_encode
 from sda.cli import main
 from sda.config import PipelineConfig
@@ -111,7 +110,7 @@ class TestPatternKeys:
         first, rest = (random_tree(rng, left, right, depth=4, split=1.0) for _ in range(2))
         trees = [first] + [rest] * 16
         assert {t.n_leaves for t in trees} == {16}
-        ens = GbdtEnsemble(trees, 0.0, 0.1, len(trees))
+        ens = GbdtEnsemble(trees, 0.0, 0.1, len(trees), [])
         cells = np.indices((12, 7)).reshape(2, -1).T
         pairs = np.vstack([cells, cells[::5]])
         leaves = gbdt_leaf_encode(ens, left, right, pairs)
@@ -220,7 +219,7 @@ class TestRankCandidates:
 
         for top_k in (3, 10):
             predictions, exhausted = pipeline.rank_candidates(
-                prepared, replace(cfg, top_k=top_k), fitted
+                prepared, cfg._replace(top_k=top_k), fitted
             )
             want = []
             for d, disease_id in sorted(enumerate(am.disease_ids), key=lambda t: t[1]):
@@ -317,7 +316,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode", ("paper-faithful", "strict-folds"))
     def test_strict_mode_rebuilds_tables_per_fold(self, mode, synth_config, monkeypatch):
-        cfg = replace(synth_config, mode=mode)
+        cfg = synth_config._replace(mode=mode)
         prepared = pipeline.prepare(cfg)
         rebuild = pipeline.PreparedData.strict_fold_tables
         seen = []
@@ -340,7 +339,7 @@ class TestEvaluate:
         permuted = prepared.labels.copy()
         np.random.default_rng(99).shuffle(permuted)
         report = pipeline.evaluate(
-            replace(prepared, labels=permuted), synth_config, self.PARAMS
+            prepared._replace(labels=permuted), synth_config, self.PARAMS
         )
         assert abs(report.mean["roc_auc"] - 0.5) < 0.12
 
@@ -404,8 +403,8 @@ class TestStrictFolds:
 
 class TestConfigIsInputOnly:
     def test_grid_runs_leave_config_unchanged(self, synth_config):
-        cfg = replace(synth_config, svm_c=(1.0, 10.0), svm_gamma=("1/d", 0.1))
-        before = replace(cfg)
+        cfg = synth_config._replace(svm_c=(1.0, 10.0), svm_gamma=("1/d", 0.1))
+        before = cfg._replace()
         prepared = pipeline.prepare(cfg)
         params = pipeline.fit_model(prepared, cfg).params
         assert params.c in cfg.svm_c
@@ -503,3 +502,31 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["prepare", "--no-such-flag"])
         assert exc.value.code == 1
+
+    def test_missing_command_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "3"])
+        assert exc.value.code == 1
+        assert "required: command" in capsys.readouterr().err
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, (_, _, help_text) in cli._COMMANDS.items():
+            assert [name, help_text] in [line.split(None, 1) for line in lines]
+
+    def test_options_in_any_order(self, synth_dataset, tmp_path):
+        p = synth_dataset["paths"]
+        out = tmp_path / "out"
+        cfg = write_config_file(
+            tmp_path / "cfg.txt", association_path=p["association"],
+            feature_path=p["features"], dag_path=p["dag"], k=4, svm_c="10",
+            svm_gamma="0.1",
+        )
+        # -v after the command word, and an option before it
+        argv = ["--output-dir", str(out), "rank", "-v", "--config", cfg]
+        assert cli._build_parser().parse_args(argv).verbose
+        assert main(argv) == 0
+        assert (out / "rankings.csv").is_file()

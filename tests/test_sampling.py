@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +116,7 @@ def fake_clustering(sizes):
         centroids=np.zeros((len(sizes), 1)),
         inertia=0.0,
         seed=0,
+        history=[],
     )
 
 
@@ -183,11 +183,11 @@ class TestChooseK:
             auc, mse = means[prepared.k_used]
             return MetricsReport(
                 cfg.mode, cfg.n_folds, cfg.seed, params.c, params.gamma,
-                mean={"roc_auc": auc, "mse": mse},
+                folds=[], mean={"roc_auc": auc, "mse": mse}, roc_curve=[], pr_curve=[],
             )
 
         monkeypatch.setattr(pipeline, "evaluate", evaluate)
-        got = pipeline._choose_k(base, replace(synth_config, k=tuple(means)))
+        got = pipeline._choose_k(base, synth_config._replace(k=tuple(means)))
         assert probed == list(means)  # one probe CV per candidate, in order
         return got
 
