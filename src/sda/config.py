@@ -8,12 +8,15 @@ echo alone.
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 from .corpus import read_text
 from .errors import ConfigError, DataError
 
 MODES = ("paper-faithful", "strict-folds")
+
+_COMMENT = re.compile(r"(?:^|\s)#")  # any other '#' is part of the value
 
 # keys whose values are comma-separated lists -> the type of one entry; a
 # list of one value is used as it is, a longer one is searched by CV
@@ -51,6 +54,11 @@ class PipelineConfig(NamedTuple):
     strict: bool = False
 
     def validate(self) -> None:
+        for key, value in self._asdict().items():  # the echo must reload each one
+            if isinstance(value, str) and (
+                _COMMENT.search(value) or value.splitlines() not in ([], [value])
+            ):
+                raise ConfigError(f"{key}: {value!r} has a line break or '#' after whitespace")
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
         if not 0.0 < self.delta <= 1.0:
@@ -125,10 +133,11 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; a '#' at the start of a line or
+    after whitespace starts a comment."""
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

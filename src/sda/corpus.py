@@ -2,7 +2,8 @@
 
 Every file is UTF-8 with comma-separated cells. Readers skip blank lines,
 and every error about a row or a cell names the file and the row's physical
-line as ``path:line:``. Writers join cells with commas and end every line
+line as ``path:line:``. Writers join cells with commas, quote a cell that
+holds a comma, a quote or a newline as ``csv`` does, and end every line
 with a newline (``write_rows``). The formats:
   * labelled table (``read_table``, ``write_table``): a header row of
     column ids after one blank cell, then one row per id: the row id, then
@@ -13,7 +14,8 @@ with a newline (``write_rows``). The formats:
     any case), snoRNA rows x at least one feature name, finite float cells
   * similarity matrix (``similarity``): square labelled table, the same ids
     in the same order on both axes, float cells; its optional sibling
-    ``<name>.mask.csv`` has the same ids and "0"/"1" cells
+    ``<name>.mask.csv`` (a disease similarity input's; the fused matrices
+    have none) has the same ids and "0"/"1" cells
   * disease DAG: two-cell rows "child,parent", no header
   * balanced pairs (``pipeline``): the header "snorna_id,disease_id,label",
     then one row per pair with a "0"/"1" label
@@ -74,9 +76,11 @@ def read_rows(path: str, delimiter: str = ",") -> list[tuple[int, list[str]]]:
 
 
 def write_rows(path: str, rows) -> None:
-    """Write rows of string cells atomically, cells joined by commas and
-    every line ending in a newline."""
-    atomic_write_text(path, "".join(",".join(row) + "\n" for row in rows))
+    """Write rows of string cells atomically as CSV: a cell holding a comma,
+    a quote or a newline is quoted, and every line ends in a newline."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    atomic_write_text(path, buffer.getvalue())
 
 
 def _binary(cell: str) -> int:

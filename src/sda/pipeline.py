@@ -33,10 +33,7 @@ PAIRS_HEADER = ("snorna_id", "disease_id", "label")  # balanced_pairs.csv
 # the CLI checks these targets before a command starts. ``prepare.json``
 # records the k a prepare run clustered with.
 ARTIFACTS = {
-    "prepare": (
-        "MSFS.csv", "MSFS.mask.csv", "MDSS.csv", "MDSS.mask.csv",
-        "balanced_pairs.csv", "prepare.json",
-    ),
+    "prepare": ("MSFS.csv", "MDSS.csv", "balanced_pairs.csv", "prepare.json"),
     "evaluate": ("report.json", "roc_points.csv", "pr_points.csv"),
     "rank": ("rankings.csv",),
     "holdout": ("holdout_report.json",),
@@ -56,10 +53,10 @@ class PreparedData(NamedTuple):
     """
 
     am: corpus.AssociationMatrix
-    sfs: similarity.SimilarityMatrix  # base snoRNA similarity (may be partial)
-    dss: similarity.SimilarityMatrix  # base disease similarity (may be partial)
-    msfs: similarity.SimilarityMatrix
-    mdss: similarity.SimilarityMatrix
+    sfs: similarity.SimilarityMatrix | None  # base snoRNA similarity, if any
+    dss: similarity.SimilarityMatrix | None  # base disease similarity, if any
+    msfs: np.ndarray  # fused snoRNA similarity, in ``am``'s snoRNA order
+    mdss: np.ndarray  # fused disease similarity, in ``am``'s disease order
     positives: np.ndarray  # (n, 2) rows (snoRNA index, disease index), row-major
     negatives: np.ndarray  # the unknown cells, the same way
     pairs: np.ndarray  # balanced: positives then selected negatives
@@ -69,7 +66,7 @@ class PreparedData(NamedTuple):
     @property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair space's left (snoRNA) and right (disease) entity tables."""
-        return self.msfs.values, self.mdss.values.T
+        return self.msfs, self.mdss.T
 
     def balanced(self, selected: np.ndarray, k: int) -> PreparedData:
         """This data with the balanced set of every positive and the
@@ -95,19 +92,15 @@ class PreparedData(NamedTuple):
         msfs, mdss = _meshed(
             ap, self.sfs, self.dss, cfg.gamma_prime_snorna, cfg.gamma_prime_disease
         )
-        return msfs.values, mdss.values.T
+        return msfs, mdss.T
 
 
 def _meshed(ap, sfs, dss, gamma_prime_s, gamma_prime_d):
     """MSFS and MDSS: the base similarities ``sfs`` and ``dss`` meshed with
     the GIP kernels of the interaction profiles ``ap`` (snoRNA rows) and
-    ``ap.T`` (disease rows)."""
-    gip_s = similarity.gip_similarity(
-        ap, similarity.gip_bandwidth(ap, gamma_prime_s), sfs.ids
-    )
-    gip_d = similarity.gip_similarity(
-        ap.T, similarity.gip_bandwidth(ap.T, gamma_prime_d), dss.ids
-    )
+    ``ap.T`` (disease rows); a ``None`` base meshes to its GIP kernel."""
+    gip_s = similarity.gip_similarity(ap, similarity.gip_bandwidth(ap, gamma_prime_s))
+    gip_d = similarity.gip_similarity(ap.T, similarity.gip_bandwidth(ap.T, gamma_prime_d))
     return similarity.mesh_similarity(sfs, gip_s), similarity.mesh_similarity(dss, gip_d)
 
 
@@ -118,13 +111,6 @@ class RankedPrediction(NamedTuple):
     rank: int
 
 
-def _unavailable_matrix(ids: list[str]) -> similarity.SimilarityMatrix:
-    n = len(ids)
-    return similarity.SimilarityMatrix(
-        list(ids), np.zeros((n, n)), np.zeros((n, n), dtype=bool)
-    )
-
-
 def _base_similarities(cfg: PipelineConfig, am: corpus.AssociationMatrix):
     if cfg.feature_path:
         ft = corpus.load_feature_table(cfg.feature_path)
@@ -132,14 +118,14 @@ def _base_similarities(cfg: PipelineConfig, am: corpus.AssociationMatrix):
         sfs = similarity.snorna_functional_similarity(ft, ids=am.snorna_ids)
     else:
         log.info("no feature table given; snoRNA base similarity unavailable")
-        sfs = _unavailable_matrix(am.snorna_ids)
+        sfs = None
 
     if cfg.disease_similarity_path:
         loaded = similarity.load_similarity_matrix(cfg.disease_similarity_path)
-        missing = [d for d in am.disease_ids if d not in set(loaded.ids)]
+        missing = len(set(am.disease_ids).difference(loaded.ids))
         if missing:
             corpus._warn(
-                f"disease similarity file missing {len(missing)} id(s); their pairs "
+                f"disease similarity file missing {missing} id(s); their pairs "
                 "fall back to the interaction-profile kernel",
                 cfg.strict,
             )
@@ -149,7 +135,7 @@ def _base_similarities(cfg: PipelineConfig, am: corpus.AssociationMatrix):
         dss = similarity.disease_semantic_similarity(dag, cfg.delta, ids=am.disease_ids)
     else:
         log.info("no disease DAG or similarity given; disease base similarity unavailable")
-        dss = _unavailable_matrix(am.disease_ids)
+        dss = None
     return sfs, dss
 
 
@@ -177,7 +163,7 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
             "prepared_dir reuse supports paper-faithful mode only; strict-folds "
             "needs the base similarities to rebuild kernels per fold"
         )
-    msfs_path, _, mdss_path, _, pairs_path, record_path = _artifact_paths(
+    msfs_path, mdss_path, pairs_path, record_path = _artifact_paths(
         "prepare", cfg.prepared_dir
     )
     msfs = similarity.load_similarity_matrix(msfs_path)
@@ -219,11 +205,7 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
 
     positives, negatives = corpus.split_known_unknown(am)
     return PreparedData(
-        am=am,
-        sfs=_unavailable_matrix(am.snorna_ids),
-        dss=_unavailable_matrix(am.disease_ids),
-        msfs=msfs,
-        mdss=mdss,
+        am=am, sfs=None, dss=None, msfs=msfs.values, mdss=mdss.values,
         positives=positives,
         negatives=negatives,
         pairs=np.array(pairs, dtype=np.int64),
@@ -516,11 +498,11 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
 
 def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
     paths = _artifact_paths("prepare", out_dir)
-    msfs_path, _, mdss_path, _, pairs_path, record_path = paths
-    # each matrix's mask goes to the ``.mask.csv`` beside it
-    similarity.save_similarity_matrix(prepared.msfs, msfs_path)
-    similarity.save_similarity_matrix(prepared.mdss, mdss_path)
+    msfs_path, mdss_path, pairs_path, record_path = paths
     snorna_ids, disease_ids = prepared.am.snorna_ids, prepared.am.disease_ids
+    # the fused similarities are defined for every pair: no mask files
+    corpus.write_table(msfs_path, snorna_ids, snorna_ids, prepared.msfs, fmt_float)
+    corpus.write_table(mdss_path, disease_ids, disease_ids, prepared.mdss, fmt_float)
     corpus.write_rows(
         pairs_path,
         [PAIRS_HEADER]

@@ -2,9 +2,11 @@
 
 Four matrices feed the pair features: cosine similarity over snoRNA feature
 rows, semantic similarity over the disease DAG, and Gaussian interaction
-profile (GIP) kernels over association-matrix rows/columns. Meshing averages
-each base similarity with its GIP counterpart where the base is defined and
-falls back to GIP alone elsewhere, so the fused matrices are fully available.
+profile (GIP) kernels over association-matrix rows/columns. A base (cosine,
+semantic, or loaded) similarity is a ``SimilarityMatrix`` and may have gaps;
+the GIP kernel has none, so it and the fused similarities are float arrays.
+Meshing averages each base similarity with its GIP counterpart where the base
+is defined and falls back to GIP alone elsewhere, or everywhere with no base.
 
 Every output is bitwise symmetric: the semantic similarity by construction,
 the other constructors by mirroring the upper triangle.
@@ -18,15 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import DiseaseDag, FeatureTable, read_table, write_table
+from .corpus import DiseaseDag, FeatureTable, read_table
 from .errors import DataError, NumericError
-from .util import fmt_float
 
 log = logging.getLogger(__name__)
 
 
 class SimilarityMatrix(NamedTuple):
-    """Square, symmetric similarity over one entity set, with availability mask."""
+    """A base similarity over one entity set, with a mask of the pairs it defines."""
 
     ids: list[str]
     values: np.ndarray  # (n, n) float64
@@ -147,37 +148,32 @@ def gip_bandwidth(profiles, gamma_prime: float = 1.0) -> float:
     return gamma_prime / mean_sq
 
 
-def gip_similarity(profiles, gamma: float, ids: list[str]) -> SimilarityMatrix:
+def gip_similarity(profiles, gamma: float) -> np.ndarray:
     """Gaussian kernel over interaction profiles: exp(-gamma * ||p_i - p_j||^2)."""
     profiles = np.asarray(profiles, dtype=np.float64)
-    if profiles.shape[0] != len(ids):
-        raise ValueError("one profile per id required")
     sq = np.sum(profiles**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (profiles @ profiles.T)
     np.maximum(d2, 0.0, out=d2)
     values = _mirror_upper(np.exp(-gamma * d2))
     np.fill_diagonal(values, 1.0)
-    available = np.ones((len(ids), len(ids)), dtype=bool)
-    return SimilarityMatrix(list(ids), values, available)
+    return values
 
 
-def mesh_similarity(base: SimilarityMatrix, gip: SimilarityMatrix) -> SimilarityMatrix:
-    """Fuse a base similarity with its GIP counterpart.
+def mesh_similarity(base: SimilarityMatrix | None, gip: np.ndarray) -> np.ndarray:
+    """Fuse a base similarity with its GIP counterpart, both in the same id
+    order.
 
     Where the base pair is available the result is the arithmetic mean of the
-    two, otherwise the GIP value alone; the output is fully available.
-    Negative base values (possible for cosine) are clamped to 0 first so the
-    fused scale stays in [0, 1].
+    two, otherwise the GIP value alone; with no base (``None``) it is the GIP
+    kernel itself. Negative base values (possible for cosine) are clamped to 0
+    first so the fused scale stays in [0, 1].
     """
-    if base.ids != gip.ids:
-        raise DataError("mesh: id order mismatch between base and GIP matrices")
-    if not gip.available.all():
-        raise DataError("mesh: GIP matrix must be fully available")
+    if base is None:
+        return gip
+    if base.values.shape != gip.shape:
+        raise DataError("mesh: base and GIP matrices differ in shape")
     clamped = np.maximum(base.values, 0.0)
-    values = np.where(base.available, (clamped + gip.values) / 2.0, gip.values)
-    return SimilarityMatrix(
-        list(base.ids), values, np.ones_like(gip.available)
-    )
+    return np.where(base.available, (clamped + gip) / 2.0, gip)
 
 
 def reindex(sm: SimilarityMatrix, ids: list[str]) -> SimilarityMatrix:
@@ -197,12 +193,6 @@ def reindex(sm: SimilarityMatrix, ids: list[str]) -> SimilarityMatrix:
         values[sub] = sm.values[np.ix_(rows, rows)]
         available[sub] = sm.available[np.ix_(rows, rows)]
     return SimilarityMatrix(list(ids), values, available)
-
-
-def save_similarity_matrix(sm: SimilarityMatrix, path: str) -> None:
-    """Write values as an id-labelled CSV plus a sibling ``.mask.csv`` file."""
-    write_table(path, sm.ids, sm.ids, sm.values, fmt_float)
-    write_table(_mask_path(path), sm.ids, sm.ids, sm.available.astype(np.int8))
 
 
 def _read_square(path: str, cells: str) -> tuple[list[str], np.ndarray]:

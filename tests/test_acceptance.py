@@ -154,9 +154,9 @@ class TestCriterion4SimilarityOracles:
 
     def test_gip_hand_cases(self):
         profiles = np.array([[1.0, 0.0], [0.0, 1.0]])
-        sm = gip_similarity(profiles, gip_bandwidth(profiles, 1.0), ["a", "b"])
-        diff = abs(sm.values[0, 1] - math.exp(-2.0))
-        ok = diff <= 1e-12 and sm.values[0, 0] == 1.0 and sm.values[1, 1] == 1.0
+        gip = gip_similarity(profiles, gip_bandwidth(profiles, 1.0))
+        diff = abs(gip[0, 1] - math.exp(-2.0))
+        ok = diff <= 1e-12 and gip[0, 0] == 1.0 and gip[1, 1] == 1.0
         report("4-gip", ok, f"2x2 identity off-diagonal err = {diff:.2e}")
 
     def test_mesh_branch_behavior_exact(self):
@@ -176,15 +176,11 @@ class TestCriterion4SimilarityOracles:
             [0.4, 1.0, 0.2],
             [0.7, 0.2, 1.0],
         ])
-        out = mesh_similarity(
-            SimilarityMatrix(ids, base_vals, avail),
-            SimilarityMatrix(ids, gip_vals, np.ones((3, 3), bool)),
-        )
+        out = mesh_similarity(SimilarityMatrix(ids, base_vals, avail), gip_vals)
         ok = (
-            out.values[0, 1] == (0.8 + 0.4) / 2.0  # mean branch, exact
-            and out.values[0, 2] == 0.7  # fallback branch copies GIP
-            and out.values[2, 2] == 1.0
-            and out.available.all()
+            out[0, 1] == (0.8 + 0.4) / 2.0  # mean branch, exact
+            and out[0, 2] == 0.7  # fallback branch copies GIP
+            and out[2, 2] == 1.0
         )
         report("4-mesh", ok, "mean and fallback branches exact")
 

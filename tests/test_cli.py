@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -12,14 +13,15 @@ import pytest
 import sda
 from sda import model, pipeline
 from sda.cli import main
-from sda.config import PipelineConfig
+from sda.config import PipelineConfig, parse_config_text
 from sda.corpus import (
     AssociationMatrix, load_association_matrix, load_disease_dag, load_feature_table,
-    save_association_matrix,
+    save_association_matrix, write_table,
 )
 from sda.errors import ConfigError, DataError
-from sda.similarity import SimilarityMatrix, load_similarity_matrix, save_similarity_matrix
+from sda.similarity import load_similarity_matrix
 from sda.synth import make_block_dataset, write_dataset_files
+from sda.util import fmt_float
 
 from conftest import write_config_file
 
@@ -60,9 +62,10 @@ class TestPrepare:
         body = lines[1:]
         labels = [int(row.rsplit(",", 1)[1]) for row in body]
         assert sum(labels) * 2 == len(labels)  # exactly 50% positives
-        for name in ("MSFS.csv", "MSFS.mask.csv", "MDSS.csv", "MDSS.mask.csv",
-                     "effective-config.txt"):
-            assert os.path.exists(os.path.join(out, name))
+        assert sorted(os.listdir(out)) == [
+            "MDSS.csv", "MSFS.csv", "balanced_pairs.csv", "effective-config.txt",
+            "prepare.json",
+        ]
         assert "known associations" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, small_dataset, tmp_path):
@@ -162,6 +165,33 @@ class TestConfig:
         assert f"{item.split('=', 1)[0]} repeats an entry" in caplog.text
         assert "Traceback" not in caplog.text
         assert not (out / "report.json").exists()
+
+    def test_comment_needs_whitespace_before_it(self):
+        parsed = parse_config_text("# note\nk = 5 # five\ndataset_name = run#2\t# x\n")
+        assert parsed == {"k": (5,), "dataset_name": "run#2"}
+
+    @pytest.mark.parametrize("value", ["a #b", "#b", "a\tb\n#c", "a\nb"])
+    def test_value_the_echo_cannot_hold_exits_one(
+        self, value, small_dataset, tmp_path, caplog
+    ):
+        out = tmp_path / "out"
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(small_dataset, str(out)))
+        assert main(["rank", "--config", cfg, "--set", f"dataset_name={value}"]) == 1
+        assert "dataset_name: " in caplog.text and "after whitespace" in caplog.text
+        assert not out.exists()
+
+    def test_rerun_from_echo_in_a_directory_named_with_a_hash(
+        self, small_dataset, tmp_path
+    ):
+        data = tmp_path / "data#1"
+        shutil.copytree(os.path.dirname(small_dataset["association"]), data)
+        paths = {key: str(data / os.path.basename(p)) for key, p in small_dataset.items()}
+        out1, out2 = tmp_path / "out#1", tmp_path / "out#2"
+        cfg = write_config_file(tmp_path / "cfg.txt", **base_keys(paths, str(out1)))
+        assert main(["rank", "--config", cfg]) == 0
+        echoed = str(out1 / "effective-config.txt")
+        assert main(["rank", "--config", echoed, "--output-dir", str(out2)]) == 0
+        assert (out1 / "rankings.csv").read_bytes() == (out2 / "rankings.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -280,10 +310,7 @@ class TestDiseaseSimilarityFile:
     def partial_dss(self, small_dataset, tmp_path):
         ids = load_association_matrix(small_dataset["association"]).disease_ids[2:]
         path = str(tmp_path / "dss.csv")
-        save_similarity_matrix(
-            SimilarityMatrix(ids, np.eye(len(ids)), np.ones((len(ids),) * 2, bool)),
-            path,
-        )
+        write_table(path, ids, ids, np.eye(len(ids)), fmt_float)
         return path
 
     def test_missing_ids_warn(self, small_dataset, partial_dss, tmp_path, caplog):
@@ -397,6 +424,28 @@ class TestRank:
         # global ordering: by disease id, then rank
         keys = [(d, int(r)) for d, _, _, r in body]
         assert keys == sorted(keys)
+
+    def test_comma_in_an_id_survives_a_prepare_run(self, small_dataset, tmp_path):
+        """A disease id read from a quoted cell is written back quoted, in
+        the prepare run's files and in ``rankings.csv``."""
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(small_dataset["association"]), data)
+        paths = {key: str(data / os.path.basename(p)) for key, p in small_dataset.items()}
+        for key, old, new in (("association", ",dis000,", ',"dis,000",'),
+                              ("dag", "\ndis000,", '\n"dis,000",')):
+            text = Path(paths[key]).read_text(encoding="utf-8")
+            assert text.count(old) == 1
+            Path(paths[key]).write_text(text.replace(old, new), encoding="utf-8")
+        prep, out = str(tmp_path / "prep"), tmp_path / "out"
+        cfg = write_config_file(tmp_path / "c1.txt", **base_keys(paths, prep))
+        assert main(["prepare", "--config", cfg]) == 0
+        keys = base_keys(paths, str(out), prepared_dir=prep)
+        cfg = write_config_file(tmp_path / "c2.txt", **keys)
+        assert main(["rank", "--config", cfg]) == 0
+        with open(out / "rankings.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 4 for row in rows)
+        assert "dis,000" in {row[0] for row in rows}
 
     def test_lone_resolved_cell_takes_no_search(self, small_dataset, tmp_path, monkeypatch):
         # "1/d" resolving to the other listed gamma leaves one (C, gamma)
@@ -615,6 +664,27 @@ def load_prepared(paths, prepared):
     """``pipeline.load_prepared`` on the prepare run in ``prepared``."""
     cfg = PipelineConfig(association_path=paths["association"], prepared_dir=prepared)
     return pipeline.load_prepared(load_association_matrix(cfg.association_path), cfg)
+
+
+def test_prepare_run_with_all_ones_masks_ranks_the_same(
+    small_dataset, prepared_dir, tmp_path
+):
+    """A prepare run that also holds ``MSFS.mask.csv`` and ``MDSS.mask.csv``
+    with every cell 1, as earlier versions wrote them, loads the same."""
+    masked = tmp_path / "masked"
+    shutil.copytree(prepared_dir, masked)
+    for name in ("MSFS", "MDSS"):
+        ids = load_similarity_matrix(str(masked / f"{name}.csv")).ids
+        write_table(str(masked / f"{name}.mask.csv"), ids, ids,
+                    np.ones((len(ids),) * 2, np.int8))
+    rankings = []
+    for prepared in (prepared_dir, str(masked)):
+        out = tmp_path / f"out-{len(rankings)}"
+        keys = base_keys(small_dataset, str(out), prepared_dir=prepared)
+        cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+        assert main(["rank", "--config", cfg]) == 0
+        rankings.append((out / "rankings.csv").read_bytes())
+    assert rankings[0] == rankings[1]
 
 
 # case -> (the rows under balanced_pairs.csv's header, written over the ids of

@@ -17,9 +17,12 @@ import random
 import shutil
 import traceback
 
+import numpy as np
 import pytest
 
 from sda.cli import main
+from sda.corpus import write_table
+from sda.similarity import load_similarity_matrix
 from sda.synth import make_block_dataset, write_dataset_files
 
 from conftest import write_config_file
@@ -66,7 +69,8 @@ def pristine(tmp_path_factory):
     )
     assert main(["prepare", "--config", cfg]) == 0
     shutil.copy(prepared / "MDSS.csv", root / "dss.csv")
-    shutil.copy(prepared / "MDSS.mask.csv", root / "dss.mask.csv")
+    ids = load_similarity_matrix(str(root / "dss.csv")).ids
+    write_table(str(root / "dss.mask.csv"), ids, ids, np.ones((len(ids),) * 2, np.int8))
     return root, {
         "association": "association.csv",
         "features-csv": os.path.basename(paths["features"]),

@@ -49,6 +49,16 @@ GOLDEN = {
         "rank", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "rankings.csv",
         "bee501c2ef15f8b669ab7025f000fcf07202cf929ef98eb0bf12222fb794ca0d",
     ),
+    # no feature table and no DAG: both fused similarities are the GIP kernels
+    "rank-no-base": (
+        "rank", {"feature_path": "", "dag_path": ""}, "rankings.csv",
+        "19501f15a13efdefea4149caf5c82ba76a01e55feac53e4b7063c11a9b71f397",
+    ),
+    "evaluate-strict-no-base": (
+        "evaluate", {"mode": "strict-folds", "feature_path": "", "dag_path": ""},
+        "report.json",
+        "3f53e565cc6ed72ea762411eb1288ebea1d7050ded6e2f598c93ceaea764947d",
+    ),
     # run-all: evaluate and rank share one grid search's pick
     "run-all-grid-report": (
         "run-all", {"svm_c": "1,10", "svm_gamma": "0.01,0.1"}, "report.json",
@@ -66,9 +76,7 @@ GOLDEN = {
 ARTIFACTS = {
     "prepare": {
         "MSFS.csv": "406044387da553526da7b1117b52816b303113816c53aa73299f0b33a6f7f7e0",
-        "MSFS.mask.csv": "8cd89ee5472230d80290c82b015b443f90306e1c7ff5768ce546ed5f83687de3",
         "MDSS.csv": "e2e6ab8ac43e03fe5e1a8e26b18bc4a19086fa9f65516c5e0891b30b4f1857c9",
-        "MDSS.mask.csv": "8dc02b7ebbf2edbb5f93141f1bf3cbfcc3f401f94820a66bb46df786f746933d",
         "balanced_pairs.csv": "145f3a56c2e5234e23573a52ba7e8bbba9b9f18b8631f89f7ef1594b2d51b9a0",
         "prepare.json": "2d478659a9015b9efd0a9d9cb33c5beb0799c2ee4862a86a3605861db43641ac",
     },

@@ -9,10 +9,12 @@ from sda import cli, model, pipeline, sampling, svm
 from sda.boost import GbdtEnsemble, gbdt_leaf_encode
 from sda.cli import main
 from sda.config import PipelineConfig
-from sda.corpus import AssociationMatrix
+from sda.corpus import AssociationMatrix, write_table
 from sda.errors import ConfigError
+from sda.similarity import disease_semantic_similarity
 from sda.svm import svm_decision
 from sda.synth import make_block_dataset, write_dataset_files
+from sda.util import fmt_float
 
 from conftest import assemble, random_tree, write_config_file
 
@@ -242,15 +244,13 @@ class TestRankCandidates:
 
 class TestPrecomputedDiseaseSimilarity:
     def test_similarity_file_replaces_dag(self, synth_dataset, tmp_path):
-        from sda.similarity import disease_semantic_similarity, save_similarity_matrix
-
         am = synth_dataset["am"]
         dag = synth_dataset["dag"]
         # precomputed matrix covering all but the last two diseases
         covered = am.disease_ids[:-2]
         dss = disease_semantic_similarity(dag, 0.5, ids=covered)
         sim_path = str(tmp_path / "disease_sim.csv")
-        save_similarity_matrix(dss, sim_path)
+        write_table(sim_path, covered, covered, dss.values, fmt_float)
 
         p = synth_dataset["paths"]
         cfg = PipelineConfig(
@@ -266,7 +266,6 @@ class TestPrecomputedDiseaseSimilarity:
         prepared = pipeline.prepare(cfg)
         # uncovered diseases fall back to the interaction-profile kernel
         assert not prepared.dss.available[-1, -1]
-        assert prepared.mdss.available.all()
         i = am.disease_ids.index(covered[0])
         j = am.disease_ids.index(covered[1])
         assert prepared.dss.available[i, j]
@@ -275,15 +274,13 @@ class TestPrecomputedDiseaseSimilarity:
         assert report.mean["roc_auc"] > 0.8
 
     def test_malformed_mask_is_data_error(self, synth_dataset, tmp_path):
-        from sda.similarity import disease_semantic_similarity, save_similarity_matrix
-
         am = synth_dataset["am"]
+        ids = am.disease_ids
         sim_path = str(tmp_path / "disease_sim.csv")
-        save_similarity_matrix(
-            disease_semantic_similarity(synth_dataset["dag"], 0.5, ids=am.disease_ids),
-            sim_path,
-        )
+        dss = disease_semantic_similarity(synth_dataset["dag"], 0.5, ids=ids)
+        write_table(sim_path, ids, ids, dss.values, fmt_float)
         mask_path = str(tmp_path / "disease_sim.mask.csv")
+        write_table(mask_path, ids, ids, dss.available.astype(np.int8))
         with open(mask_path, "a", encoding="utf-8") as fh:
             fh.write("extra" + ",1" * len(am.disease_ids) + "\n")
         p = synth_dataset["paths"]
@@ -397,8 +394,8 @@ class TestStrictFolds:
             synth_config.gamma_prime_snorna, synth_config.gamma_prime_disease,
         )
         left, right = prepared.strict_fold_tables(test_idx, synth_config)
-        assert np.array_equal(left, msfs.values)
-        assert np.array_equal(right, mdss.values.T)
+        assert np.array_equal(left, msfs)
+        assert np.array_equal(right, mdss.T)
 
 
 class TestConfigIsInputOnly:

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from sda.corpus import DiseaseDag, FeatureTable
+from sda.corpus import DiseaseDag, FeatureTable, write_table
 from sda.errors import DataError, NumericError
 from sda.similarity import (
     SimilarityMatrix,
@@ -14,10 +14,10 @@ from sda.similarity import (
     load_similarity_matrix,
     mesh_similarity,
     reindex,
-    save_similarity_matrix,
     semantic_contribution,
     snorna_functional_similarity,
 )
+from sda.util import fmt_float
 
 
 def cosine_similarity(u, v):
@@ -218,30 +218,28 @@ class TestGip:
 
     def test_identical_profiles_score_one(self):
         profiles = np.array([[1.0, 0.0], [1.0, 0.0]])
-        sm = gip_similarity(profiles, gip_bandwidth(profiles), ["a", "b"])
-        assert sm.values[0, 1] == 1.0
+        gip = gip_similarity(profiles, gip_bandwidth(profiles))
+        assert gip[0, 1] == 1.0
 
     def test_identity_profiles_hand_value(self):
         # ||(1,0)-(0,1)||^2 = 2, gamma = 1 -> exp(-2)
         profiles = np.array([[1.0, 0.0], [0.0, 1.0]])
-        sm = gip_similarity(profiles, gip_bandwidth(profiles, 1.0), ["a", "b"])
-        assert sm.values[0, 1] == pytest.approx(math.exp(-2.0), abs=1e-12)
+        gip = gip_similarity(profiles, gip_bandwidth(profiles, 1.0))
+        assert gip[0, 1] == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_diagonal_is_one_and_all_available(self):
         rng = np.random.default_rng(2)
         profiles = (rng.random((6, 5)) < 0.4).astype(float)
         profiles[0] = 1.0  # keep norms nonzero overall
-        sm = gip_similarity(profiles, gip_bandwidth(profiles), [f"i{k}" for k in range(6)])
-        assert np.all(np.diag(sm.values) == 1.0)
-        assert sm.available.all()
-        assert np.all(sm.values > 0.0)
+        gip = gip_similarity(profiles, gip_bandwidth(profiles))
+        assert np.all(np.diag(gip) == 1.0)
+        assert np.all(gip > 0.0)
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(3)
         profiles = (rng.random((5, 7)) < 0.5).astype(float)
-        ids = [f"i{k}" for k in range(5)]
-        lo = gip_similarity(profiles, 0.3, ids).values
-        hi = gip_similarity(profiles, 0.9, ids).values
+        lo = gip_similarity(profiles, 0.3)
+        hi = gip_similarity(profiles, 0.9)
         off = ~np.eye(5, dtype=bool)
         assert np.all(hi[off] <= lo[off] + 1e-15)
 
@@ -249,8 +247,8 @@ class TestGip:
         rng = np.random.default_rng(4)
         profiles = (rng.random((8, 6)) < 0.5).astype(float)
         profiles[0, 0] = 1.0
-        sm = gip_similarity(profiles, gip_bandwidth(profiles), [f"i{k}" for k in range(8)])
-        assert np.array_equal(sm.values, sm.values.T)
+        gip = gip_similarity(profiles, gip_bandwidth(profiles))
+        assert np.array_equal(gip, gip.T)
 
 
 def _sim(ids, values, available=None):
@@ -263,38 +261,36 @@ def _sim(ids, values, available=None):
 class TestMesh:
     def test_mean_branch(self):
         base = _sim(["a", "b"], [[1.0, 0.8], [0.8, 1.0]])
-        gip = _sim(["a", "b"], [[1.0, 0.4], [0.4, 1.0]])
+        gip = np.array([[1.0, 0.4], [0.4, 1.0]])
         out = mesh_similarity(base, gip)
-        assert out.values[0, 1] == pytest.approx(0.6, abs=1e-15)
+        assert out[0, 1] == pytest.approx(0.6, abs=1e-15)
 
     def test_unavailable_branch_takes_gip(self):
         avail = [[True, False], [False, True]]
         base = _sim(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], avail)
-        gip = _sim(["a", "b"], [[1.0, 0.4], [0.4, 1.0]])
+        gip = np.array([[1.0, 0.4], [0.4, 1.0]])
         out = mesh_similarity(base, gip)
-        assert out.values[0, 1] == 0.4
-        assert out.available.all()
+        assert out[0, 1] == 0.4
+
+    def test_no_base_is_the_gip_kernel(self):
+        gip = np.array([[1.0, 0.4], [0.4, 1.0]])
+        assert mesh_similarity(None, gip) is gip
 
     def test_base_equal_gip_is_identity(self):
         vals = [[1.0, 0.3], [0.3, 1.0]]
-        out = mesh_similarity(_sim(["a", "b"], vals), _sim(["a", "b"], vals))
-        assert np.array_equal(out.values, np.asarray(vals))
+        out = mesh_similarity(_sim(["a", "b"], vals), np.array(vals))
+        assert np.array_equal(out, np.asarray(vals))
 
     def test_negative_base_clamped_to_zero(self):
         base = _sim(["a", "b"], [[1.0, -0.5], [-0.5, 1.0]])
-        gip = _sim(["a", "b"], [[1.0, 0.4], [0.4, 1.0]])
+        gip = np.array([[1.0, 0.4], [0.4, 1.0]])
         out = mesh_similarity(base, gip)
-        assert out.values[0, 1] == pytest.approx(0.2, abs=1e-15)
-        assert np.all(out.values >= 0.0) and np.all(out.values <= 1.0)
+        assert out[0, 1] == pytest.approx(0.2, abs=1e-15)
+        assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
-    def test_id_mismatch_rejected(self):
-        with pytest.raises(DataError, match="id order"):
-            mesh_similarity(_sim(["a", "b"], np.eye(2)), _sim(["b", "a"], np.eye(2)))
-
-    def test_partial_gip_rejected(self):
-        gip = _sim(["a", "b"], np.eye(2), [[True, False], [False, True]])
-        with pytest.raises(DataError, match="fully available"):
-            mesh_similarity(_sim(["a", "b"], np.eye(2)), gip)
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DataError, match="differ in shape"):
+            mesh_similarity(_sim(["a", "b"], np.eye(2)), np.eye(3))
 
 
 class TestSerialization:
@@ -306,7 +302,8 @@ class TestSerialization:
         avail[0, 3] = avail[3, 0] = False
         sm = _sim([f"x{i}" for i in range(4)], vals, avail)
         path = str(tmp_path / "sim.csv")
-        save_similarity_matrix(sm, path)
+        write_table(path, sm.ids, sm.ids, sm.values, fmt_float)
+        write_table(str(tmp_path / "sim.mask.csv"), sm.ids, sm.ids, avail.astype(np.int8))
         back = load_similarity_matrix(path)
         assert back.ids == sm.ids
         assert np.array_equal(back.values, sm.values)
