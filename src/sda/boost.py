@@ -21,11 +21,13 @@ columns by positions in the entity order, built by two gathers, two
 cumulative sums and a few in-place passes, with -inf where no candidate
 lies. A node that searches keeps, per column, only the entities present
 among its rows, in value order: a presence mask restricts its parent's
-orders and keeps each in order. A column bitwise equal to an earlier one of
-its table is never searched, since it would only repeat that column's
-gains. Among gains within a relative 1e-12 of the best, the lowest feature
-(left side first), then the lowest threshold wins, so summation order cannot
-decide a tie. Every internal node tests one column of one side, so the
+orders and keeps each in order. Each searched node takes one entity count
+of its rows per side, which gives both that mask and the row counts of the
+side's gain table. A column bitwise equal to an earlier one of its table is
+never searched, since it would only repeat that column's gains. Among
+gains within a relative 1e-12 of the best, the lowest feature (left side
+first), then the lowest threshold wins, so summation order cannot decide a
+tie. Every internal node tests one column of one side, so the
 pairs reaching a node are all pairs of a left set with a right set: routing
 starts from the entities present among the pairs, a node splits the set of
 the side it tests, and a leaf fills its rectangle of the grid of those
@@ -147,24 +149,26 @@ def _prepare(left, right, pairs):
         values = table.T[cols]
         order = np.argsort(values, axis=1, kind="stable")
         vals = np.take_along_axis(values, order, axis=1)
-        sides.append((cols, *_keep_present(order, vals, ent, len(table))))
+        counts = np.bincount(ent, minlength=len(table))
+        sides.append((cols, *_keep_present(order, vals, counts)))
     return (left, right), (a, b), sides
 
 
-def _keep_present(order, vals, ent: np.ndarray, n_entities: int):
-    """One side's entity orders restricted to the entities in ``ent``.
-    One flat take of the kept positions keeps each row's order; when no
-    entity dropped out the orders are returned as they are."""
-    present = np.bincount(ent, minlength=n_entities) > 0
+def _keep_present(order, vals, counts: np.ndarray):
+    """One side's entity orders restricted to the entities whose row count
+    in ``counts`` (one per entity of the side) is nonzero. One flat take of
+    the kept positions keeps each row's order; when no entity dropped out
+    the orders are returned as they are."""
+    present = counts > 0
     n_present = int(np.count_nonzero(present))
     if n_present == order.shape[1]:
         return order, vals
-    keep = np.flatnonzero(present[order])
+    keep = present.take(order).ravel().nonzero()[0]
     shape = (len(order), n_present)
     return order.take(keep).reshape(shape), vals.take(keep).reshape(shape)
 
 
-def _side_gains(order, vals, ent, r, total, min_samples_leaf):
+def _side_gains(order, vals, counts, ent, r, total, min_samples_leaf):
     """The gain of every split on one side of a node, as an (n_columns,
     n_present) table: position q puts the first q + 1 entities of the
     column's order left. Only a position between distinct consecutive
@@ -172,14 +176,15 @@ def _side_gains(order, vals, ent, r, total, min_samples_leaf):
     candidate; the others hold -inf. Every entity in ``order`` is present,
     so n_left >= 1 everywhere and n_left <= m - 1 before the last position,
     which puts every row left; nan there keeps it out of every comparison.
+    ``counts`` holds the node's rows per entity, ``ent`` each row's entity.
     The arithmetic runs in place, term by term in the order of
     s_left**2 / n_left + (total - s_left)**2 / (m - n_left)."""
     m = len(r)
-    n_left = np.bincount(ent).astype(np.float64)[order]
-    np.cumsum(n_left, axis=1, out=n_left)
+    n_left = counts.astype(np.float64).take(order)
+    n_left.cumsum(axis=1, out=n_left)
     n_left[:, -1] = np.nan
-    gain = np.bincount(ent, weights=r)[order]
-    np.cumsum(gain, axis=1, out=gain)
+    gain = np.bincount(ent, weights=r).take(order)
+    gain.cumsum(axis=1, out=gain)
     ok = n_left >= min_samples_leaf
     ok &= n_left <= m - min_samples_leaf
     # Raveled, the one pair that straddles two rows lands on a last column,
@@ -196,15 +201,17 @@ def _side_gains(order, vals, ent, r, total, min_samples_leaf):
     return gain
 
 
-def _best_split(sides, ents, r, min_samples_leaf):
+def _best_split(sides, counts, ents, r, min_samples_leaf):
     """The split maximizing the drop in squared error, as (side, column of
-    that side, threshold), or None when there is no candidate. Zero-gain
-    splits are allowed on impure nodes (callers screen constant residuals);
-    they open up gains at the next depth, e.g. XOR patterns."""
+    that side, threshold), or None when there is no candidate. ``counts``
+    and ``ents`` give, per side, the node's rows per entity and each row's
+    entity. Zero-gain splits are allowed on impure nodes (callers screen
+    constant residuals); they open up gains at the next depth, e.g. XOR
+    patterns."""
     total = float(r.sum())
     tables = [
-        _side_gains(order, vals, ent, r, total, min_samples_leaf)
-        for (_, order, vals), ent in zip(sides, ents)
+        _side_gains(order, vals, c, ent, r, total, min_samples_leaf)
+        for (_, order, vals), c, ent in zip(sides, counts, ents)
     ]
     tops = [t.max(initial=-np.inf) for t in tables]
     top = max(tops)
@@ -217,7 +224,7 @@ def _best_split(sides, ents, r, min_samples_leaf):
     floor = top - 1e-12 * top
     side = int(tops[0] < floor)
     table = tables[side]
-    row, q = divmod(int(np.argmax(table.ravel() >= floor)), table.shape[1])
+    row, q = divmod(int((table.ravel() >= floor).argmax()), table.shape[1])
     cols, _, vals = sides[side]
     below, above = vals[row, q : q + 2]
     # Between adjacent floats the midpoint can round up to ``above``, which
@@ -260,12 +267,13 @@ def _grow_tree(
         r = res[idx]
         node_ents = [e[idx] for e in ents]
         split = None
-        if depth < max_depth and idx.size >= 2 * min_samples_leaf and not np.all(r == r[0]):
+        if depth < max_depth and idx.size >= 2 * min_samples_leaf and r.min() != r.max():
+            counts = [np.bincount(e, minlength=len(t)) for e, t in zip(node_ents, tables)]
             sides = [
-                (cols, *_keep_present(order, vals, e, len(table)))
-                for (cols, order, vals), e, table in zip(sides, node_ents, tables)
+                (cols, *_keep_present(order, vals, c))
+                for (cols, order, vals), c in zip(sides, counts)
             ]
-            split = _best_split(sides, node_ents, r, min_samples_leaf)
+            split = _best_split(sides, counts, node_ents, r, min_samples_leaf)
         if split is None:
             nodes[node][4] = float(r.sum() / (hessian[idx].sum() + lam))
             leaf_of_row[idx] = node

@@ -3,7 +3,7 @@
 Every file is UTF-8 with comma-separated cells. Readers skip blank lines,
 and every error about a row or a cell names the file and the row's physical
 line as ``path:line:``. Writers join cells with commas, quote a cell that
-holds a comma, a quote or a newline as ``csv`` does, and end every line
+holds a comma, a quote, a newline or a carriage return, and end every line
 with a newline (``write_rows``). The formats:
   * labelled table (``read_table``, ``write_table``): a header row of
     column ids after one blank cell, then one row per id: the row id, then
@@ -76,11 +76,24 @@ def read_rows(path: str, delimiter: str = ",") -> list[tuple[int, list[str]]]:
 
 
 def write_rows(path: str, rows) -> None:
-    """Write rows of string cells atomically as CSV: a cell holding a comma,
-    a quote or a newline is quoted, and every line ends in a newline."""
+    """Write a sequence of rows of string cells atomically as CSV: a cell
+    holding a comma, a quote, a newline or a carriage return is quoted, and
+    every line ends in a newline."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
-    atomic_write_text(path, buffer.getvalue())
+    text = buffer.getvalue()
+    if "\r" in text:
+        # ``csv`` quotes a cell that holds a character of the line
+        # terminator, so under "\n" alone a bare "\r" stays unquoted and
+        # reads back as a line break. Each row is written under "\r\n"
+        # instead, which quotes it, and ends in "\n".
+        lines = []
+        for row in rows:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(row)
+            lines.append(line.getvalue()[:-2] + "\n")
+        text = "".join(lines)
+    atomic_write_text(path, text)
 
 
 def _binary(cell: str) -> int:

@@ -77,7 +77,8 @@ def grid_search(
     Ties fall to the smaller C, then the smaller gamma. Each fold's
     shared-leaf counts are computed once, training x training and test x
     training; each (fold, gamma) Gram matrix once, from one kernel table,
-    and every C is solved on that Gram. A cell's test rows are scored from
+    and every C is solved on that Gram and the training counts, from which
+    the solver reads its curvatures. A cell's test rows are scored from
     the support vectors' columns of the test counts.
     """
     X = np.atleast_2d(np.asarray(X))
@@ -92,7 +93,9 @@ def grid_search(
         for gamma in gamma_values:
             K = kernel_table(X.shape[1], gamma)[shared]
             for C in c_values:
-                svm = smo_train(X_train, y_train, C, gamma, tol, max_passes, gram=K)
+                svm = smo_train(
+                    X_train, y_train, C, gamma, tol, max_passes, gram=K, shared=shared
+                )
                 scores = svm_decision(svm, X_test, shared_test[:, svm.support])
                 results[(C, gamma)].append(roc_auc(scores, y01[test]))
     _, best_c, best_gamma = min(

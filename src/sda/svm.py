@@ -9,7 +9,9 @@ Its one-hot encoding has one 1 per tree, so two rows sharing s leaves lie
 ||x - y||^2 = 2 (T - s) apart, and the RBF kernel takes only T + 1 values:
 a Gram matrix is one lookup of the shared-leaf counts into a table of them.
 The counts are exact integers, so the kernel equals the RBF of the one-hots
-bit for bit, is exactly symmetric and is 1 on the diagonal.
+bit for bit, is exactly symmetric and is 1 on the diagonal. The solver's
+curvature 2 - 2K takes T + 1 values as well, and each step reads its row
+from a table of them by shared-leaf count.
 
 The solver keeps ``v = y - g``, where ``g`` is the decision value without
 bias (``v`` is ``-y`` times the gradient of the dual), and the index sets
@@ -102,8 +104,10 @@ def _as_pm1(y) -> np.ndarray:
     return y
 
 
-# Rows scored at a time: scoring holds one SCORE_BLOCK x n_sv kernel.
-SCORE_BLOCK = 256
+# Rows summed at a time: scoring holds one SCORE_BLOCK x n_sv kernel block,
+# and the solver's from-scratch gradient one SCORE_BLOCK x n block beside the
+# Gram and the shared-leaf counts.
+SCORE_BLOCK = 64
 
 TAU = 1e-12  # stands in for a curvature a_ij <= 0 (duplicate rows give 0)
 
@@ -122,9 +126,12 @@ def _optimal_bias(v: np.ndarray, up: np.ndarray, low: np.ndarray) -> float:
     return float((v[up].max() + v[low].min()) / 2.0)
 
 
-def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
+def _solve(K, S, table, y: np.ndarray, C: float, tol: float, max_passes: int):
     """WSS2 SMO on the leaf-kernel Gram matrix ``K`` for labels ``y`` in
-    {-1, +1}. The diagonal of ``K`` is exactly 1, so a_ij = 2 - 2 K_ij.
+    {-1, +1}; ``K`` is ``table[S]``, for the shared-leaf counts ``S`` and
+    the kernel table ``table``. The diagonal of ``K`` is exactly 1, so
+    a_ij = 2 - 2 K_ij, which takes T + 1 values too: each step reads its
+    curvature row from a table of them by ``S``.
 
     Runs at most ``max_passes * n`` steps. Returns ``(alphas, g, up, low,
     steps, converged)``: ``g`` is the decision value without bias at
@@ -143,6 +150,8 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
     fresh = True
     up_pen = np.where(y > 0, 0.0, -np.inf)
     low_pen = np.where(y > 0, -np.inf, 0.0)
+    curv = 2.0 - 2.0 * table
+    curv[curv <= 0.0] = TAU
     # Every step reuses these buffers.
     a, b, gain = np.empty(n), np.empty(n), np.empty(n)
     pick = np.empty(n, dtype=bool)
@@ -167,9 +176,9 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
             if not fresh:
                 g = _decision(n, lambda block: K[block], np.array(alphas) * y)
             return np.array(alphas), g, up_pen == 0.0, low_pen == 0.0, steps, False
-        Ki = K[i]
-        np.subtract(2.0, np.multiply(2.0, Ki, out=a), out=a)
-        a[np.less_equal(a, 0.0, out=pick)] = TAU
+        # Every count is in range: "clip" writes to ``a`` unbuffered, where
+        # the default "raise" would buffer ``out``.
+        curv.take(S[i], out=a, mode="clip")
         # The gain (m - v_j)^2 / a_ij over the j in I_low with v_j < m, and 0
         # elsewhere. When every such gain underflows to 0 (gap below about
         # 1e-162, reachable only at a tol that small), the first such j is
@@ -180,7 +189,6 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
         j = int(gain.argmax())
         if gain.item(j) == 0.0:
             j = int(np.greater(b, 0.0, out=pick).argmax())
-        Kj = K[j]
         # Move alpha_i by y_i * t and alpha_j by -y_j * t, which keeps
         # sum(alpha * y); t is the unconstrained optimum, clipped to the box.
         # j is in I_low, so b_j = m - v_j.
@@ -195,8 +203,8 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
         if t == room_j:
             aj = 0.0 if yj > 0 else C
         # a and b are free again: they take the two terms of the update.
-        np.multiply(yi * (ai - alpha_i), Ki, out=a)
-        a += np.multiply(yj * (aj - alpha_j), Kj, out=b)
+        np.multiply(yi * (ai - alpha_i), K[i], out=a)
+        a += np.multiply(yj * (aj - alpha_j), K[j], out=b)
         v -= a
         fresh = False
         alphas[i], alphas[j] = ai, aj
@@ -216,10 +224,12 @@ def smo_train(
     tol: float = 1e-3,
     max_passes: int = 100,
     gram: np.ndarray | None = None,
+    shared: np.ndarray | None = None,
 ) -> SvmModel:
     """Fit the dual soft-margin problem on leaf rows ``X`` (n, n_trees) by
-    WSS2 pairwise steps. ``gram``, when given, is the Gram matrix
-    ``leaf_kernel(X, X, gamma)``, computed once for several fits.
+    WSS2 pairwise steps. ``shared``, when given, is ``shared_leaves(X, X)``
+    and ``gram`` the Gram matrix ``leaf_kernel(X, X, gamma)``, each
+    computed once for several fits.
 
     Converged means the maximal violating pair is closer than ``tol``.
     ``max_passes`` caps the steps at ``max_passes * n``; ``n_sweeps`` counts
@@ -229,8 +239,10 @@ def smo_train(
     X = np.atleast_2d(np.asarray(X))
     y = _as_pm1(y)
     n = len(y)
-    K = leaf_kernel(X, X, gamma) if gram is None else gram
-    alphas, g, up, low, steps, converged = _solve(K, y, C, tol, max_passes)
+    table = kernel_table(X.shape[1], gamma)
+    S = shared_leaves(X, X) if shared is None else shared
+    K = table[S] if gram is None else gram
+    alphas, g, up, low, steps, converged = _solve(K, S, table, y, C, tol, max_passes)
     if not converged:
         log.warning("SMO did not converge within %d sweeps (n=%d)", max_passes, n)
     support = np.flatnonzero(alphas > 0)
@@ -275,7 +287,7 @@ def svm_decision(model: SvmModel, X, shared: np.ndarray | None = None) -> np.nda
 
     def kernel_rows(block):
         if shared is None:
-            return table[shared_leaves(X[block], model.support_vectors)]
+            return leaf_kernel(X[block], model.support_vectors, model.gamma)
         return table[shared[block]]
 
     return _decision(len(X), kernel_rows, model.alphas * model.labels) + model.bias

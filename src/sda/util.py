@@ -24,12 +24,12 @@ def derive_seed(master: int, label: str) -> int:
 
 
 def sigmoid(z):
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, in one
+    pass: min(z, -z) is exactly -z or z, so its exp is the exp either branch
+    takes and never overflows. Unlike -|z|, it keeps a nan's sign bit."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

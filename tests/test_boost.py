@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,36 @@ from sda.errors import NumericError
 from sda.util import sigmoid
 
 from conftest import assemble, pair_space, random_tree
+
+
+def two_branch_sigmoid(z):
+    """The sigmoid as two masked branches, 1 / (1 + exp(-z)) where z >= 0
+    and exp(z) / (1 + exp(z)) elsewhere, neither of which overflows."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    SPECIAL = (0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf, np.nan)
+
+    def test_bits_match_two_branches(self):
+        z = np.concatenate([
+            np.random.default_rng(36).normal(scale=30.0, size=2000), self.SPECIAL
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(z)
+            scalars = [sigmoid(x) for x in self.SPECIAL]
+        assert got.dtype == np.float64
+        assert got.tobytes() == two_branch_sigmoid(z).tobytes()
+        for x, value in zip(self.SPECIAL, scalars):
+            assert type(value) is float
+            assert np.float64(value).tobytes() == two_branch_sigmoid(x).tobytes(), x
 
 
 class TestInit:
@@ -543,7 +574,8 @@ class TestSplitSearch:
     def test_keep_present_restricts_in_order(self):
         table = np.round(np.random.default_rng(3).random((7, 3)), 1)
         order, vals = self._sides(table)
-        kept, kept_vals = boost._keep_present(order, vals, np.array([4, 1, 4, 6]), 7)
+        counts = np.bincount([4, 1, 4, 6], minlength=7)
+        kept, kept_vals = boost._keep_present(order, vals, counts)
         assert kept.shape == kept_vals.shape == (3, 3)
         for f in range(3):
             expect = [e for e in order[f] if e in (1, 4, 6)]
@@ -554,7 +586,8 @@ class TestSplitSearch:
         # no entity dropped out: the parent's arrays, not copies
         table = np.round(np.random.default_rng(4).random((5, 2)), 1)
         order, vals = self._sides(table)
-        kept, kept_vals = boost._keep_present(order, vals, np.array([3, 0, 1, 4, 2, 0]), 5)
+        counts = np.bincount([3, 0, 1, 4, 2, 0], minlength=5)
+        kept, kept_vals = boost._keep_present(order, vals, counts)
         assert kept is order and kept_vals is vals
 
     @pytest.mark.parametrize("msl", (1, 2, 4))
@@ -563,8 +596,9 @@ class TestSplitSearch:
         table = np.round(rng.random((6, 3)), 1)
         ent = rng.integers(0, 6, 25)
         r = rng.normal(size=25)
-        order, vals = boost._keep_present(*self._sides(table), ent, 6)
-        gains = boost._side_gains(order, vals, ent, r, float(r.sum()), msl)
+        counts = np.bincount(ent, minlength=6)
+        order, vals = boost._keep_present(*self._sides(table), counts)
+        gains = boost._side_gains(order, vals, counts, ent, r, float(r.sum()), msl)
         m, width = len(r), order.shape[1]
         assert gains.shape == order.shape and width == len(set(ent.tolist()))
         for f in range(len(order)):
@@ -588,9 +622,10 @@ class TestSplitSearch:
                                        max_depth=2, min_samples_leaf=msl)
             assert tree.n_leaves == n_leaves
         tables, ents, sides = boost._prepare(*pair_space(X))
-        gains = boost._side_gains(*sides[0][1:], ents[0], r, float(r.sum()), 4)
+        counts = [np.bincount(e, minlength=len(t)) for e, t in zip(ents, tables)]
+        gains = boost._side_gains(*sides[0][1:], counts[0], ents[0], r, float(r.sum()), 4)
         assert np.all(gains == -np.inf)
-        assert boost._best_split(sides, ents, r, 4) is None
+        assert boost._best_split(sides, counts, ents, r, 4) is None
 
     @staticmethod
     def _drops(pairs, visited):

@@ -447,6 +447,28 @@ class TestRank:
         assert all(len(row) == 4 for row in rows)
         assert "dis,000" in {row[0] for row in rows}
 
+    def test_carriage_return_in_an_id_survives_a_prepare_run(self, small_dataset, tmp_path):
+        """A disease id holding a bare carriage return is written back
+        quoted, so it reads back as one cell of one row, not a line break."""
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(small_dataset["association"]), data)
+        paths = {key: str(data / os.path.basename(p)) for key, p in small_dataset.items()}
+        for key, old, new in (("association", ",dis000,", ',"dis\r000",'),
+                              ("dag", "\ndis000,", '\n"dis\r000",')):
+            text = Path(paths[key]).read_text(encoding="utf-8")
+            assert text.count(old) == 1
+            Path(paths[key]).write_text(text.replace(old, new), encoding="utf-8", newline="")
+        prep, out = str(tmp_path / "prep"), tmp_path / "out"
+        cfg = write_config_file(tmp_path / "c1.txt", **base_keys(paths, prep))
+        assert main(["prepare", "--config", cfg]) == 0
+        keys = base_keys(paths, str(out), prepared_dir=prep)
+        cfg = write_config_file(tmp_path / "c2.txt", **keys)
+        assert main(["rank", "--config", cfg]) == 0
+        with open(out / "rankings.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 4 for row in rows)
+        assert "dis\r000" in {row[0] for row in rows}
+
     def test_lone_resolved_cell_takes_no_search(self, small_dataset, tmp_path, monkeypatch):
         # "1/d" resolving to the other listed gamma leaves one (C, gamma)
         # cell, which is the single-cell run at that gamma, with no search

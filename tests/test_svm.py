@@ -296,6 +296,33 @@ class TestWss2Solver:
             alphas, v = solver_state(model, X, y)
             assert violating_pair_gap(alphas, v, y, C) < tol, trial
 
+    @pytest.mark.parametrize("gamma", (0.1, 1e-14, 1e-17))
+    def test_precomputed_counts_and_gram_change_no_bit(self, gamma):
+        # the grid search passes each fold's shared-leaf counts and Gram;
+        # at 1e-14 every curvature off the diagonal lies in (0, TAU), and at
+        # 1e-17 every kernel value rounds to 1, so every curvature is TAU
+        rng = np.random.default_rng(34)
+        X = leaf_rows(rng, 30, n_trees=2, n_leaves=3)
+        y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        X = np.vstack([X, X[:8], X[:8]])
+        y = np.concatenate([y, -y[:8], y[:8]])
+        table = svm.kernel_table(X.shape[1], gamma)
+        curv = 2.0 - 2.0 * table[:-1]
+        if gamma == 1e-14:
+            assert np.all((curv > 0.0) & (curv < svm.TAU))
+        elif gamma == 1e-17:
+            assert np.all(table == 1.0)
+        S = svm.shared_leaves(X, X)
+        K = leaf_kernel(X, X, gamma)
+        got = smo_train(X, y, 10.0, gamma, gram=K, shared=S)
+        want = smo_train(X, y, 10.0, gamma)
+        assert np.array_equal(got.alphas, want.alphas)
+        assert np.array_equal(got.support, want.support)
+        assert got.bias.hex() == want.bias.hex()
+        assert got.dual_objective.hex() == want.dual_objective.hex()
+        assert got.n_sweeps == want.n_sweeps
+
     def test_two_calls_bitwise_equal(self):
         rng = np.random.default_rng(18)
         X, y, _ = random_problem(rng, 30)
