@@ -135,15 +135,53 @@ def read_table(
 ) -> tuple[list[str], list[str], np.ndarray]:
     """Row ids, column ids and values of a labelled table whose cells are
     ``cells``: "0/1" (int8 values), "number" or "finite" (float64 values).
-    ``axes`` names the row and column ids in errors."""
-    parse, dtype = _CELLS[cells]
+    ``axes`` names the row and column ids in errors.
+
+    The cells are converted whole (``_convert``). Only a table that does not
+    convert so, one with a padded 0/1 cell or with a fault, is read again
+    cell by cell, which reads the padded cell or names the first fault in
+    file order."""
     (header_line, header), *body = read_rows(path, delimiter)
     col_ids = [c.strip() for c in header[1:]]
     _check_unique(((header_line, c) for c in col_ids), axes[1], path)
-    row_ids: list[str] = []
+    row_ids = [row[0].strip() for _, row in body]
+    values = _convert(body, len(col_ids), cells)
+    if values is None:
+        values = _parse_cells(path, body, row_ids, col_ids, cells)
+    _check_unique(zip((line for line, _ in body), row_ids), axes[0], path)
+    return row_ids, col_ids, values
+
+
+def _convert(body, n_cols: int, cells: str) -> np.ndarray | None:
+    """The values of ``body``'s cells from one conversion, or None where
+    that cannot give them: a row holds other than ``n_cols + 1`` cells, a
+    "0/1" cell is not exactly "0" or "1", or a float cell is one ``float``
+    rejects (``np.array`` calls it on each string), or nan or inf where
+    ``cells`` is "finite"."""
+    if any(len(row) != n_cols + 1 for _, row in body):
+        return None
+    flat = [cell for _, row in body for cell in row[1:]]
+    if cells == "0/1":
+        if not set(flat) <= {"0", "1"}:
+            return None
+        # each cell is one ASCII digit: its code point minus that of "0"
+        values = np.frombuffer("".join(flat).encode(), dtype=np.int8) - np.int8(ord("0"))
+    else:
+        try:
+            values = np.array(flat, dtype=np.float64)
+        except ValueError:
+            return None
+        if cells == "finite" and not np.isfinite(values).all():
+            return None
+    return values.reshape(len(body), n_cols)
+
+
+def _parse_cells(path: str, body, row_ids, col_ids, cells: str) -> np.ndarray:
+    """The values of ``body`` read row by row and cell by cell; the first
+    row with a wrong cell count or bad cell, in file order, raises."""
+    parse, dtype = _CELLS[cells]
     values = np.zeros((len(body), len(col_ids)), dtype=dtype)
-    for r, (line, row) in enumerate(body):
-        row_id = row[0].strip()
+    for r, ((line, row), row_id) in enumerate(zip(body, row_ids)):
         if len(row) != len(col_ids) + 1:
             raise DataError(
                 f"{path}:{line}: row '{row_id}' has {len(row)} cells, "
@@ -159,9 +197,7 @@ def read_table(
                     f"column '{col_id}'"
                 ) from None
         values[r] = parsed
-        row_ids.append(row_id)
-    _check_unique(zip((line for line, _ in body), row_ids), axes[0], path)
-    return row_ids, col_ids, values
+    return values
 
 
 def write_table(path: str, row_ids, col_ids, values, fmt=str) -> None:

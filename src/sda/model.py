@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .boost import GbdtEnsemble, gbdt_fit, gbdt_leaf_encode
-from .evaluation import roc_auc, stratified_kfold
 from .svm import SvmModel, gamma_value, kernel_table, shared_leaves, smo_train, svm_decision
 from .util import derive_seed
 
@@ -81,6 +80,9 @@ def grid_search(
     the solver reads its curvatures. A cell's test rows are scored from
     the support vectors' columns of the test counts.
     """
+    # here, not at module top: a fit at one SVM point computes no metric
+    from .evaluation import roc_auc, stratified_kfold
+
     X = np.atleast_2d(np.asarray(X))
     y01 = np.where(np.asarray(y) == 1, 1, 0)
     fold_index = stratified_kfold(y01, n_folds, seed)

@@ -6,22 +6,21 @@ deterministic per-stage derivation.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import corpus, sampling, similarity
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
-from .evaluation import (
-    MetricsReport, pr_auc, pr_points, roc_auc, roc_points, stratified_kfold, threshold_metrics,
-)
 from .model import Model, SvmParams, fit, select
 from .util import atomic_write_text, derive_seed, fmt_float, sigmoid
+
+if TYPE_CHECKING:  # the metrics load with the CV that uses them
+    from .evaluation import MetricsReport
 
 log = logging.getLogger(__name__)
 
@@ -216,6 +215,8 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
 
 def _load_k_used(path: str) -> int:
     """The cluster count a prepare run recorded in its ``prepare.json``."""
+    import json  # here and in the other JSON helpers: a plain rank reads and writes none
+
     text = corpus.read_text(path)
     try:
         k = json.loads(text)["k"]
@@ -327,6 +328,12 @@ def evaluate(
     ``strict_fold_tables`` rebuilds the two tables for each fold from
     training-fold positives only.
     """
+    # here, not at module top: a rank at one SVM point computes no metric
+    from .evaluation import (
+        MetricsReport, pr_auc, pr_points, roc_auc, roc_points, stratified_kfold,
+        threshold_metrics,
+    )
+
     pairs, labels = prepared.pairs, prepared.labels
     fold_index = stratified_kfold(labels, cfg.n_folds, derive_seed(cfg.seed, "cv-folds"))
     pooled = np.zeros(len(labels))
@@ -497,6 +504,8 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
 
 
 def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
+    import json
+
     paths = _artifact_paths("prepare", out_dir)
     msfs_path, mdss_path, pairs_path, record_path = paths
     snorna_ids, disease_ids = prepared.am.snorna_ids, prepared.am.disease_ids
@@ -514,6 +523,8 @@ def write_prepared(prepared: PreparedData, out_dir: str) -> list[str]:
 
 
 def _write_json(path: str, obj) -> None:
+    import json
+
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 

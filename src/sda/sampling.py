@@ -72,6 +72,8 @@ def kmeans(
         raise DataError(f"k={k} exceeds the number of points ({n})")
     left_norms, right_norms = np.sum(left**2, axis=1), np.sum(right**2, axis=1)
     norm_scale = left_norms.max(initial=0.0) + right_norms.max(initial=0.0)
+    # the flat offset of each row of a block's (pairs, k) distance table
+    row_starts = np.arange(min(KMEANS_BLOCK, n)) * k
 
     def point(i: int) -> np.ndarray:
         return np.concatenate([left[a[i]], right[b[i]]])
@@ -89,9 +91,9 @@ def kmeans(
             d2 = np.take(left_part, a[block], axis=0)
             d2 += np.take(right_part, b[block], axis=0)
             np.maximum(d2, 0.0, out=d2)
-            closest = np.argmin(d2, axis=1)
+            closest = d2.argmin(axis=1)
             assigned[block] = closest
-            min_d2[block] = np.take_along_axis(d2, closest[:, None], axis=1)[:, 0]
+            min_d2[block] = d2.take(row_starts[: len(closest)] + closest)
         return assigned, min_d2
 
     def distances_to(i: int) -> np.ndarray:
@@ -115,12 +117,14 @@ def kmeans(
     centroids = np.array([point(i) for i in chosen])
 
     history: list[float] = []
+    settled = False
     for _ in range(max_iter):
         assignments, min_d2 = assign(centroids)
 
         # Re-seed empty clusters at the currently worst-served points.
         sizes = np.bincount(assignments, minlength=k)
-        for c in np.flatnonzero(sizes == 0):
+        empty = np.flatnonzero(sizes == 0)
+        for c in empty:
             # the expanded form leaves noise at the scale of the squared norms
             far = first_max(min_d2, max(min_d2.max(), norm_scale))
             centroids[c] = point(far)
@@ -128,7 +132,8 @@ def kmeans(
             min_d2[far] = 0.0
         history.append(float(min_d2.sum()))
 
-        sizes = np.bincount(assignments, minlength=k)
+        if len(empty):
+            sizes = np.bincount(assignments, minlength=k)
         sums = np.hstack(
             [centroid_sums(left, a, assignments), centroid_sums(right, b, assignments)]
         )
@@ -136,12 +141,17 @@ def kmeans(
         new_centroids = centroids.copy()
         new_centroids[filled] = sums[filled] / sizes[filled, None]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        # After a pass that re-seeded nothing and left every centroid's bits
+        # as they were, another assignment pass would repeat this one.
+        settled = not len(empty) and new_centroids.tobytes() == centroids.tobytes()
         centroids = new_centroids
         if shift < tol:
             break
 
-    # Final assignment so every point sits with its nearest centroid.
-    assignments, min_d2 = assign(centroids)
+    # Final assignment so every point sits with its nearest centroid; a
+    # settled last pass already holds it.
+    if not settled:
+        assignments, min_d2 = assign(centroids)
     inertia = float(min_d2.sum())
     history.append(inertia)
     return Clustering(k, assignments, centroids, inertia, seed, history)

@@ -70,13 +70,13 @@ def snorna_functional_similarity(
     row_of = {s: i for i, s in enumerate(ft.snorna_ids)}
     norms = np.linalg.norm(ft.features, axis=1)
 
-    defined = np.zeros(n, dtype=bool)
+    # each output id's feature row, -1 for an id absent from the table
+    rows = np.array([row_of.get(sid, -1) for sid in out_ids], dtype=np.int64)
+    defined = rows >= 0
+    defined[defined] = norms[rows[defined]] > 0.0
+    rows = rows[defined]
     unit = np.zeros((n, ft.features.shape[1]), dtype=np.float64)
-    for i, sid in enumerate(out_ids):
-        r = row_of.get(sid)
-        if r is not None and norms[r] > 0.0:
-            defined[i] = True
-            unit[i] = ft.features[r] / norms[r]
+    unit[defined] = ft.features[rows] / norms[rows, None]
 
     values = np.clip(unit @ unit.T, -1.0, 1.0)
     values = _mirror_upper(values)

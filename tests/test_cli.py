@@ -893,6 +893,11 @@ def test_command_does_not_import_numpy_ma(command, small_dataset, tmp_path):
     # the records are NamedTuples: dataclasses costs an import and a
     # compiled __init__, __repr__ and __eq__ per class
     assert "dataclasses" not in modules
+    # a rank at one SVM point computes no metric and writes no JSON: the
+    # imports of both wait for the code that uses them
+    evaluates = command == "evaluate"
+    assert ("sda.evaluation" in modules) == evaluates
+    assert ("json" in modules) == evaluates
 
 
 def test_rankings_do_not_depend_on_blas_threads(tmp_path):

@@ -10,6 +10,7 @@ from sda.corpus import (
     load_association_matrix,
     load_disease_dag,
     load_feature_table,
+    read_table,
     save_association_matrix,
     split_known_unknown,
 )
@@ -118,6 +119,46 @@ class TestFeatureTable:
         assert missing == ["s2", "s3"]
         with pytest.raises(DataError):
             check_feature_alignment(ft, am, strict=True)
+
+
+class TestCellParsing:
+    """A table's cells load, or fail, the same whether the table is
+    converted whole or cell by cell: padded cells, each bad cell's message,
+    and which of two faults is reported."""
+
+    def test_padded_cells_load(self, tmp_path):
+        am = load_association_matrix(write(tmp_path / "am.csv", ",d1,d2\ns1, 1,0 \ns2,0,1\n"))
+        assert am.entries.dtype == np.int8
+        assert am.entries.tolist() == [[1, 0], [0, 1]]
+        ft = load_feature_table(write(tmp_path / "ft.csv", ",f1,f2\ns1, 0.25 ,1\n"))
+        assert ft.features.tolist() == [[0.25, 1.0]]
+
+    @pytest.mark.parametrize("cells, cell, reason", [
+        ("0/1", "2", "non-binary"),
+        ("0/1", "01", "non-binary"),
+        ("0/1", "+1", "non-binary"),
+        ("0/1", "abc", "non-binary"),
+        ("finite", "abc", "non-numeric"),
+        ("finite", "nan", "non-finite"),
+    ])
+    def test_bad_cell_names_line_row_column_and_reason(self, tmp_path, cells, cell, reason):
+        path = write(tmp_path / "t.csv", f",a,b\nx,0,1\ny,1,{cell}\nz,1,0\n")
+        with pytest.raises(DataError) as info:
+            read_table(path, cells)
+        assert str(info.value) == f"{path}:3: {reason} cell '{cell}' at row 'y', column 'b'"
+
+    @pytest.mark.parametrize("cells", ["0/1", "finite"])
+    def test_earlier_bad_cell_reported_before_later_cell_count(self, tmp_path, cells):
+        path = write(tmp_path / "t.csv", ",a,b\nx,0,1\ny,abc,0\nz,1\n")
+        with pytest.raises(DataError, match=r":3: non-\w+ cell 'abc' at row 'y', column 'a'$"):
+            read_table(path, cells)
+
+    def test_conversion_matches_float_bit_for_bit(self, tmp_path):
+        cells = ["1_0", "-0", "1e-320", "Infinity", " 5 "]
+        path = write(tmp_path / "t.csv", ",a,b,c,d,e\nx," + ",".join(cells) + "\n")
+        _, _, values = read_table(path, "number")
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.array([[float(c) for c in cells]]).tobytes()
 
 
 def ancestors(dag, node):

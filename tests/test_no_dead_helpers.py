@@ -116,9 +116,8 @@ def _modules_loaded_by(module: str) -> set[str]:
 
 
 def test_metrics_do_not_import_the_model():
-    # the CV loop lives in ``pipeline``; ``model`` imports the metrics at
-    # module top for the grid search, so a metrics import of the model
-    # would be a cycle
+    # the CV loop lives in ``pipeline``; ``model`` imports the metrics for
+    # the grid search, so a metrics import of the model would be a cycle
     modules = _modules_loaded_by("sda.evaluation")
     assert "sda.evaluation" in modules
     assert "sda.model" not in modules

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -386,3 +387,63 @@ class TestKmeansBlocks:
         pairs = [(i, j) for i in range(4) for j in range(3)]
         for seed in range(4):
             self.check(monkeypatch, left, right, pairs, 8, seed)
+
+
+def kmeans_digests(result):
+    """sha256 of the assignments, centroids and history, and the inertia's hex."""
+    return (
+        hashlib.sha256(result.assignments.tobytes()).hexdigest(),
+        hashlib.sha256(result.centroids.tobytes()).hexdigest(),
+        result.inertia.hex(),
+        hashlib.sha256(np.array(result.history).tobytes()).hexdigest(),
+    )
+
+
+class TestKmeansPinned:
+    """Bit-level locks on three ways a run ends; the digests were pinned
+    before the final assignment pass could be taken from the last Lloyd
+    pass, which must change none of them."""
+
+    def dense_space(self):
+        rng = np.random.default_rng(40)
+        left, right = rng.random((9, 4)), rng.random((6, 3))
+        return left, right, [(i, j) for i in range(9) for j in range(6)]
+
+    def test_ends_settled(self):
+        # the third pass moves no centroid and re-seeds nothing
+        result = kmeans(*self.dense_space(), 4, seed=2)
+        assert len(result.history) == 4
+        assert kmeans_digests(result) == (
+            "68b85232fd42579cbd4de01f16264e274093c9d6e0bbee62d5ee7356e30b117f",
+            "0fdeb004dad94926065f64f58dfee71258b840a3ce7c28290805833033d021cb",
+            "0x1.1b97e8d787776p+3",
+            "51815b1c9c83f69033e7f63eb2ccd5d4c921300efddb0b90dba21dba44e48528",
+        )
+
+    def test_stops_at_max_iter(self):
+        result = kmeans(*self.dense_space(), 4, seed=2, max_iter=1)
+        assert len(result.history) == 2
+        assert kmeans_digests(result) == (
+            "68b85232fd42579cbd4de01f16264e274093c9d6e0bbee62d5ee7356e30b117f",
+            "9f457866d482e5ad5098b9a8083f0c463c4ddda0093410c68476514ac0e0455f",
+            "0x1.29cd07cb998f6p+3",
+            "e1b2f5a1f54a3a82ed3198e79224508ccda5e86c72b854642382ecafc461db2d",
+        )
+
+    def test_reseeds_on_its_last_pass(self):
+        # k above the 6 distinct points: the one pass re-seeds and then
+        # moves no centroid, yet the final assignment, from the same
+        # centroids, reads another rounding noise than the re-seeded pass
+        rng = np.random.default_rng(25)
+        left, right = rng.random((4, 3)), rng.random((3, 2))
+        left[1] = left[0]
+        right[2] = right[1]
+        pairs = [(i, j) for i in range(4) for j in range(3)]
+        result = kmeans(left, right, pairs, 7, seed=0)
+        assert result.history[0] != result.history[1]
+        assert kmeans_digests(result) == (
+            "c3cf697554c13f90e3c9ca62fc53db8ed11e7224a61a803a042299776b286f36",
+            "149403876928ebc79874e5ebf67750b09b10c80ff6b8d9d907ab8dfb955d4a27",
+            "0x1.8000000000000p-51",
+            "db78eefdff18b73a96636b333e04a64b8e4812b0af15370b22b741d1073e7ea0",
+        )
