@@ -20,6 +20,8 @@ from .model import Model, SvmParams, fit, select
 from .util import atomic_write_text, derive_seed, fmt_float, sigmoid
 
 if TYPE_CHECKING:  # the metrics load with the CV that uses them
+    from collections.abc import Callable
+
     from .evaluation import MetricsReport
 
 log = logging.getLogger(__name__)
@@ -56,8 +58,7 @@ class PreparedData(NamedTuple):
     dss: similarity.SimilarityMatrix | None  # base disease similarity, if any
     msfs: np.ndarray  # fused snoRNA similarity, in ``am``'s snoRNA order
     mdss: np.ndarray  # fused disease similarity, in ``am``'s disease order
-    positives: np.ndarray  # (n, 2) rows (snoRNA index, disease index), row-major
-    negatives: np.ndarray  # the unknown cells, the same way
+    negatives: np.ndarray  # the unknown cells: (n, 2) rows (snoRNA, disease), row-major
     pairs: np.ndarray  # balanced: positives then selected negatives
     labels: np.ndarray
     k_used: int
@@ -66,17 +67,6 @@ class PreparedData(NamedTuple):
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair space's left (snoRNA) and right (disease) entity tables."""
         return self.msfs, self.mdss.T
-
-    def balanced(self, selected: np.ndarray, k: int) -> PreparedData:
-        """This data with the balanced set of every positive and the
-        ``selected`` negatives, which were picked from ``k`` clusters."""
-        n_pos = len(self.positives)
-        labels = np.concatenate(
-            [np.ones(n_pos, dtype=int), np.zeros(len(selected), dtype=int)]
-        )
-        return self._replace(
-            pairs=np.concatenate([self.positives, selected]), labels=labels, k_used=k
-        )
 
     def strict_fold_tables(
         self, test_idx: np.ndarray, cfg: PipelineConfig
@@ -145,12 +135,17 @@ def prepare(cfg: PipelineConfig) -> PreparedData:
     pair list written by a previous prepare run are loaded instead of being
     recomputed (pairs are scored from the matrices; no pair features are stored).
     """
-    if not cfg.association_path:
-        raise DataError("association_path is required")
-    am = corpus.load_association_matrix(cfg.association_path, strict=cfg.strict)
+    am = _load_matrix(cfg)
     if cfg.prepared_dir:
         return load_prepared(am, cfg)
     return prepare_from_matrix(am, cfg)
+
+
+def _load_matrix(cfg: PipelineConfig) -> corpus.AssociationMatrix:
+    """The association matrix at ``cfg.association_path``."""
+    if not cfg.association_path:
+        raise DataError("association_path is required")
+    return corpus.load_association_matrix(cfg.association_path, strict=cfg.strict)
 
 
 def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> PreparedData:
@@ -202,10 +197,9 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
     if set(labels) != {0, 1}:
         raise DataError(f"{pairs_path}: needs rows of both labels, 0 and 1")
 
-    positives, negatives = corpus.split_known_unknown(am)
+    _, negatives = corpus.split_known_unknown(am)
     return PreparedData(
         am=am, sfs=None, dss=None, msfs=msfs.values, mdss=mdss.values,
-        positives=positives,
         negatives=negatives,
         pairs=np.array(pairs, dtype=np.int64),
         labels=np.asarray(labels, dtype=int),
@@ -247,18 +241,30 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
         am.entries.astype(np.float64), sfs, dss,
         cfg.gamma_prime_snorna, cfg.gamma_prime_disease,
     )
-    # no negatives chosen yet: ``balanced`` fills in the pair set
-    base = PreparedData(
-        am=am, sfs=sfs, dss=dss, msfs=msfs, mdss=mdss,
-        positives=positives, negatives=negatives, pairs=positives[:0],
-        labels=np.zeros(0, dtype=int), k_used=0,
-    )
+
+    def draw(k: int, seed: int, kmeans_label: str, select_label: str) -> PreparedData:
+        """The balanced set of every positive and as many negatives, drawn
+        from ``k`` k-means clusters of the unknown pairs. The clustering is
+        seeded by ``kmeans_label`` and the per-cluster sampling by
+        ``select_label``, each derived from ``seed``."""
+        clustering = sampling.kmeans(
+            msfs, mdss.T, negatives, k, seed=derive_seed(seed, kmeans_label)
+        )
+        selected = sampling.select_negatives(
+            clustering, negatives, len(positives), seed=derive_seed(seed, select_label)
+        )
+        return PreparedData(
+            am=am, sfs=sfs, dss=dss, msfs=msfs, mdss=mdss, negatives=negatives,
+            pairs=np.concatenate([positives, selected]),
+            labels=np.repeat([1, 0], len(positives)),  # as many negatives as positives
+            k_used=k,
+        )
 
     k = cfg.k[0]
     if len(cfg.k) > 1:
-        k = _choose_k(base, cfg)
+        k = _choose_k(draw, cfg)
         log.info("choose_k selected k=%d from %s", k, list(cfg.k))
-    prepared = _draw(base, k, cfg.seed, "kmeans", "select-negatives")
+    prepared = draw(k, cfg.seed, "kmeans", "select-negatives")
     log.info(
         "prepared %s: %d positives + %d sampled negatives (k=%d)",
         cfg.dataset_name, len(positives), len(positives), k,
@@ -266,26 +272,11 @@ def prepare_from_matrix(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Pr
     return prepared
 
 
-def _draw(
-    base: PreparedData, k: int, seed: int, kmeans_label: str, select_label: str
-) -> PreparedData:
-    """``base`` balanced with negatives drawn from ``k`` k-means clusters of
-    its unknown pairs. The clustering is seeded by ``kmeans_label`` and the
-    per-cluster sampling by ``select_label``, each derived from ``seed``."""
-    clustering = sampling.kmeans(
-        *base.tables, base.negatives, k, seed=derive_seed(seed, kmeans_label)
-    )
-    selected = sampling.select_negatives(
-        clustering, base.negatives, len(base.positives),
-        seed=derive_seed(seed, select_label),
-    )
-    return base.balanced(selected, k)
-
-
-def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
-    """The entry of ``cfg.k`` whose balanced set, drawn from ``base``,
-    scores the highest mean ROC-AUC in a cheap CV; ties fall to the lower
-    mean MSE, then to the smaller k.
+def _choose_k(draw: Callable[[int, int, str, str], PreparedData], cfg: PipelineConfig) -> int:
+    """The entry of ``cfg.k`` whose balanced set, from
+    ``draw(k, seed, kmeans_label, select_label)``, scores the highest mean
+    ROC-AUC in a cheap CV; ties fall to the lower mean MSE, then to the
+    smaller k.
 
     The cheap CV is ``evaluate`` with the SVM at the middle grid entries;
     the full grid search (if any) runs after k is fixed. In strict-folds
@@ -297,7 +288,7 @@ def _choose_k(base: PreparedData, cfg: PipelineConfig) -> int:
     seed = derive_seed(cfg.seed, "choose-k")
     results = []
     for k in cfg.k:
-        drawn = _draw(base, k, seed, f"kmeans-k{k}", f"select-k{k}")
+        drawn = draw(k, seed, f"kmeans-k{k}", f"select-k{k}")
         mean = evaluate(drawn, cfg, probe).mean
         log.info("choose_k: k=%d roc_auc=%.4f mse=%.4f", k, mean["roc_auc"], mean["mse"])
         results.append((-mean["roc_auc"], mean["mse"], k))
@@ -433,11 +424,10 @@ def rank_candidates(
 
 
 def holdout_inference_check(cfg: PipelineConfig) -> dict:
-    """Remove a seeded fraction of known positives, retrain, and measure how
-    highly the held-out pairs score among each disease's unknowns."""
-    if not cfg.association_path:
-        raise DataError("association_path is required")
-    am = corpus.load_association_matrix(cfg.association_path, strict=cfg.strict)
+    """Remove a seeded fraction of known positives, re-prepare on the
+    reduced matrix and retrain, and measure how highly the held-out pairs
+    score among each disease's unknowns."""
+    am = _load_matrix(cfg)
     positives, _ = corpus.split_known_unknown(am)
     n_hold = int(round(cfg.holdout_fraction * len(positives)))
     if n_hold < 1:
@@ -447,27 +437,26 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
     rng = random.Random(derive_seed(cfg.seed, "holdout"))
     held = positives[sorted(rng.sample(range(len(positives)), n_hold))]
 
-    reduced = corpus.AssociationMatrix(am.snorna_ids, am.disease_ids, am.entries.copy())
+    reduced = am._replace(entries=am.entries.copy())
     reduced.entries[held[:, 0], held[:, 1]] = 0
+    unknown = reduced.entries != 1  # each disease's candidates, the held pairs among them
 
-    excluded = sorted(
-        {am.disease_ids[d] for d in held[:, 1].tolist() if reduced.entries[:, d].sum() == 0}
-    )
+    emptied = unknown.all(axis=0)  # the diseases left with no positive
+    excluded = sorted({am.disease_ids[d] for d in held[:, 1].tolist() if emptied[d]})
     for disease_id in excluded:
         log.warning(
             "holdout emptied positives of disease '%s'; excluded from report", disease_id
         )
+    scorable = held[~emptied[held[:, 1]]]
+    if len(scorable) == 0:
+        raise DataError("holdout produced no scorable held-out pairs")
 
     prepared = prepare_from_matrix(reduced, cfg)
-    # the candidates, the unknown pairs of ``reduced``, include the held-out pairs
     grid = _score_grid(prepared, fit_model(prepared, cfg))
 
     rows = []
-    for s, d in held.tolist():
-        disease_id = am.disease_ids[d]
-        if disease_id in excluded:
-            continue
-        disease_scores = grid[reduced.entries[:, d] != 1, d]
+    for s, d in scorable.tolist():
+        disease_scores = grid[unknown[:, d], d]
         mine = float(grid[s, d])
         below = int((disease_scores < mine).sum())
         ties = int((disease_scores == mine).sum())
@@ -476,7 +465,7 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
         rows.append(
             {
                 "snorna_id": am.snorna_ids[s],
-                "disease_id": disease_id,
+                "disease_id": am.disease_ids[d],
                 "score": mine,
                 "percentile": percentile,
                 "rank_in_disease": rank,
@@ -484,8 +473,6 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
                 "in_top_k": rank <= cfg.top_k,
             }
         )
-    if not rows:
-        raise DataError("holdout produced no scorable held-out pairs")
     return {
         "holdout_fraction": cfg.holdout_fraction,
         "seed": cfg.seed,

@@ -221,12 +221,12 @@ def test_grid_with_a_class_below_n_folds_exits_two(
     command, n_pos, tmp_path, monkeypatch, caplog
 ):
     """The grid search folds as the CV does, so a balanced set with fewer
-    rows of a class than n_folds is a data error before any SMO fit."""
+    rows of a class than n_folds is a data error before any SMO fit. The
+    positives share one disease, so holdout leaves it one to score."""
     fits = []
     monkeypatch.setattr(model, "smo_train", lambda *args, **kwargs: fits.append(args))
     entries = np.zeros((8, 4), dtype=np.int8)
-    for t in range(n_pos):
-        entries[t, t % 4] = 1
+    entries[:n_pos, 0] = 1
     assoc = str(tmp_path / "assoc.csv")
     save_association_matrix(
         AssociationMatrix([f"s{i}" for i in range(8)], [f"d{j}" for j in range(4)], entries),
@@ -671,6 +671,49 @@ class TestHoldout:
             holdout_fraction=0.1, seed=0,
         )
         assert main(["holdout", "--config", cfg]) == 1  # 0.1 * 1 positive -> empty
+
+    @staticmethod
+    def holdout(entries, tmp_path, caplog, seed=0):
+        """``holdout`` of half the positives of ``entries`` at k=2 and one
+        SVM point; returns the exit code and the report, if written."""
+        n_s, n_d = entries.shape
+        am = AssociationMatrix(
+            [f"s{i}" for i in range(n_s)], [f"d{j}" for j in range(n_d)], entries
+        )
+        assoc, out = str(tmp_path / "a.csv"), tmp_path / "out"
+        save_association_matrix(am, assoc)
+        cfg = write_config_file(
+            tmp_path / "cfg.txt", association_path=assoc, output_dir=str(out),
+            holdout_fraction=0.5, k=2, svm_c=10, svm_gamma=0.1, seed=seed,
+        )
+        with caplog.at_level("INFO"):
+            code = main(["holdout", "--config", cfg])
+        report = out / "holdout_report.json"
+        return code, json.loads(report.read_bytes()) if report.exists() else None
+
+    def test_emptied_disease_is_excluded(self, tmp_path, caplog):
+        entries = np.zeros((20, 4), dtype=np.int8)
+        entries[0:10, 0] = 1
+        entries[5:15, 1] = 1
+        entries[10:20, 2] = 1
+        entries[3, 3] = 1  # d3's only positive, held out at seed 2
+        code, doc = self.holdout(entries, tmp_path, caplog, seed=2)
+        assert code == 0
+        assert doc["excluded_diseases"] == ["d3"]
+        assert "disease 'd3'; excluded from report" in caplog.text
+        assert (doc["n_held_out"], doc["n_reported"]) == (16, 15)
+        assert "d3" not in {row["disease_id"] for row in doc["pairs"]}
+        assert "prepared" in caplog.text
+
+    def test_nothing_scorable_fails_before_preparing(self, tmp_path, caplog):
+        """With one positive per disease, every held pair empties its
+        disease: a data error before anything is prepared or fitted."""
+        entries = np.zeros((10, 6), dtype=np.int8)
+        np.fill_diagonal(entries, 1)
+        code, doc = self.holdout(entries, tmp_path, caplog)
+        assert (code, doc) == (2, None)
+        assert "holdout produced no scorable held-out pairs" in caplog.text
+        assert "prepared" not in caplog.text
 
 
 @pytest.fixture(scope="module")

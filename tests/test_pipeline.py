@@ -14,7 +14,7 @@ from sda.errors import ConfigError
 from sda.similarity import disease_semantic_similarity
 from sda.svm import svm_decision
 from sda.synth import make_block_dataset, write_dataset_files
-from sda.util import fmt_float
+from sda.util import derive_seed, fmt_float
 
 from conftest import assemble, random_tree, write_config_file
 
@@ -24,17 +24,37 @@ class TestPrepare:
         prepared = pipeline.prepare(synth_config)
         n = len(prepared.labels)
         assert prepared.labels.sum() * 2 == n
-        assert n == 2 * len(prepared.positives)
+        positives = prepared.pairs[prepared.labels == 1]
+        assert len(positives) == prepared.am.n_known
+        assert n == 2 * len(positives)
         assert assemble(*prepared.tables, prepared.pairs).shape == (
             n, prepared.am.n_snornas + prepared.am.n_diseases
         )
 
     def test_selected_negatives_are_unknown_pairs(self, synth_config):
         prepared = pipeline.prepare(synth_config)
-        known = set(map(tuple, prepared.positives.tolist()))
-        negatives = list(map(tuple, prepared.pairs[len(prepared.positives):].tolist()))
+        known = set(map(tuple, prepared.pairs[prepared.labels == 1].tolist()))
+        negatives = list(map(tuple, prepared.pairs[prepared.labels == 0].tolist()))
         assert not known & set(negatives)
         assert len(set(negatives)) == len(negatives)
+
+    @pytest.mark.parametrize("ks", [(5, 10), (10,)])
+    def test_one_kmeans_per_draw(self, synth_config, monkeypatch, ks):
+        """Each probed k clusters once under the ``choose-k`` seeds; then the
+        picked k clusters again under the ``kmeans`` seed (the probe's draw
+        is not reused)."""
+        runs = []
+        kmeans = sampling.kmeans
+
+        def spy(left, right, pairs, k, seed):
+            runs.append((k, seed))
+            return kmeans(left, right, pairs, k, seed)
+
+        monkeypatch.setattr(sampling, "kmeans", spy)
+        prepared = pipeline.prepare(synth_config._replace(k=ks))
+        probe = derive_seed(synth_config.seed, "choose-k")
+        probes = [(k, derive_seed(probe, f"kmeans-k{k}")) for k in ks] if len(ks) > 1 else []
+        assert runs == probes + [(prepared.k_used, derive_seed(synth_config.seed, "kmeans"))]
 
     def test_strict_fold_features_differ_on_affected_pairs(self, synth_config):
         prepared = pipeline.prepare(synth_config)
@@ -370,7 +390,7 @@ class TestStrictFolds:
 
     def test_strict_features_rebuild_drops_test_positives(self, synth_config):
         prepared = pipeline.prepare(synth_config)
-        n_pos = len(prepared.positives)
+        n_pos = len(prepared.pairs[prepared.labels == 1])
         test_idx = np.arange(n_pos // 5)
         strict = assemble(*prepared.strict_fold_tables(test_idx, synth_config), prepared.pairs)
         # rows of untouched pairs may still shift (bandwidth is global), but

@@ -188,7 +188,11 @@ class TestChooseK:
             )
 
         monkeypatch.setattr(pipeline, "evaluate", evaluate)
-        got = pipeline._choose_k(base, synth_config._replace(k=tuple(means)))
+
+        def draw(k, seed, kmeans_label, select_label):
+            return base._replace(k_used=k)
+
+        got = pipeline._choose_k(draw, synth_config._replace(k=tuple(means)))
         assert probed == list(means)  # one probe CV per candidate, in order
         return got
 
