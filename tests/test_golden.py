@@ -12,10 +12,13 @@ on purpose re-pins the digest and says why.
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from sda.cli import main
+from sda.corpus import write_table
 from sda.synth import make_block_dataset, write_dataset_files
+from sda.util import fmt_float
 
 from conftest import write_config_file
 
@@ -86,6 +89,23 @@ ARTIFACTS = {
     },
 }
 
+# case -> (command, extra config keys, {artifact: sha256}), run on the golden
+# problem with undefined base pairs (``gap_dataset``); strict-folds meshes
+# the gaps again in every fold
+GAP = {
+    "prepare": (
+        "prepare", {}, {
+            "MSFS.csv": "937504acc18e8521de25537c9aa4f4b239f021f3e123a4a5a44dae6e6e2e732e",
+            "MDSS.csv": "53011b7cec254b00314a3dbcf35f54c9b12b9cb8e4d67861b68ebbd92ea03919",
+        },
+    ),
+    "evaluate-strict-folds": (
+        "evaluate", {"mode": "strict-folds"}, {
+            "report.json": "cd9c7e6ba9ebc8cb2ba0ca9285cbcc1c9a204136fc31dc7c9258270cae8e5747",
+        },
+    ),
+}
+
 # write_dataset_files' key -> sha256 of that file, for the golden problem
 DATASET_FILES = {
     "association": "365e03ef5b598e69a31d3feda75cd6e5b0dff94534283086cc3a65ce408847c4",
@@ -124,6 +144,29 @@ def golden_dataset(tmp_path_factory):
     return write_dataset_files(str(directory), am, ft, dag)
 
 
+@pytest.fixture(scope="module")
+def gap_dataset(golden_dataset, tmp_path_factory):
+    """The golden problem where some base pairs are undefined: the feature
+    table lacks one snoRNA, and the disease similarity file, which replaces
+    the DAG, lacks one disease and masks one off-diagonal pair."""
+    directory = tmp_path_factory.mktemp("gap-data")
+    am, ft, _ = make_block_dataset(n_snornas=40, n_diseases=12, seed=7)
+    features = str(directory / "features.csv")
+    names = [f"f{i}" for i in range(ft.n_features)]
+    kept = [i for i in range(len(ft.snorna_ids)) if i != 5]
+    write_table(features, [ft.snorna_ids[i] for i in kept], names, ft.features[kept], fmt_float)
+    ids = [d for j, d in enumerate(am.disease_ids) if j != 3]
+    values = np.random.default_rng(7).random((len(ids), len(ids)))
+    values = (values + values.T) / 2
+    np.fill_diagonal(values, 1.0)
+    mask = np.ones(values.shape, dtype=np.int8)
+    mask[0, 1] = mask[1, 0] = 0
+    disease_similarity = str(directory / "dss.csv")
+    write_table(disease_similarity, ids, ids, values, fmt_float)
+    write_table(str(directory / "dss.mask.csv"), ids, ids, mask)
+    return dict(golden_dataset, features=features, disease_similarity=disease_similarity)
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_output_digest_pinned(case, golden_dataset, tmp_path):
     command, extra, artifact, digest = GOLDEN[case]
@@ -138,6 +181,15 @@ def test_artifact_digests_pinned(command, golden_dataset, tmp_path):
     got = {name: _sha256(os.path.join(out, name)) for name in ARTIFACTS[command]}
     changed = sorted(name for name in got if got[name] != ARTIFACTS[command][name])
     assert not changed, f"{command}: {changed} changed (sha256 {got})"
+
+
+@pytest.mark.parametrize("case", sorted(GAP))
+def test_gap_digests_pinned(case, gap_dataset, tmp_path):
+    command, extra, digests = GAP[case]
+    extra = dict(extra, dag_path="", disease_similarity_path=gap_dataset["disease_similarity"])
+    out = _run(command, extra, gap_dataset, tmp_path)
+    got = {name: _sha256(os.path.join(out, name)) for name in digests}
+    assert got == digests, f"{case}: changed (sha256 {got})"
 
 
 def test_dataset_files_pinned(golden_dataset):

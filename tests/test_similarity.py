@@ -347,6 +347,37 @@ class TestSerialization:
         with pytest.raises(DataError, match="row ids"):
             load_similarity_matrix(str(path))
 
+    def _load(self, tmp_path, values_text, mask_text=None):
+        path = tmp_path / "sim.csv"
+        path.write_text(values_text, encoding="utf-8")
+        if mask_text is not None:
+            (tmp_path / "sim.mask.csv").write_text(mask_text, encoding="utf-8")
+        return load_similarity_matrix(str(path))
+
+    def test_asymmetric_values_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="similarity values are not symmetric"):
+            self._load(tmp_path, ",a,b\na,1.0,0.5\nb,0.4,1.0\n")
+
+    def test_asymmetric_mask_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="availability mask is not symmetric"):
+            self._load(tmp_path, ",a,b\na,1.0,0.5\nb,0.5,1.0\n", ",a,b\na,1,0\nb,1,1\n")
+
+    def test_non_finite_defined_cell_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="non-finite available values"):
+            self._load(tmp_path, ",a,b\na,1.0,inf\nb,inf,1.0\n", ",a,b\na,1,1\nb,1,1\n")
+
+    def test_non_finite_undefined_cell_loads(self, tmp_path):
+        self._load(tmp_path, ",a,b\na,1.0,inf\nb,inf,1.0\n", ",a,b\na,1,0\nb,0,1\n")
+
+    @pytest.mark.parametrize("mask", ["1", "0"])
+    def test_nan_cell_is_not_symmetric(self, tmp_path, mask):
+        # nan never equals itself, so a nan cell fails the symmetry check
+        with pytest.raises(DataError, match="similarity values are not symmetric"):
+            self._load(
+                tmp_path, ",a,b\na,1.0,nan\nb,nan,1.0\n",
+                f",a,b\na,1,{mask}\nb,{mask},1\n",
+            )
+
     def test_reindex_marks_missing_unavailable(self):
         sm = _sim(["a", "b"], [[1.0, 0.5], [0.5, 1.0]])
         out = reindex(sm, ["b", "q", "a"])
