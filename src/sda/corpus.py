@@ -15,7 +15,8 @@ with a newline (``write_rows``). The formats:
   * similarity matrix (``similarity``): square labelled table, the same ids
     in the same order on both axes, float cells; its optional sibling
     ``<name>.mask.csv`` (a disease similarity input's; the fused matrices
-    have none) has the same ids and "0"/"1" cells
+    have none) has the same ids and "0"/"1" cells, a 0 marking a pair the
+    matrix does not define (it loads as nan)
   * disease DAG: two-cell rows "child,parent", no header
   * balanced pairs (``pipeline``): the header "snorna_id,disease_id,label",
     then one row per pair with a "0"/"1" label

@@ -54,8 +54,8 @@ class PreparedData(NamedTuple):
     """
 
     am: corpus.AssociationMatrix
-    sfs: similarity.SimilarityMatrix | None  # base snoRNA similarity, if any
-    dss: similarity.SimilarityMatrix | None  # base disease similarity, if any
+    sfs: np.ndarray | None  # base snoRNA similarity (nan where undefined), if any
+    dss: np.ndarray | None  # base disease similarity (nan where undefined), if any
     msfs: np.ndarray  # fused snoRNA similarity, in ``am``'s snoRNA order
     mdss: np.ndarray  # fused disease similarity, in ``am``'s disease order
     negatives: np.ndarray  # the unknown cells: (n, 2) rows (snoRNA, disease), row-major
@@ -110,15 +110,15 @@ def _base_similarities(cfg: PipelineConfig, am: corpus.AssociationMatrix):
         sfs = None
 
     if cfg.disease_similarity_path:
-        loaded = similarity.load_similarity_matrix(cfg.disease_similarity_path)
-        missing = len(set(am.disease_ids).difference(loaded.ids))
+        ids, values = similarity.load_similarity_matrix(cfg.disease_similarity_path)
+        missing = len(set(am.disease_ids).difference(ids))
         if missing:
             corpus._warn(
                 f"disease similarity file missing {missing} id(s); their pairs "
                 "fall back to the interaction-profile kernel",
                 cfg.strict,
             )
-        dss = similarity.reindex(loaded, am.disease_ids)
+        dss = similarity.reindex(ids, values, am.disease_ids)
     elif cfg.dag_path:
         dag = corpus.load_disease_dag(cfg.dag_path)
         dss = similarity.disease_semantic_similarity(dag, cfg.delta, ids=am.disease_ids)
@@ -160,10 +160,18 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
     msfs_path, mdss_path, pairs_path, record_path = _artifact_paths(
         "prepare", cfg.prepared_dir
     )
-    msfs = similarity.load_similarity_matrix(msfs_path)
-    mdss = similarity.load_similarity_matrix(mdss_path)
-    if msfs.ids != am.snorna_ids or mdss.ids != am.disease_ids:
-        raise DataError("prepared similarity matrices do not match the association matrix ids")
+    fused = []
+    for path, am_ids in ((msfs_path, am.snorna_ids), (mdss_path, am.disease_ids)):
+        ids, values = similarity.load_similarity_matrix(path)
+        if ids != am_ids:
+            raise DataError("prepared similarity matrices do not match the association matrix ids")
+        if np.isnan(values).any():
+            raise DataError(
+                f"{similarity.mask_path(path)}: holds a 0, but a prepare run's "
+                "fused similarities are defined at every pair"
+            )
+        fused.append(values)
+    msfs, mdss = fused
 
     s_index = {s: i for i, s in enumerate(am.snorna_ids)}
     d_index = {d: i for i, d in enumerate(am.disease_ids)}
@@ -199,7 +207,7 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
 
     _, negatives = corpus.split_known_unknown(am)
     return PreparedData(
-        am=am, sfs=None, dss=None, msfs=msfs.values, mdss=mdss.values,
+        am=am, sfs=None, dss=None, msfs=msfs, mdss=mdss,
         negatives=negatives,
         pairs=np.array(pairs, dtype=np.int64),
         labels=np.asarray(labels, dtype=int),

@@ -2,11 +2,12 @@
 
 Four matrices feed the pair features: cosine similarity over snoRNA feature
 rows, semantic similarity over the disease DAG, and Gaussian interaction
-profile (GIP) kernels over association-matrix rows/columns. A base (cosine,
-semantic, or loaded) similarity is a ``SimilarityMatrix`` and may have gaps;
-the GIP kernel has none, so it and the fused similarities are float arrays.
-Meshing averages each base similarity with its GIP counterpart where the base
-is defined and falls back to GIP alone elsewhere, or everywhere with no base.
+profile (GIP) kernels over association-matrix rows/columns. Every one is a
+float array. A base (cosine, semantic, or loaded) similarity may have gaps:
+it holds nan at every pair it does not define. The GIP kernel has none, and
+neither do the fused similarities. Meshing averages each base similarity
+with its GIP counterpart where the base is defined and falls back to GIP
+alone at nan, or everywhere with no base.
 
 Every output is bitwise symmetric: the semantic similarity by construction,
 the other constructors by mirroring the upper triangle.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,30 +24,6 @@ from .corpus import DiseaseDag, FeatureTable, read_table
 from .errors import DataError, NumericError
 
 log = logging.getLogger(__name__)
-
-
-class SimilarityMatrix(NamedTuple):
-    """A base similarity over one entity set, with a mask of the pairs it defines."""
-
-    ids: list[str]
-    values: np.ndarray  # (n, n) float64
-    available: np.ndarray  # (n, n) bool
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    def validate(self) -> None:
-        n = self.n
-        if self.values.shape != (n, n) or self.available.shape != (n, n):
-            raise DataError("similarity matrix shape does not match id count")
-        if not np.array_equal(self.values, self.values.T):
-            raise DataError("similarity values are not symmetric")
-        if not np.array_equal(self.available, self.available.T):
-            raise DataError("availability mask is not symmetric")
-        vals = self.values[self.available]
-        if vals.size and not np.isfinite(vals).all():
-            raise DataError("similarity matrix holds non-finite available values")
 
 
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
@@ -58,12 +34,12 @@ def _mirror_upper(values: np.ndarray) -> np.ndarray:
 
 def snorna_functional_similarity(
     ft: FeatureTable, ids: list[str] | None = None
-) -> SimilarityMatrix:
+) -> np.ndarray:
     """Pairwise cosine similarity of snoRNA feature rows.
 
     ``ids`` fixes the output order (typically the association-matrix order);
     pairs touching a snoRNA that is absent from the table, or whose feature
-    row has zero norm, are marked unavailable.
+    row has zero norm, are nan.
     """
     out_ids = list(ids) if ids is not None else list(ft.snorna_ids)
     n = len(out_ids)
@@ -78,12 +54,10 @@ def snorna_functional_similarity(
     unit = np.zeros((n, ft.features.shape[1]), dtype=np.float64)
     unit[defined] = ft.features[rows] / norms[rows, None]
 
-    values = np.clip(unit @ unit.T, -1.0, 1.0)
-    values = _mirror_upper(values)
-    available = np.outer(defined, defined)
-    values[~available] = 0.0
-    values[np.diag_indices(n)] = np.where(defined, 1.0, 0.0)
-    return SimilarityMatrix(out_ids, values, available)
+    values = _mirror_upper(np.clip(unit @ unit.T, -1.0, 1.0))
+    np.fill_diagonal(values, 1.0)
+    values[~np.outer(defined, defined)] = np.nan
+    return values
 
 
 def semantic_contribution(dag: DiseaseDag, d_x: str, delta: float = 0.5) -> dict[str, float]:
@@ -105,7 +79,7 @@ def semantic_contribution(dag: DiseaseDag, d_x: str, delta: float = 0.5) -> dict
 
 def disease_semantic_similarity(
     dag: DiseaseDag, delta: float = 0.5, ids: list[str] | None = None
-) -> SimilarityMatrix:
+) -> np.ndarray:
     """Shared-ancestor contribution ratio between every disease pair.
 
     A pair's shared ancestors are the nodes in both ancestor closures (so a
@@ -113,8 +87,8 @@ def disease_semantic_similarity(
     contributions to the pairs of the diseases in whose closure it is. At the
     default ``delta = 0.5`` every contribution is a power of two, so every
     sum is exact (while depth + log2(nodes) < 53): no summation order matters.
-    Pairs with no common ancestor score 0 but stay available; ids missing
-    from the DAG are marked unavailable.
+    Pairs with no common ancestor score 0 but are defined; pairs touching an
+    id missing from the DAG are nan.
     """
     out_ids = list(ids) if ids is not None else list(dag.nodes)
     present = [d for d in out_ids if d in dag]
@@ -134,7 +108,7 @@ def disease_semantic_similarity(
     totals = contributions.sum(axis=0)
     values = shared / (totals[:, None] + totals)
     np.fill_diagonal(values, 1.0)
-    return reindex(SimilarityMatrix(present, values, np.ones(values.shape, bool)), out_ids)
+    return reindex(present, values, out_ids)
 
 
 def gip_bandwidth(profiles, gamma_prime: float = 1.0) -> float:
@@ -159,40 +133,31 @@ def gip_similarity(profiles, gamma: float) -> np.ndarray:
     return values
 
 
-def mesh_similarity(base: SimilarityMatrix | None, gip: np.ndarray) -> np.ndarray:
+def mesh_similarity(base: np.ndarray | None, gip: np.ndarray) -> np.ndarray:
     """Fuse a base similarity with its GIP counterpart, both in the same id
     order.
 
-    Where the base pair is available the result is the arithmetic mean of the
-    two, otherwise the GIP value alone; with no base (``None``) it is the GIP
-    kernel itself. Negative base values (possible for cosine) are clamped to 0
-    first so the fused scale stays in [0, 1].
+    Where the base pair is defined the result is the arithmetic mean of the
+    two, where it is nan the GIP value alone; with no base (``None``) it is
+    the GIP kernel itself. Negative base values (possible for cosine) are
+    clamped to 0 first so the fused scale stays in [0, 1].
     """
     if base is None:
         return gip
-    if base.values.shape != gip.shape:
+    if base.shape != gip.shape:
         raise DataError("mesh: base and GIP matrices differ in shape")
-    clamped = np.maximum(base.values, 0.0)
-    return np.where(base.available, (clamped + gip) / 2.0, gip)
+    return np.where(np.isnan(base), gip, (np.maximum(base, 0.0) + gip) / 2.0)
 
 
-def reindex(sm: SimilarityMatrix, ids: list[str]) -> SimilarityMatrix:
-    """Permute/extend a similarity matrix to a new id order.
-
-    Pairs touching ids absent from ``sm`` become unavailable.
-    """
-    pos = {s: i for i, s in enumerate(sm.ids)}
-    n = len(ids)
-    values = np.zeros((n, n), dtype=np.float64)
-    available = np.zeros((n, n), dtype=bool)
-    idx = [pos.get(s, -1) for s in ids]
-    present = [i for i, p in enumerate(idx) if p >= 0]
-    if present:
-        rows = np.array([idx[i] for i in present])
-        sub = np.ix_(present, present)
-        values[sub] = sm.values[np.ix_(rows, rows)]
-        available[sub] = sm.available[np.ix_(rows, rows)]
-    return SimilarityMatrix(list(ids), values, available)
+def reindex(ids: list[str], values: np.ndarray, new_ids: list[str]) -> np.ndarray:
+    """``values``, a similarity over ``ids``, permuted/extended to the order
+    ``new_ids``; pairs touching an id absent from ``ids`` are nan."""
+    pos = {s: i for i, s in enumerate(ids)}
+    idx = np.array([pos.get(s, -1) for s in new_ids], dtype=np.int64)
+    present = np.flatnonzero(idx >= 0)
+    out = np.full((len(new_ids), len(new_ids)), np.nan)
+    out[np.ix_(present, present)] = values[np.ix_(idx[present], idx[present])]
+    return out
 
 
 def _read_square(path: str, cells: str) -> tuple[list[str], np.ndarray]:
@@ -204,23 +169,29 @@ def _read_square(path: str, cells: str) -> tuple[list[str], np.ndarray]:
     return ids, values
 
 
-def load_similarity_matrix(path: str) -> SimilarityMatrix:
-    """Load an id-labelled similarity CSV; the ``.mask.csv`` sibling is optional
-    (absent mask means fully available) but must carry the same ids."""
+def load_similarity_matrix(path: str) -> tuple[list[str], np.ndarray]:
+    """Ids and values of an id-labelled similarity CSV. Its ``.mask.csv``
+    sibling is optional (absent, every pair is defined) but must carry the
+    same ids; the values are nan wherever the mask holds a 0."""
     ids, values = _read_square(path, "number")
-    mask_path = _mask_path(path)
-    if os.path.exists(mask_path):
-        mask_ids, flags = _read_square(mask_path, "0/1")
+    flags = None
+    mask = mask_path(path)
+    if os.path.exists(mask):
+        mask_ids, flags = _read_square(mask, "0/1")
         if mask_ids != ids:
-            raise DataError(f"{mask_path}: ids do not match those of {path}")
-        available = flags == 1
-    else:
-        available = np.ones(values.shape, dtype=bool)
-    sm = SimilarityMatrix(ids, values, available)
-    sm.validate()
-    return sm
+            raise DataError(f"{mask}: ids do not match those of {path}")
+    if not np.array_equal(values, values.T):  # also fails on any nan cell
+        raise DataError("similarity values are not symmetric")
+    if flags is not None:
+        if not np.array_equal(flags, flags.T):
+            raise DataError("availability mask is not symmetric")
+        values[flags == 0] = np.nan
+    if np.isinf(values).any():
+        raise DataError("similarity matrix holds non-finite available values")
+    return ids, values
 
 
-def _mask_path(path: str) -> str:
+def mask_path(path: str) -> str:
+    """The path of the mask sibling of the similarity CSV at ``path``."""
     root, ext = os.path.splitext(path)
     return f"{root}.mask{ext or '.csv'}"

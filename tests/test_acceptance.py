@@ -21,7 +21,6 @@ from sda.cli import main
 from sda.config import PipelineConfig
 from sda.evaluation import pr_auc, roc_auc
 from sda.similarity import (
-    SimilarityMatrix,
     disease_semantic_similarity,
     gip_bandwidth,
     gip_similarity,
@@ -146,10 +145,10 @@ class TestCriterion4SimilarityOracles:
         for _ in range(100):
             dag = random_dag(rng)
             delta = float(rng.uniform(0.2, 1.0))
-            sm = disease_semantic_similarity(dag, delta)
+            sim = disease_semantic_similarity(dag, delta)
             for i, d1 in enumerate(dag.nodes):
                 for j, d2 in enumerate(dag.nodes):
-                    worst = max(worst, abs(sm.values[i, j] - dss_oracle(dag, d1, d2, delta)))
+                    worst = max(worst, abs(sim[i, j] - dss_oracle(dag, d1, d2, delta)))
         report("4-dss", worst <= 1e-12, f"max |diff| = {worst:.2e} over 100 DAGs")
 
     def test_gip_hand_cases(self):
@@ -160,23 +159,18 @@ class TestCriterion4SimilarityOracles:
         report("4-gip", ok, f"2x2 identity off-diagonal err = {diff:.2e}")
 
     def test_mesh_branch_behavior_exact(self):
-        ids = ["a", "b", "c"]
+        nan = np.nan  # an undefined base pair
         base_vals = np.array([
-            [1.0, 0.8, 0.0],
-            [0.8, 1.0, 0.0],
-            [0.0, 0.0, 0.0],
-        ])
-        avail = np.array([
-            [True, True, False],
-            [True, True, False],
-            [False, False, False],
+            [1.0, 0.8, nan],
+            [0.8, 1.0, nan],
+            [nan, nan, nan],
         ])
         gip_vals = np.array([
             [1.0, 0.4, 0.7],
             [0.4, 1.0, 0.2],
             [0.7, 0.2, 1.0],
         ])
-        out = mesh_similarity(SimilarityMatrix(ids, base_vals, avail), gip_vals)
+        out = mesh_similarity(base_vals, gip_vals)
         ok = (
             out[0, 1] == (0.8 + 0.4) / 2.0  # mean branch, exact
             and out[0, 2] == 0.7  # fallback branch copies GIP

@@ -739,7 +739,7 @@ def test_prepare_run_with_all_ones_masks_ranks_the_same(
     masked = tmp_path / "masked"
     shutil.copytree(prepared_dir, masked)
     for name in ("MSFS", "MDSS"):
-        ids = load_similarity_matrix(str(masked / f"{name}.csv")).ids
+        ids, _ = load_similarity_matrix(str(masked / f"{name}.csv"))
         write_table(str(masked / f"{name}.mask.csv"), ids, ids,
                     np.ones((len(ids),) * 2, np.int8))
     rankings = []
@@ -750,6 +750,25 @@ def test_prepare_run_with_all_ones_masks_ranks_the_same(
         assert main(["rank", "--config", cfg]) == 0
         rankings.append((out / "rankings.csv").read_bytes())
     assert rankings[0] == rankings[1]
+
+
+@pytest.mark.parametrize("name", ["MSFS", "MDSS"])
+def test_prepare_run_with_an_undefined_pair_exits_two(
+    name, small_dataset, prepared_dir, tmp_path, caplog
+):
+    """A prepare run's fused similarities are defined at every pair, so a 0
+    in its ``MSFS.mask.csv`` or ``MDSS.mask.csv`` is a data error naming
+    that mask."""
+    masked = tmp_path / "masked"
+    shutil.copytree(prepared_dir, masked)
+    ids, _ = load_similarity_matrix(str(masked / f"{name}.csv"))
+    flags = np.ones((len(ids),) * 2, np.int8)
+    flags[0, 1] = flags[1, 0] = 0
+    write_table(str(masked / f"{name}.mask.csv"), ids, ids, flags)
+    keys = base_keys(small_dataset, str(tmp_path / "out"), prepared_dir=str(masked))
+    cfg = write_config_file(tmp_path / "cfg.txt", **keys)
+    assert main(["rank", "--config", cfg]) == 2
+    assert f"{masked / name}.mask.csv: holds a 0" in caplog.text
 
 
 # case -> (the rows under balanced_pairs.csv's header, written over the ids of

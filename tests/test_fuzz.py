@@ -69,7 +69,7 @@ def pristine(tmp_path_factory):
     )
     assert main(["prepare", "--config", cfg]) == 0
     shutil.copy(prepared / "MDSS.csv", root / "dss.csv")
-    ids = load_similarity_matrix(str(root / "dss.csv")).ids
+    ids, _ = load_similarity_matrix(str(root / "dss.csv"))
     write_table(str(root / "dss.mask.csv"), ids, ids, np.ones((len(ids),) * 2, np.int8))
     return root, {
         "association": "association.csv",

@@ -270,7 +270,7 @@ class TestPrecomputedDiseaseSimilarity:
         covered = am.disease_ids[:-2]
         dss = disease_semantic_similarity(dag, 0.5, ids=covered)
         sim_path = str(tmp_path / "disease_sim.csv")
-        write_table(sim_path, covered, covered, dss.values, fmt_float)
+        write_table(sim_path, covered, covered, dss, fmt_float)
 
         p = synth_dataset["paths"]
         cfg = PipelineConfig(
@@ -285,10 +285,10 @@ class TestPrecomputedDiseaseSimilarity:
         )
         prepared = pipeline.prepare(cfg)
         # uncovered diseases fall back to the interaction-profile kernel
-        assert not prepared.dss.available[-1, -1]
+        assert np.isnan(prepared.dss[-1, -1])
         i = am.disease_ids.index(covered[0])
         j = am.disease_ids.index(covered[1])
-        assert prepared.dss.available[i, j]
+        assert not np.isnan(prepared.dss[i, j])
         params = pipeline.resolve_svm_params(prepared, cfg)
         report = pipeline.evaluate(prepared, cfg, params)
         assert report.mean["roc_auc"] > 0.8
@@ -298,9 +298,9 @@ class TestPrecomputedDiseaseSimilarity:
         ids = am.disease_ids
         sim_path = str(tmp_path / "disease_sim.csv")
         dss = disease_semantic_similarity(synth_dataset["dag"], 0.5, ids=ids)
-        write_table(sim_path, ids, ids, dss.values, fmt_float)
+        write_table(sim_path, ids, ids, dss, fmt_float)
         mask_path = str(tmp_path / "disease_sim.mask.csv")
-        write_table(mask_path, ids, ids, dss.available.astype(np.int8))
+        write_table(mask_path, ids, ids, (~np.isnan(dss)).astype(np.int8))
         with open(mask_path, "a", encoding="utf-8") as fh:
             fh.write("extra" + ",1" * len(am.disease_ids) + "\n")
         p = synth_dataset["paths"]

@@ -7,7 +7,6 @@ import pytest
 from sda.corpus import DiseaseDag, FeatureTable, write_table
 from sda.errors import DataError, NumericError
 from sda.similarity import (
-    SimilarityMatrix,
     disease_semantic_similarity,
     gip_bandwidth,
     gip_similarity,
@@ -22,9 +21,9 @@ from sda.util import fmt_float
 
 def cosine_similarity(u, v):
     """The off-diagonal cell of the functional similarity of rows u and v;
-    None when it is unavailable."""
-    sm = snorna_functional_similarity(FeatureTable(["u", "v"], np.array([u, v], float)))
-    return float(sm.values[0, 1]) if sm.available[0, 1] else None
+    None when it is undefined (nan)."""
+    sim = snorna_functional_similarity(FeatureTable(["u", "v"], np.array([u, v], float)))
+    return None if np.isnan(sim[0, 1]) else float(sim[0, 1])
 
 
 class TestCosine:
@@ -45,28 +44,28 @@ class TestCosine:
 class TestFunctionalSimilarity:
     def test_diagonal_one_for_nonzero_rows(self):
         ft = FeatureTable(["a", "b"], np.array([[1.0, 2.0], [3.0, 1.0]]))
-        sm = snorna_functional_similarity(ft)
-        assert sm.values[0, 0] == 1.0 and sm.values[1, 1] == 1.0
-        assert sm.available.all()
+        sim = snorna_functional_similarity(ft)
+        assert sim[0, 0] == 1.0 and sim[1, 1] == 1.0
+        assert not np.isnan(sim).any()
 
     def test_identical_rows_score_one(self):
         ft = FeatureTable(["a", "b"], np.array([[1.0, 2.0], [2.0, 4.0]]))
-        sm = snorna_functional_similarity(ft)
-        assert sm.values[0, 1] == pytest.approx(1.0, abs=1e-12)
+        sim = snorna_functional_similarity(ft)
+        assert sim[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_and_zero_rows_unavailable(self):
         ft = FeatureTable(["a", "z"], np.array([[1.0, 0.0], [0.0, 0.0]]))
-        sm = snorna_functional_similarity(ft, ids=["a", "z", "q"])
-        assert sm.available[0, 0]
-        assert not sm.available[1, 1]  # zero norm
-        assert not sm.available[0, 2] and not sm.available[2, 2]  # absent id
-        assert sm.ids == ["a", "z", "q"]
+        sim = snorna_functional_similarity(ft, ids=["a", "z", "q"])
+        assert sim[0, 0] == 1.0
+        assert np.isnan(sim[1, 1])  # zero norm
+        assert np.isnan(sim[0, 2]) and np.isnan(sim[2, 2])  # absent id
+        assert sim.shape == (3, 3)
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(5)
         ft = FeatureTable([f"s{i}" for i in range(9)], rng.random((9, 6)))
-        sm = snorna_functional_similarity(ft)
-        assert np.array_equal(sm.values, sm.values.T)
+        sim = snorna_functional_similarity(ft)
+        assert np.array_equal(sim, sim.T)
 
 
 def chain_dag(length):
@@ -149,28 +148,27 @@ def random_dag(rng, max_nodes=12):
 class TestDiseaseSemanticSimilarity:
     def test_self_similarity_is_one(self):
         dag = chain_dag(3)
-        sm = disease_semantic_similarity(dag, 0.5)
-        assert np.all(np.diag(sm.values) == 1.0)
+        sim = disease_semantic_similarity(dag, 0.5)
+        assert np.all(np.diag(sim) == 1.0)
 
     def test_siblings_under_root(self):
         # hand evaluation: (0.5 + 0.5) / (1.5 + 1.5) = 1/3
         dag = DiseaseDag(["A", "B", "R"], [("A", "R"), ("B", "R")])
-        sm = disease_semantic_similarity(dag, 0.5)
-        i, j = sm.ids.index("A"), sm.ids.index("B")
-        assert sm.values[i, j] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        sim = disease_semantic_similarity(dag, 0.5)
+        i, j = dag.nodes.index("A"), dag.nodes.index("B")
+        assert sim[i, j] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_disjoint_components_score_zero_but_available(self):
         dag = DiseaseDag(["A", "B", "X", "Y"], [("A", "B"), ("X", "Y")])
-        sm = disease_semantic_similarity(dag, 0.5)
-        i, j = sm.ids.index("A"), sm.ids.index("X")
-        assert sm.values[i, j] == 0.0
-        assert sm.available[i, j]
+        sim = disease_semantic_similarity(dag, 0.5)
+        i, j = dag.nodes.index("A"), dag.nodes.index("X")
+        assert sim[i, j] == 0.0  # defined: 0, not nan
 
     def test_ids_missing_from_dag_unavailable(self):
         dag = chain_dag(1)
-        sm = disease_semantic_similarity(dag, 0.5, ids=["n0", "n1", "zz"])
-        assert not sm.available[2, 2]
-        assert sm.available[0, 1]
+        sim = disease_semantic_similarity(dag, 0.5, ids=["n0", "n1", "zz"])
+        assert np.isnan(sim[2, 2])
+        assert not np.isnan(sim[0, 1])
 
     def test_matches_bruteforce_on_random_dags(self):
         rng = np.random.default_rng(42)
@@ -180,25 +178,25 @@ class TestDiseaseSemanticSimilarity:
             assert sorted(position) == sorted(dag.nodes) == sorted(dag.order)
             assert all(position[c] < position[p] for c, p in dag.edges)
             delta = float(rng.uniform(0.2, 1.0))
-            sm = disease_semantic_similarity(dag, delta)
+            sim = disease_semantic_similarity(dag, delta)
             for i, d1 in enumerate(dag.nodes):
                 for j, d2 in enumerate(dag.nodes):
                     expect = dss_oracle(dag, d1, d2, delta)
-                    assert sm.values[i, j] == pytest.approx(expect, abs=1e-12)
+                    assert sim[i, j] == pytest.approx(expect, abs=1e-12)
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(9)
         dag = random_dag(rng)
-        sm = disease_semantic_similarity(dag, 0.5)
-        assert np.array_equal(sm.values, sm.values.T)
+        sim = disease_semantic_similarity(dag, 0.5)
+        assert np.array_equal(sim, sim.T)
 
     def test_underflowed_contribution_still_shared(self):
         # r contributes 1e-600 -> 0.0 to a, yet is a shared ancestor of a
         # and b: (0.0 + 1e-300) / (1.0 + 1.0)
         dag = DiseaseDag(["a", "m", "r", "b"], [("a", "m"), ("m", "r"), ("b", "r")])
-        sm = disease_semantic_similarity(dag, 1e-300)
+        sim = disease_semantic_similarity(dag, 1e-300)
         assert semantic_contribution(dag, "a", 1e-300)["r"] == 0.0
-        assert sm.values[0, 3] == 5e-301
+        assert sim[0, 3] == 5e-301
 
 
 class TestGip:
@@ -251,23 +249,15 @@ class TestGip:
         assert np.array_equal(gip, gip.T)
 
 
-def _sim(ids, values, available=None):
-    values = np.asarray(values, dtype=float)
-    if available is None:
-        available = np.ones(values.shape, dtype=bool)
-    return SimilarityMatrix(list(ids), values, np.asarray(available, dtype=bool))
-
-
 class TestMesh:
     def test_mean_branch(self):
-        base = _sim(["a", "b"], [[1.0, 0.8], [0.8, 1.0]])
+        base = np.array([[1.0, 0.8], [0.8, 1.0]])
         gip = np.array([[1.0, 0.4], [0.4, 1.0]])
         out = mesh_similarity(base, gip)
         assert out[0, 1] == pytest.approx(0.6, abs=1e-15)
 
     def test_unavailable_branch_takes_gip(self):
-        avail = [[True, False], [False, True]]
-        base = _sim(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], avail)
+        base = np.array([[1.0, np.nan], [np.nan, 1.0]])
         gip = np.array([[1.0, 0.4], [0.4, 1.0]])
         out = mesh_similarity(base, gip)
         assert out[0, 1] == 0.4
@@ -278,11 +268,11 @@ class TestMesh:
 
     def test_base_equal_gip_is_identity(self):
         vals = [[1.0, 0.3], [0.3, 1.0]]
-        out = mesh_similarity(_sim(["a", "b"], vals), np.array(vals))
+        out = mesh_similarity(np.array(vals), np.array(vals))
         assert np.array_equal(out, np.asarray(vals))
 
     def test_negative_base_clamped_to_zero(self):
-        base = _sim(["a", "b"], [[1.0, -0.5], [-0.5, 1.0]])
+        base = np.array([[1.0, -0.5], [-0.5, 1.0]])
         gip = np.array([[1.0, 0.4], [0.4, 1.0]])
         out = mesh_similarity(base, gip)
         assert out[0, 1] == pytest.approx(0.2, abs=1e-15)
@@ -290,7 +280,7 @@ class TestMesh:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError, match="differ in shape"):
-            mesh_similarity(_sim(["a", "b"], np.eye(2)), np.eye(3))
+            mesh_similarity(np.eye(2), np.eye(3))
 
 
 class TestSerialization:
@@ -300,20 +290,20 @@ class TestSerialization:
         vals = (vals + vals.T) / 2
         avail = np.ones((4, 4), dtype=bool)
         avail[0, 3] = avail[3, 0] = False
-        sm = _sim([f"x{i}" for i in range(4)], vals, avail)
+        ids = [f"x{i}" for i in range(4)]
         path = str(tmp_path / "sim.csv")
-        write_table(path, sm.ids, sm.ids, sm.values, fmt_float)
-        write_table(str(tmp_path / "sim.mask.csv"), sm.ids, sm.ids, avail.astype(np.int8))
-        back = load_similarity_matrix(path)
-        assert back.ids == sm.ids
-        assert np.array_equal(back.values, sm.values)
-        assert np.array_equal(back.available, sm.available)
+        write_table(path, ids, ids, vals, fmt_float)
+        write_table(str(tmp_path / "sim.mask.csv"), ids, ids, avail.astype(np.int8))
+        back_ids, back = load_similarity_matrix(path)
+        assert back_ids == ids
+        assert np.array_equal(back[avail], vals[avail])
+        assert np.isnan(back[~avail]).all()  # a 0 in the mask reads back as nan
 
     def test_missing_mask_means_fully_available(self, tmp_path):
         path = tmp_path / "sim.csv"
         path.write_text(",a,b\na,1.0,0.5\nb,0.5,1.0\n", encoding="utf-8")
-        back = load_similarity_matrix(str(path))
-        assert back.available.all()
+        _, back = load_similarity_matrix(str(path))
+        assert not np.isnan(back).any()
 
     def _with_mask(self, tmp_path, mask_text):
         path = tmp_path / "sim.csv"
@@ -367,7 +357,10 @@ class TestSerialization:
             self._load(tmp_path, ",a,b\na,1.0,inf\nb,inf,1.0\n", ",a,b\na,1,1\nb,1,1\n")
 
     def test_non_finite_undefined_cell_loads(self, tmp_path):
-        self._load(tmp_path, ",a,b\na,1.0,inf\nb,inf,1.0\n", ",a,b\na,1,0\nb,0,1\n")
+        _, values = self._load(
+            tmp_path, ",a,b\na,1.0,inf\nb,inf,1.0\n", ",a,b\na,1,0\nb,0,1\n"
+        )
+        assert np.isnan(values[0, 1]) and np.isnan(values[1, 0])
 
     @pytest.mark.parametrize("mask", ["1", "0"])
     def test_nan_cell_is_not_symmetric(self, tmp_path, mask):
@@ -379,8 +372,7 @@ class TestSerialization:
             )
 
     def test_reindex_marks_missing_unavailable(self):
-        sm = _sim(["a", "b"], [[1.0, 0.5], [0.5, 1.0]])
-        out = reindex(sm, ["b", "q", "a"])
-        assert out.values[0, 2] == 0.5
-        assert out.available[0, 2]
-        assert not out.available[1, 1]
+        out = reindex(["a", "b"], np.array([[1.0, 0.5], [0.5, 1.0]]), ["b", "q", "a"])
+        assert out[0, 2] == 0.5
+        assert out[0, 0] == 1.0
+        assert np.isnan(out[1]).all() and np.isnan(out[:, 1]).all()
