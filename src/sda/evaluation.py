@@ -1,11 +1,28 @@
-"""Folds and metrics: stratified fold assignment, ROC-AUC, AUPRC,
-accuracy/F1, curve export, and the report the CV (``pipeline.evaluate``)
-builds.
+"""Folds and measures: stratified fold assignment, and every measure the
+commands report, each defined once here. The CV loop
+(``pipeline.evaluate``), the grid search and the holdout check only call
+them.
 
-ROC-AUC is the tie-aware rank statistic (the probability a random positive
-outscores a random negative, ties counted half), not a trapezoid over
-thresholds; AUPRC is average precision with step interpolation over distinct
-thresholds. Curve points are still exported for plotting.
+- A CV fold's entry (``fold_metrics``), from its test decision scores:
+  ``roc_auc``, the tie-aware rank statistic (the mean over positive-negative
+  pairs of [pos > neg] + 0.5 [pos == neg]), not a trapezoid over
+  thresholds; ``auprc``, average precision, the sum of (R_k - R_{k-1}) P_k
+  over distinct descending thresholds; and, with p = sigmoid(score)
+  predicted positive at p >= 0.5, ``accuracy``, ``f1`` (0.0, with
+  ``f1_defined`` false, when nothing is predicted positive) and ``mse``,
+  the mean of (p - label)^2. The grid search takes ROC-AUC alone
+  (``roc_auc``).
+- The pooled test scores' curves (``curves``): ROC as (FAR, TAR) from
+  (0, 0) to (1, 1) and PR as (recall, precision), a point per distinct
+  threshold in descending order, for plotting.
+- A held-out pair's standing among its disease's candidates, its own cell
+  among them (``holdout_standing``): ``percentile``, 100 times the
+  candidates scoring below it, ties counted half, over their count
+  ``n_candidates``; ``rank_in_disease``, 1 + the candidates scoring
+  strictly higher; and ``in_top_k``, that rank within the top k.
+
+Each score set is ranked once (``_ranked``), and every ranked measure of a
+fold, or of the pooled scores, reads that one descending sort.
 """
 
 from __future__ import annotations
@@ -16,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NumericError
+from .util import sigmoid
 
 
 def stratified_kfold(labels, n_folds: int = 5, seed: int = 0) -> np.ndarray:
@@ -39,107 +57,101 @@ def stratified_kfold(labels, n_folds: int = 5, seed: int = 0) -> np.ndarray:
     return fold_index
 
 
-def _check_binary(labels) -> np.ndarray:
-    y = np.asarray(labels)
-    y = np.where(y == 1, 1, 0)
-    return y
-
-
-def _tie_groups(s: np.ndarray, y: np.ndarray):
-    """Runs of equal scores in descending order.
-
-    Returns ``(ends, tp)``: one past the last sorted position of each run,
-    and the positives of ``y`` among the sorted rows up to each run's end.
-    """
+def _ranked(scores, labels, name: str):
+    """``(s, y, ends, tp)``: the scores as floats, the labels as 0/1, and
+    the runs of equal scores in descending order, as one past the last
+    sorted position of each run and the positives among the sorted rows up
+    to each run's end. Raises ``NumericError`` naming ``name`` unless both
+    classes are present, before any measure divides by a class count."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.where(np.asarray(labels) == 1, 1, 0)
+    n_pos = int(y.sum())
+    if n_pos == 0 or n_pos == len(y):
+        raise NumericError(f"{name} needs both classes present")
     order = np.argsort(-s, kind="mergesort")
     s_sorted = s[order]
-    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], len(s) > 0)) + 1
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True)) + 1
     tp = np.cumsum(y[order])[ends - 1]
-    return ends, tp
+    return s, y, ends, tp
 
 
-def roc_auc(scores, labels) -> float:
-    """Tie-aware rank statistic: mean over positive-negative pairs of
-    [score_pos > score_neg] + 0.5 * [tie]."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_binary(labels)
-    n = len(s)
-    n_pos = int(y.sum())
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise NumericError("roc_auc needs both classes present")
-    ends, tp = _tie_groups(s, y)
-    # The Mann-Whitney U: each run's negatives count the positives above
-    # the run and half of those in it. Every term and partial sum is a
-    # multiple of 0.5 below 2^53, so U is exact whatever the summation order.
+def _auc(ends: np.ndarray, tp: np.ndarray) -> float:
+    """The Mann-Whitney U over all positive-negative pairs: each run's
+    negatives count the positives above the run and half of those in it.
+    Every term and partial sum is a multiple of 0.5 below 2^53, so U is
+    exact whatever the summation order."""
+    n_pos = int(tp[-1])
+    n_neg = int(ends[-1]) - n_pos
     pos_run = np.diff(tp, prepend=0)
     neg_run = np.diff(ends - tp, prepend=0)
     u = float(np.sum(neg_run * (tp - 0.5 * pos_run)))
     return u / (n_pos * n_neg)
 
 
-def pr_auc(scores, labels) -> float:
-    """Average precision: sum of (R_k - R_{k-1}) * P_k over distinct
-    descending-score thresholds."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_binary(labels)
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise NumericError("pr_auc needs at least one positive")
-    ends, tp = _tie_groups(s, y)
+def roc_auc(scores, labels) -> float:
+    """The ROC-AUC of ``scores``."""
+    _, _, ends, tp = _ranked(scores, labels, "roc_auc")
+    return _auc(ends, tp)
+
+
+def fold_metrics(scores, labels) -> dict:
+    """A CV fold's measures of its test decision ``scores``."""
+    s, y, ends, tp = _ranked(scores, labels, "fold_metrics")
+    n_pos = int(tp[-1])
     recall = tp / n_pos
     terms = np.diff(recall, prepend=0.0) * (tp / ends)
-    # Summed in threshold order (cumsum adds left to right; np.sum would
-    # pair terms up and round differently).
-    return float(np.cumsum(terms)[-1])
+    probs = sigmoid(s)
+    pred = probs >= 0.5
+    true_pos = int((pred & (y == 1)).sum())
+    false_pos = int(pred.sum()) - true_pos
+    false_neg = n_pos - true_pos
+    f1_defined = true_pos + false_pos > 0
+    return {
+        "roc_auc": _auc(ends, tp),
+        # summed in threshold order (cumsum adds left to right; np.sum
+        # would pair terms up and round differently)
+        "auprc": float(np.cumsum(terms)[-1]),
+        "accuracy": float((pred == y).mean()),
+        "f1": 2.0 * true_pos / (2.0 * true_pos + false_pos + false_neg) if f1_defined else 0.0,
+        "f1_defined": f1_defined,
+        "mse": float(np.mean((probs - y) ** 2)),
+    }
 
 
-class ThresholdMetrics(NamedTuple):
-    accuracy: float
-    f1: float
-    f1_defined: bool = True
+def curves(scores, labels) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """The ROC and the PR curve of ``scores``."""
+    _, _, ends, tp = _ranked(scores, labels, "curves")
+    n_pos = int(tp[-1])
+    far = (ends - tp) / (int(ends[-1]) - n_pos)
+    recall = tp / n_pos
+    # the last run holds every row, so the ROC curve ends at (1, 1)
+    roc = [(0.0, 0.0)] + list(zip(far.tolist(), recall.tolist()))
+    return roc, list(zip(recall.tolist(), (tp / ends).tolist()))
 
 
-def threshold_metrics(scores, labels, threshold: float = 0.5) -> ThresholdMetrics:
-    """Confusion-matrix accuracy and F1 at a probability threshold."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_binary(labels)
-    if len(s) == 0:
-        raise ValueError("empty score list")
-    pred = (s >= threshold).astype(int)
-    accuracy = float((pred == y).mean())
-    tp = int(((pred == 1) & (y == 1)).sum())
-    fp = int(((pred == 1) & (y == 0)).sum())
-    fn = int(((pred == 0) & (y == 1)).sum())
-    if tp + fp == 0 or tp + fn == 0:
-        return ThresholdMetrics(accuracy, 0.0, f1_defined=False)
-    f1 = 2.0 * tp / (2.0 * tp + fp + fn)
-    return ThresholdMetrics(accuracy, f1, f1_defined=True)
-
-
-def roc_points(scores, labels) -> list[tuple[float, float]]:
-    """(FAR, TAR) at each distinct threshold, descending, with (0,0)/(1,1) ends."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_binary(labels)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    ends, tp = _tie_groups(s, y)
-    far = (ends - tp) / n_neg if n_neg else np.zeros(len(ends))
-    tar = tp / n_pos if n_pos else np.zeros(len(ends))
-    points = [(0.0, 0.0)] + list(zip(far.tolist(), tar.tolist()))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    return points
-
-
-def pr_points(scores, labels) -> list[tuple[float, float]]:
-    """(recall, precision) at each distinct threshold, descending scores."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_binary(labels)
-    n_pos = int(y.sum())
-    ends, tp = _tie_groups(s, y)
-    recall = tp / n_pos if n_pos else np.zeros(len(ends))
-    return list(zip(recall.tolist(), (tp / ends).tolist()))
+def holdout_standing(
+    grid: np.ndarray, candidates: np.ndarray, pairs: np.ndarray, top_k: int
+) -> list[dict]:
+    """The ``score`` and standing of each (snoRNA, disease) row of
+    ``pairs``, its candidates the cells of its column of ``grid`` where
+    ``candidates`` is true."""
+    standings = []
+    for s, d in pairs.tolist():
+        column = grid[candidates[:, d], d]
+        mine = float(grid[s, d])
+        below = int((column < mine).sum())
+        ties = int((column == mine).sum())
+        rank = int((column > mine).sum()) + 1
+        standings.append(
+            {
+                "score": mine,
+                "percentile": 100.0 * (below + 0.5 * ties) / len(column),
+                "rank_in_disease": rank,
+                "n_candidates": len(column),
+                "in_top_k": rank <= top_k,
+            }
+        )
+    return standings
 
 
 class MetricsReport(NamedTuple):
@@ -152,4 +164,3 @@ class MetricsReport(NamedTuple):
     mean: dict
     roc_curve: list[tuple[float, float]]
     pr_curve: list[tuple[float, float]]
-

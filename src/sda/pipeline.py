@@ -17,9 +17,9 @@ from . import corpus, sampling, similarity
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
 from .model import Model, SvmParams, fit, select
-from .util import atomic_write_text, derive_seed, fmt_float, sigmoid
+from .util import atomic_write_text, derive_seed, fmt_float
 
-if TYPE_CHECKING:  # the metrics load with the CV that uses them
+if TYPE_CHECKING:  # the measures load with the commands that take them
     from collections.abc import Callable
 
     from .evaluation import MetricsReport
@@ -164,7 +164,9 @@ def load_prepared(am: corpus.AssociationMatrix, cfg: PipelineConfig) -> Prepared
     for path, am_ids in ((msfs_path, am.snorna_ids), (mdss_path, am.disease_ids)):
         ids, values = similarity.load_similarity_matrix(path)
         if ids != am_ids:
-            raise DataError("prepared similarity matrices do not match the association matrix ids")
+            raise DataError(
+                f"{path}: prepared similarity ids do not match the association matrix ids"
+            )
         if np.isnan(values).any():
             raise DataError(
                 f"{similarity.mask_path(path)}: holds a 0, but a prepare run's "
@@ -328,10 +330,7 @@ def evaluate(
     training-fold positives only.
     """
     # here, not at module top: a rank at one SVM point computes no metric
-    from .evaluation import (
-        MetricsReport, pr_auc, pr_points, roc_auc, roc_points, stratified_kfold,
-        threshold_metrics,
-    )
+    from .evaluation import MetricsReport, curves, fold_metrics, stratified_kfold
 
     pairs, labels = prepared.pairs, prepared.labels
     fold_index = stratified_kfold(labels, cfg.n_folds, derive_seed(cfg.seed, "cv-folds"))
@@ -346,36 +345,25 @@ def evaluate(
             tables = prepared.strict_fold_tables(test_idx, cfg)
         else:
             tables = prepared.tables
-        y_train, y_test = labels[train_idx], labels[test_idx]
 
-        model = fit(*tables, pairs[train_idx], y_train, cfg, params)
+        model = fit(*tables, pairs[train_idx], labels[train_idx], cfg, params)
         scores = model.score(*tables, pairs[test_idx])
         pooled[test_idx] = scores
-        probs = sigmoid(scores)
-        tm = threshold_metrics(probs, y_test)
         folds.append(
             {
                 "fold": f,
                 "n_train": int(len(train_idx)),
                 "n_test": int(len(test_idx)),
-                "roc_auc": roc_auc(scores, y_test),
-                "auprc": pr_auc(scores, y_test),
-                "accuracy": tm.accuracy,
-                "f1": tm.f1,
-                "f1_defined": tm.f1_defined,
-                "mse": float(np.mean((probs - y_test) ** 2)),
+                **fold_metrics(scores, labels[test_idx]),
                 "svm_converged": model.svm.converged,
             }
         )
         log.info(
             "fold %d: roc_auc=%.4f auprc=%.4f acc=%.4f f1=%.4f",
-            f,
-            folds[-1]["roc_auc"],
-            folds[-1]["auprc"],
-            tm.accuracy,
-            tm.f1,
+            f, *(folds[-1][key] for key in ("roc_auc", "auprc", "accuracy", "f1")),
         )
 
+    roc_curve, pr_curve = curves(pooled, labels)
     return MetricsReport(
         mode=cfg.mode,
         n_folds=cfg.n_folds,
@@ -387,8 +375,8 @@ def evaluate(
             key: float(np.mean([fd[key] for fd in folds]))
             for key in ("roc_auc", "auprc", "accuracy", "f1", "mse")
         },
-        roc_curve=roc_points(pooled, labels),
-        pr_curve=pr_points(pooled, labels),
+        roc_curve=roc_curve,
+        pr_curve=pr_curve,
     )
 
 
@@ -462,25 +450,14 @@ def holdout_inference_check(cfg: PipelineConfig) -> dict:
     prepared = prepare_from_matrix(reduced, cfg)
     grid = _score_grid(prepared, fit_model(prepared, cfg))
 
-    rows = []
-    for s, d in scorable.tolist():
-        disease_scores = grid[unknown[:, d], d]
-        mine = float(grid[s, d])
-        below = int((disease_scores < mine).sum())
-        ties = int((disease_scores == mine).sum())
-        percentile = 100.0 * (below + 0.5 * ties) / len(disease_scores)
-        rank = int((disease_scores > mine).sum()) + 1
-        rows.append(
-            {
-                "snorna_id": am.snorna_ids[s],
-                "disease_id": am.disease_ids[d],
-                "score": mine,
-                "percentile": percentile,
-                "rank_in_disease": rank,
-                "n_candidates": len(disease_scores),
-                "in_top_k": rank <= cfg.top_k,
-            }
+    from .evaluation import holdout_standing  # here, as in ``evaluate``
+
+    rows = [
+        {"snorna_id": am.snorna_ids[s], "disease_id": am.disease_ids[d], **standing}
+        for (s, d), standing in zip(
+            scorable.tolist(), holdout_standing(grid, unknown, scorable, cfg.top_k)
         )
+    ]
     return {
         "holdout_fraction": cfg.holdout_fraction,
         "seed": cfg.seed,

@@ -181,13 +181,13 @@ def load_similarity_matrix(path: str) -> tuple[list[str], np.ndarray]:
         if mask_ids != ids:
             raise DataError(f"{mask}: ids do not match those of {path}")
     if not np.array_equal(values, values.T):  # also fails on any nan cell
-        raise DataError("similarity values are not symmetric")
+        raise DataError(f"{path}: similarity values are not symmetric")
     if flags is not None:
         if not np.array_equal(flags, flags.T):
-            raise DataError("availability mask is not symmetric")
+            raise DataError(f"{mask}: availability mask is not symmetric")
         values[flags == 0] = np.nan
     if np.isinf(values).any():
-        raise DataError("similarity matrix holds non-finite available values")
+        raise DataError(f"{path}: similarity matrix holds non-finite available values")
     return ids, values
 
 

@@ -19,7 +19,7 @@ from sda import pipeline
 from sda.boost import gbdt_fit, gbdt_leaf_encode
 from sda.cli import main
 from sda.config import PipelineConfig
-from sda.evaluation import pr_auc, roc_auc
+from sda.evaluation import fold_metrics, roc_auc
 from sda.similarity import (
     disease_semantic_similarity,
     gip_bandwidth,
@@ -132,7 +132,7 @@ class TestCriterion3MetricOracles:
         worst = 0.0
         for _ in range(200):
             scores, labels = random_instance(rng)
-            got = pr_auc(scores, labels)
+            got = fold_metrics(scores, labels)["auprc"]
             expect = pr_auc_oracle(scores.tolist(), labels.tolist())
             worst = max(worst, abs(got - expect))
         report("3-pr", worst <= 1e-12, f"max |diff| = {worst:.2e} over 200 instances")

@@ -771,6 +771,20 @@ def test_prepare_run_with_an_undefined_pair_exits_two(
     assert f"{masked / name}.mask.csv: holds a 0" in caplog.text
 
 
+def test_prepare_run_with_reordered_ids_names_the_file(small_dataset, prepared_dir, tmp_path):
+    """A prepare run whose ``MDSS.csv`` lists its diseases in another order
+    than the association matrix is a data error naming ``MDSS.csv``."""
+    reordered = tmp_path / "reordered"
+    shutil.copytree(prepared_dir, reordered)
+    path = str(reordered / "MDSS.csv")
+    ids, values = load_similarity_matrix(path)
+    order = np.arange(len(ids))[::-1]
+    write_table(path, [ids[i] for i in order], [ids[i] for i in order],
+                values[np.ix_(order, order)], fmt_float)
+    with pytest.raises(DataError, match=re.escape(f"{path}: prepared similarity ids")):
+        load_prepared(small_dataset, str(reordered))
+
+
 # case -> (the rows under balanced_pairs.csv's header, written over the ids of
 # its first row "{s},{d}", a positive, and of its last row "{ns},{nd}", a
 # negative; what the error names after the path). None empties the file.
@@ -941,7 +955,7 @@ def run_fresh(argv, **env_vars):
     return proc.returncode, proc.stderr, set(proc.stdout.splitlines())
 
 
-@pytest.mark.parametrize("command", ("evaluate", "rank"))
+@pytest.mark.parametrize("command", ("evaluate", "rank", "holdout"))
 def test_command_does_not_import_numpy_ma(command, small_dataset, tmp_path):
     # the first plain np.unique imports numpy.ma, which costs every command
     # about 12 ms and 1.5 MB; no label check needs it
@@ -955,11 +969,12 @@ def test_command_does_not_import_numpy_ma(command, small_dataset, tmp_path):
     # the records are NamedTuples: dataclasses costs an import and a
     # compiled __init__, __repr__ and __eq__ per class
     assert "dataclasses" not in modules
-    # a rank at one SVM point computes no metric and writes no JSON: the
-    # imports of both wait for the code that uses them
-    evaluates = command == "evaluate"
-    assert ("sda.evaluation" in modules) == evaluates
-    assert ("json" in modules) == evaluates
+    # a rank at one SVM point computes no measure and writes no JSON: the
+    # imports of both wait for the code that uses them (the CV's fold
+    # metrics, the holdout's standings, and the reports)
+    measures = command != "rank"
+    assert ("sda.evaluation" in modules) == measures
+    assert ("json" in modules) == measures
 
 
 def test_rankings_do_not_depend_on_blas_threads(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -345,15 +346,18 @@ class TestSerialization:
         return load_similarity_matrix(str(path))
 
     def test_asymmetric_values_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="similarity values are not symmetric"):
+        path = re.escape(str(tmp_path / "sim.csv"))
+        with pytest.raises(DataError, match=f"^{path}: similarity values are not symmetric"):
             self._load(tmp_path, ",a,b\na,1.0,0.5\nb,0.4,1.0\n")
 
     def test_asymmetric_mask_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="availability mask is not symmetric"):
+        mask = re.escape(str(tmp_path / "sim.mask.csv"))
+        with pytest.raises(DataError, match=f"^{mask}: availability mask is not symmetric"):
             self._load(tmp_path, ",a,b\na,1.0,0.5\nb,0.5,1.0\n", ",a,b\na,1,0\nb,1,1\n")
 
     def test_non_finite_defined_cell_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="non-finite available values"):
+        path = re.escape(str(tmp_path / "sim.csv"))
+        with pytest.raises(DataError, match=f"^{path}: .*non-finite available values"):
             self._load(tmp_path, ",a,b\na,1.0,inf\nb,inf,1.0\n", ",a,b\na,1,1\nb,1,1\n")
 
     def test_non_finite_undefined_cell_loads(self, tmp_path):
@@ -365,7 +369,8 @@ class TestSerialization:
     @pytest.mark.parametrize("mask", ["1", "0"])
     def test_nan_cell_is_not_symmetric(self, tmp_path, mask):
         # nan never equals itself, so a nan cell fails the symmetry check
-        with pytest.raises(DataError, match="similarity values are not symmetric"):
+        path = re.escape(str(tmp_path / "sim.csv"))
+        with pytest.raises(DataError, match=f"^{path}: similarity values are not symmetric"):
             self._load(
                 tmp_path, ",a,b\na,1.0,nan\nb,nan,1.0\n",
                 f",a,b\na,1,{mask}\nb,{mask},1\n",
