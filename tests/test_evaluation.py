@@ -3,10 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sda import pipeline
+from sda import evaluation, pipeline
 from sda.config import PipelineConfig
 from sda.errors import DataError, NumericError
-from sda import evaluation
 from sda.evaluation import (
     curves,
     fold_metrics,
